@@ -4,15 +4,17 @@ One executable, ``dcmatch``, with subcommands for enumeration, neighbor
 listing, classification, component censuses, graph export, series
 coefficients, count tables, and the verification suite.  All output is
 deterministic for a given command line; worker count never changes the
-bytes emitted.  Exit codes: 0 success, 1 verification or I/O failure,
-2 usage error, 3 resource limit.
+bytes emitted.  Exit codes: 0 success, 1 verification, I/O or internal
+failure, 2 usage error, 3 resource limit.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import traceback
 
 from .compat import neighbors
 from .counting import (
@@ -54,8 +56,24 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _max_k() -> int:
+    try:
+        return configured_max_k()
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+
+
+def _positive(text: str) -> int:
+    # argparse type for --threads and --memory-cap: a bad value is a usage
+    # error at parse time, not a DomainError from the library later.
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _check_k(k: int) -> None:
-    cap = configured_max_k()
+    cap = _max_k()
     if k < 1:
         raise _UsageError(f"k must be >= 1, got {k}")
     if k > cap:
@@ -272,7 +290,7 @@ def _cmd_verify(args) -> tuple[str, int]:
         _check_k(args.k)
         lo = hi = args.k
     else:
-        lo, hi = 1, min(12, configured_max_k())
+        lo, hi = 1, min(12, _max_k())
     results = run_checks(
         lo=lo,
         hi=hi,
@@ -332,14 +350,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("components", "component census of the graph",
             fmt=("text", "csv", "json"), default_fmt="text")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--threads", type=int, metavar="N")
-    p.add_argument("--memory-cap", type=int, metavar="MB")
+    p.add_argument("--threads", type=_positive, metavar="N")
+    p.add_argument("--memory-cap", type=_positive, metavar="MB")
 
     p = add("graph", "export the whole graph",
             fmt=("dot", "json"), default_fmt="dot")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--threads", type=int, metavar="N")
-    p.add_argument("--memory-cap", type=int, metavar="MB")
+    p.add_argument("--threads", type=_positive, metavar="N")
+    p.add_argument("--memory-cap", type=_positive, metavar="MB")
 
     p = add("series", "edge-count series coefficients",
             fmt=("text", "csv", "json"), default_fmt="csv")
@@ -357,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-range", metavar="A..B")
     p.add_argument("--quick", action="store_true",
                    help="skip graph builds above k=6")
-    p.add_argument("--threads", type=int, metavar="N")
-    p.add_argument("--memory-cap", type=int, metavar="MB")
+    p.add_argument("--threads", type=_positive, metavar="N")
+    p.add_argument("--memory-cap", type=_positive, metavar="MB")
 
     return parser
 
@@ -387,15 +405,19 @@ def main(argv: list[str] | None = None) -> int:
         if args.command is None:
             raise _UsageError("a subcommand is required")
         text, code = _HANDLERS[args.command](args)
-    except _UsageError as exc:
-        _fail("ERR_USAGE", str(exc))
-        return EXIT_USAGE
-    except (MatchingError, ValueError) as exc:
+    except (_UsageError, MatchingError) as exc:
         _fail("ERR_USAGE", str(exc))
         return EXIT_USAGE
     except ResourceLimitError as exc:
         _fail("ERR_RESOURCE", str(exc))
         return EXIT_RESOURCE
+    except Exception as exc:
+        # Anything else escaping a handler is a fault in the package, not
+        # in the command line; name where it was raised on the one line.
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
+        _fail("ERR_INTERNAL", f"{type(exc).__name__} at {where}: {exc}")
+        return EXIT_FAILURE
     try:
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:

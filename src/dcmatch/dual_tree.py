@@ -341,17 +341,15 @@ def _consecutive_runs(m: Matching, kind: str) -> list[SeparatedPair]:
     n = m.n_points
     if n < 4:
         return []
-    present = set(m.edges)
+    p = m.partner()
+    block = kind == "block"
     out = []
-    for i in range(1, n + 1):
-        q = [_cyc(i + t, n) for t in range(4)]
-        if kind == "block":
-            pair = ((q[0], q[3]), (q[1], q[2]))
-        else:
-            pair = ((q[0], q[1]), (q[2], q[3]))
-        canon = tuple(sorted(tuple(sorted(e)) for e in pair))
-        if canon[0] in present and canon[1] in present:
-            out.append(SeparatedPair(kind, i, canon))
+    for a in range(1, n + 1):
+        b, c, d = a % n + 1, (a + 1) % n + 1, (a + 2) % n + 1
+        first, second = ((a, d), (b, c)) if block else ((a, b), (c, d))
+        if p[first[0]] == first[1] and p[second[0]] == second[1]:
+            canon = tuple(sorted(tuple(sorted(e)) for e in (first, second)))
+            out.append(SeparatedPair(kind, a, canon))
     return out
 
 

@@ -11,8 +11,11 @@ for upper and ``-`` for lower).  The first element is ``+``, the last
 Families:
 
 * isolated matchings (no neighbor): grown from the single 2-point
-  matching by repeatedly inserting a block, detected by stripping blocks;
-* degree-one matchings: strip down to a size 2 or 3 ring;
+  matching by repeatedly inserting a block (two chords on four
+  consecutive points, paired outer/inner); recognized by cancelling
+  blocks cyclically, like balanced brackets, down to a single chord;
+* degree-one matchings: grown the same way from the size 2 and 3 rings;
+  the same cancellation leaves nothing (even size) or a size-3 ring;
 * paired matchings (``make_db``): elements only; mutual unique neighbors,
   linked by :func:`db_partner`;
 * odd star centers (``make_dbd``): elements plus one trailing vertical
@@ -27,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .dual_tree import find_blocks
 from .errors import DomainError
 from .matching import Edge, Matching, validate
 from .compat import flip
@@ -265,47 +267,36 @@ def rings(k: int) -> tuple[Matching, Matching]:
     return r1, r2
 
 
-def _strip_block(m: Matching, start: int) -> Matching:
-    # Delete the 4-point run of a block and renumber the rest.
-    n = m.n_points
-    gone = {(start - 1 + t) % n + 1 for t in range(4)}
-    keep = sorted(set(range(1, n + 1)) - gone)
-    rank = {t: i + 1 for i, t in enumerate(keep)}
-    edges = [
-        (rank[a], rank[b])
-        for a, b in m.edges
-        if a not in gone and b not in gone
-    ]
-    return validate(edges)
+def _block_residue(m: Matching) -> int:
+    # Cancel blocks like balanced brackets: push points in order and pop
+    # the top four x, y, y', x' when p[x] == x' and p[y] == y'.  A pass
+    # misses blocks across its seam, so the last three survivors move to
+    # the front until a pass removes nothing.  Returns the points left.
+    p = m.partner()
+    residue, rotated = list(range(1, len(p))), False
+    while len(residue) >= 4:
+        kept: list[int] = []
+        for x in residue:
+            kept.append(x)
+            if len(kept) > 3 and p[kept[-4]] == x and p[kept[-3]] == kept[-2]:
+                del kept[-4:]
+        if rotated and len(kept) == len(residue):
+            break
+        residue, rotated = kept[-3:] + kept[:-3], True
+    return len(residue)
 
 
 def is_I(m: Matching) -> bool:
-    """Whether the matching is isolated: odd size, blocks all the way down."""
-    if m.k % 2 == 0:
-        return False
-    cur = m
-    while cur.k >= 3:
-        blocks = find_blocks(cur)
-        if not blocks:
-            return False
-        cur = _strip_block(cur, blocks[0].start)
-    return True
+    """Whether the matching is isolated: odd size, and cancelling blocks
+    cyclically leaves a single chord (a 2-point residue)."""
+    return m.k % 2 == 1 and _block_residue(m) == 2
 
 
 def is_L(m: Matching) -> bool:
-    """Whether the matching has exactly one neighbor: blocks down to a
-    size 2 or 3 ring."""
-    if m.k < 2:
-        return False
-    cur = m
-    while cur.k >= 4:
-        blocks = find_blocks(cur)
-        if not blocks:
-            return False
-        cur = _strip_block(cur, blocks[0].start)
-    from .matching import is_ring
-
-    return is_ring(cur)
+    """Whether the matching has exactly one neighbor: size at least 2, and
+    cancelling blocks cyclically leaves nothing (even size) or 6 points
+    (odd size; a size-3 matching without a block is a ring)."""
+    return m.k >= 2 and _block_residue(m) == (6 if m.k % 2 else 0)
 
 
 def i_coloring(m: Matching) -> dict[Edge, str]:
@@ -374,46 +365,28 @@ def _grown_family(base: str, k: int) -> frozenset[Matching]:
 def _strip_family(variant: str, k: int) -> dict[Matching, tuple]:
     """All members of a strip-built family, mapped to their sorted
     parameter tuples."""
-    out: dict[Matching, list] = {}
-
-    def put(m: Matching, params: tuple) -> None:
-        out.setdefault(m, []).append(params)
-
-    n = 2 * k
-    if variant == "DB":
-        width = _chi_len(k // 2)
-        for chi in _all_chi(width):
-            for z in range(1, n + 1):
-                put(make_db(k, chi, z).matching, (chi, z))
-    elif variant == "DBD":
-        width = _chi_len((k + 1) // 2 - 1)
-        for chi in _all_chi(width):
-            for z in range(1, n + 1):
-                put(make_dbd(k, chi, z).matching, (chi, z))
-    elif variant == "DBDL":
-        count = (k + 1) // 2 - 1
-        width = _chi_len(count)
-        for chi in _all_chi(width):
-            for j in range(1, count + 1):
-                for z in range(1, n + 1):
-                    put(make_dbdl(k, j, chi, z), (j, chi, z))
-    elif variant == "EDB":
-        count = k // 2 - 1
-        width = _chi_len(count)
-        for chi in _all_chi(width):
-            for j in range(1, count + 1):
-                for z in range(1, n + 1):
-                    put(make_edb(k, j, chi, z).matching, (j, chi, z))
-    elif variant in ("EDBL1", "EDBL2"):
-        maker = make_edbl1 if variant == "EDBL1" else make_edbl2
-        count = k // 2 - 1
-        width = _chi_len(count)
-        for chi in _all_chi(width):
-            for j in range(1, count + 1):
-                for z in range(1, n + 1):
-                    put(maker(k, j, chi, z), (j, chi, z))
-    else:
+    half, odd_half = k // 2, (k + 1) // 2 - 1
+    makers = {
+        "DB": (half, lambda chi, z: make_db(k, chi, z).matching),
+        "DBD": (odd_half, lambda chi, z: make_dbd(k, chi, z).matching),
+        "DBDL": (odd_half, lambda j, chi, z: make_dbdl(k, j, chi, z)),
+        "EDB": (half - 1, lambda j, chi, z: make_edb(k, j, chi, z).matching),
+        "EDBL1": (half - 1, lambda j, chi, z: make_edbl1(k, j, chi, z)),
+        "EDBL2": (half - 1, lambda j, chi, z: make_edbl2(k, j, chi, z)),
+    }
+    if variant not in makers:
         raise ValueError(f"unknown strip family {variant!r}")
+    count, make = makers[variant]
+    # Witnesses are (chi, z), or (j, chi, z) where the maker takes j.
+    js = [()] if variant in ("DB", "DBD") else [
+        (j,) for j in range(1, count + 1)
+    ]
+    out: dict[Matching, list] = {}
+    for chi in _all_chi(_chi_len(count)):
+        for j in js:
+            for z in range(1, 2 * k + 1):
+                params = (*j, chi, z)
+                out.setdefault(make(*params), []).append(params)
     return {m: tuple(sorted(params)) for m, params in out.items()}
 
 

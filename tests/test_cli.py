@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from dcmatch import cli
 from dcmatch.cli import main
 from dcmatch.verification import CHECK_NAMES
 
@@ -403,6 +404,31 @@ class TestTopLevel:
 
     def test_unknown_flag(self, capsys):
         code, _, err = run("enumerate", "--bogus", capsys=capsys)
+        assert code == 2
+        assert err.startswith("dcmatch: ERR_USAGE:")
+        assert err.count("\n") == 1
+
+    def test_internal_fault_is_not_a_usage_error(self, capsys, monkeypatch):
+        def broken(args):
+            raise ValueError("internal invariant broken")
+
+        monkeypatch.setitem(cli._HANDLERS, "enumerate", broken)
+        code, out, err = run("enumerate", "--k", "2", capsys=capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("dcmatch: ERR_INTERNAL: ValueError at test_cli")
+        assert err.endswith(": internal invariant broken\n")
+        assert err.count("\n") == 1
+
+    def test_malformed_max_k_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("DCM_MAX_K", "twelve")
+        code, _, err = run("enumerate", "--k", "2", capsys=capsys)
+        assert code == 2
+        assert err.startswith("dcmatch: ERR_USAGE: DCM_MAX_K")
+
+    @pytest.mark.parametrize("flag", ["--threads", "--memory-cap"])
+    def test_nonpositive_worker_flags_are_usage_errors(self, capsys, flag):
+        code, _, err = run("components", "--k", "2", flag, "0", capsys=capsys)
         assert code == 2
         assert err.startswith("dcmatch: ERR_USAGE:")
         assert err.count("\n") == 1

@@ -36,7 +36,14 @@ from dcmatch.families import (
     make_edbl2,
     rings,
 )
-from dcmatch.matching import enumerate_matchings, is_ring, parse_matching
+from dcmatch.matching import (
+    enumerate_matchings,
+    is_ring,
+    parse_matching,
+    reflect,
+    rotate,
+)
+from dcmatch.verification import ISOLATED_BY_K
 
 NESTED3 = parse_matching("1-6,2-5,3-4")
 
@@ -337,6 +344,35 @@ class TestRecognizers:
             found = sum(is_I(m) for m in enumerate_matchings(k))
             assert found == I_SIZES[k]
         assert sum(is_L(m) for m in enumerate_matchings(4)) == L_SIZES[4]
+
+
+class TestRecognizerOracles:
+    """The cyclic block cancellation against the recursive definitions:
+    the families grown by block insertion, and the dihedral symmetry."""
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 7, 9])
+    def test_is_i_matches_grown_family(self, k):
+        found = {m for m in enumerate_matchings(k) if is_I(m)}
+        assert found == generate_family("I", k)
+
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_is_l_matches_grown_family(self, k):
+        found = {m for m in enumerate_matchings(k) if is_L(m)}
+        assert found == generate_family("L", k)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_dihedral_invariance(self, k):
+        for m in enumerate_matchings(k):
+            expected = (is_I(m), is_L(m))
+            for image in [reflect(m)] + [
+                rotate(m, s) for s in range(1, 2 * k)
+            ]:
+                assert (is_I(image), is_L(image)) == expected
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 7, 9, 11])
+    def test_isolated_count_matches_pinned_table(self, k):
+        found = sum(is_I(m) for m in enumerate_matchings(k))
+        assert found == ISOLATED_BY_K[k]
 
 
 class TestIColoring:
