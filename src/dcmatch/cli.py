@@ -64,8 +64,8 @@ def _max_k() -> int:
 
 
 def _positive(text: str) -> int:
-    # argparse type for --threads and --memory-cap: a bad value is a usage
-    # error at parse time, not a DomainError from the library later.
+    # argparse type for --threads: a bad value is a usage error at parse
+    # time, not a DomainError from the library later.
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
@@ -168,9 +168,7 @@ def _witness_text(witness: tuple) -> str:
 
 def _cmd_components(args) -> tuple[str, int]:
     _check_k(args.k)
-    graph = build_graph(
-        args.k, workers=args.threads, memory_cap_mb=args.memory_cap
-    )
+    graph = build_graph(args.k, workers=args.threads)
     reports = components(graph)
     if args.format == "csv":
         return census_csv(graph, reports), EXIT_OK
@@ -200,9 +198,7 @@ def _cmd_components(args) -> tuple[str, int]:
 
 def _cmd_graph(args) -> tuple[str, int]:
     _check_k(args.k)
-    graph = build_graph(
-        args.k, workers=args.threads, memory_cap_mb=args.memory_cap
-    )
+    graph = build_graph(args.k, workers=args.threads)
     if args.format == "json":
         return _json(graph_to_json_dict(graph)), EXIT_OK
     return to_dot(graph), EXIT_OK
@@ -296,7 +292,6 @@ def _cmd_verify(args) -> tuple[str, int]:
         hi=hi,
         quick=args.quick,
         workers=args.threads,
-        memory_cap_mb=args.memory_cap,
     )
     code = EXIT_OK if all(r.passed for r in results) else EXIT_FAILURE
     if args.format == "text":
@@ -351,13 +346,11 @@ def build_parser() -> argparse.ArgumentParser:
             fmt=("text", "csv", "json"), default_fmt="text")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--threads", type=_positive, metavar="N")
-    p.add_argument("--memory-cap", type=_positive, metavar="MB")
 
     p = add("graph", "export the whole graph",
             fmt=("dot", "json"), default_fmt="dot")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--threads", type=_positive, metavar="N")
-    p.add_argument("--memory-cap", type=_positive, metavar="MB")
 
     p = add("series", "edge-count series coefficients",
             fmt=("text", "csv", "json"), default_fmt="csv")
@@ -376,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quick", action="store_true",
                    help="skip graph builds above k=6")
     p.add_argument("--threads", type=_positive, metavar="N")
-    p.add_argument("--memory-cap", type=_positive, metavar="MB")
 
     return parser
 

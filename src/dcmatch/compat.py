@@ -328,35 +328,41 @@ def neighbors(m: Matching) -> set[Matching]:
 
 
 @lru_cache(maxsize=None)
-def _pair_tables(k: int):
-    # Bitmask tables over the chord universe of 2k points: one bit per
-    # possible chord, plus each chord's mask of crossing chords.
-    n = 2 * k
+def chord_tables(n: int) -> tuple[dict[Edge, int], list[int]]:
+    """Bit index of each chord on points 1..n, and its crossing mask."""
     eindex: dict[Edge, int] = {}
     for a in range(1, n + 1):
         for b in range(a + 1, n + 1):
             eindex[(a, b)] = len(eindex)
-    cross = [0] * len(eindex)
     chords = list(eindex)
-    for e in chords:
-        bits = 0
-        for f in chords:
-            if is_crossing(e, f):
-                bits |= 1 << eindex[f]
-        cross[eindex[e]] = bits
+    cross = [0] * len(chords)
+    for i, e in enumerate(chords):
+        for j in range(i + 1, len(chords)):
+            if is_crossing(e, chords[j]):
+                cross[i] |= 1 << j
+                cross[j] |= 1 << i
+    return eindex, cross
+
+
+def edge_masks(
+    edges, eindex: dict[Edge, int], cross: list[int]
+) -> tuple[int, int]:
+    """Mask of the given chords, and mask of all chords crossing one."""
+    used = 0
+    crossed = 0
+    for e in edges:
+        i = eindex[e]
+        used |= 1 << i
+        crossed |= cross[i]
+    return used, crossed
+
+
+@lru_cache(maxsize=None)
+def _pair_tables(k: int):
+    # Every matching of size k with its chord mask over 2k points.
+    eindex, cross = chord_tables(2 * k)
     ms = enumerate_matchings(k)
-    masks = []
-    crossings = []
-    for m in ms:
-        mask = 0
-        cm = 0
-        for e in m.edges:
-            i = eindex[e]
-            mask |= 1 << i
-            cm |= cross[i]
-        masks.append(mask)
-        crossings.append(cm)
-    return eindex, cross, ms, masks, crossings
+    return ms, [edge_masks(m.edges, eindex, cross)[0] for m in ms]
 
 
 def neighbors_bruteforce(m: Matching) -> set[Matching]:
@@ -365,13 +371,8 @@ def neighbors_bruteforce(m: Matching) -> set[Matching]:
     Independent of the flip route: precomputed chord bitmasks decide
     edge-disjointness and crossing-freeness per candidate.
     """
-    eindex, cross, ms, masks, crossings = _pair_tables(m.k)
-    mask = 0
-    cm = 0
-    for e in m.edges:
-        i = eindex[e]
-        mask |= 1 << i
-        cm |= cross[i]
+    ms, masks = _pair_tables(m.k)
+    mask, cm = edge_masks(m.edges, *chord_tables(2 * m.k))
     return {
         m2
         for m2, mask2 in zip(ms, masks)

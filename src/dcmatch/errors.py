@@ -37,4 +37,4 @@ class DomainError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A requested computation exceeds the configured size or memory bounds."""
+    """A requested size exceeds the configured cap (``DCM_MAX_K``)."""

@@ -2,27 +2,22 @@
 
 Vertices are the canonical matchings in enumeration order, adjacency is
 kept as one flat sorted index array plus per-vertex offsets.  Builds are
-chunked, so worker count never changes the result, and a configured
-memory cap switches the builder to spooling finished chunks to disk.
+chunked, so worker count never changes the result.
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
 from array import array
 from bisect import bisect_left
 from collections import Counter, deque
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import accumulate
 from multiprocessing import get_context
 
-from .compat import neighbors
-from .counting import (
-    catalan,
-    edge_series,
-    medium_even_order,
-    medium_odd_order,
-)
+from .compat import chord_tables, edge_masks, neighbors
+from .counting import medium_even_order, medium_odd_order
 from .errors import DomainError, ResourceLimitError
 from .families import LABEL_PATH_LEAF, LABEL_PATH_MEMBER, classify
 from .matching import (
@@ -31,7 +26,6 @@ from .matching import (
     canonical_edges,
     configured_max_k,
     enumerate_matchings,
-    is_crossing,
 )
 
 # Vertices per build task; fixed so that chunk boundaries, and therefore
@@ -97,53 +91,30 @@ def _chunk_adjacency(bounds: tuple[int, int]) -> tuple[bytes, bytes]:
     return counts.tobytes(), flat.tobytes()
 
 
-def _adjacency_bytes_needed(k: int) -> int:
-    # Final CSR footprint: 8-byte offsets plus 4-byte targets.
-    d_k = edge_series(k).coefficients[k]
-    return (catalan(k) + 1) * 8 + 2 * d_k * 4
+def _offsets(counts) -> array:
+    # CSR row starts: running sums of the row lengths, led by a zero.
+    return array("q", accumulate(counts, initial=0))
 
 
-def _assemble(k, vertices, results, cap_bytes):
+def _assemble(k, vertices, results) -> DcmGraph:
+    # Chunks are appended as they arrive, so no list of them is held.
     counts = array("i")
     targets = array("i")
-    if cap_bytes is None:
-        parts = []
-        for count_bytes, flat_bytes in results:
-            piece = array("i")
-            piece.frombytes(count_bytes)
-            counts.extend(piece)
-            parts.append(flat_bytes)
-        targets.frombytes(b"".join(parts))
-    else:
-        # Low-memory mode: spool finished chunks to disk, then read the
-        # concatenation back once.
-        with tempfile.TemporaryFile() as spill:
-            for count_bytes, flat_bytes in results:
-                piece = array("i")
-                piece.frombytes(count_bytes)
-                counts.extend(piece)
-                spill.write(flat_bytes)
-            spill.seek(0)
-            targets.frombytes(spill.read())
-    offsets = array("q", [0])
-    for c in counts:
-        offsets.append(offsets[-1] + c)
+    for count_bytes, flat_bytes in results:
+        counts.frombytes(count_bytes)
+        targets.frombytes(flat_bytes)
+    offsets = _offsets(counts)
     total = offsets[-1]
     assert total % 2 == 0, "adjacency must be symmetric"
     return DcmGraph(k, tuple(vertices), offsets, targets, total // 2)
 
 
-def build_graph(
-    k: int,
-    workers: int | None = None,
-    memory_cap_mb: int | None = None,
-) -> DcmGraph:
+def build_graph(k: int, workers: int | None = None) -> DcmGraph:
     """Build the size-k graph.
 
     ``workers`` > 1 forks that many processes over fixed vertex chunks;
     the merge keeps chunk order, so any worker count yields the same
-    graph.  With ``memory_cap_mb`` set, the build refuses sizes whose
-    adjacency would not fit and spools chunk output to a temporary file.
+    graph.
     """
     limit = configured_max_k()
     if k < 1:
@@ -157,17 +128,6 @@ def build_graph(
         workers = os.cpu_count() or 1
     if workers < 1:
         raise DomainError(f"worker count must be >= 1, got {workers}")
-    cap_bytes = None
-    if memory_cap_mb is not None:
-        if memory_cap_mb < 1:
-            raise DomainError(f"memory cap must be >= 1 MB, got {memory_cap_mb}")
-        cap_bytes = memory_cap_mb * 1024 * 1024
-        needed = _adjacency_bytes_needed(k)
-        if needed > cap_bytes:
-            raise ResourceLimitError(
-                f"size-{k} adjacency needs about {needed} bytes, "
-                f"over the {memory_cap_mb} MB cap"
-            )
     vertices = enumerate_matchings(k)
     chunks = [
         (lo, min(lo + _CHUNK, len(vertices)))
@@ -178,10 +138,10 @@ def build_graph(
     _WORK_INDEX = {m: i for i, m in enumerate(vertices)}
     try:
         if workers == 1 or len(chunks) == 1:
-            return _assemble(k, vertices, map(_chunk_adjacency, chunks), cap_bytes)
+            return _assemble(k, vertices, map(_chunk_adjacency, chunks))
         with get_context("fork").Pool(min(workers, len(chunks))) as pool:
             results = pool.imap(_chunk_adjacency, chunks)
-            return _assemble(k, vertices, results, cap_bytes)
+            return _assemble(k, vertices, results)
     finally:
         _WORK_VERTICES = None
         _WORK_INDEX = None
@@ -204,32 +164,36 @@ def _census_category(k: int, order: int) -> str:
     return "big"
 
 
-def components(graph: DcmGraph) -> list[ComponentReport]:
-    """Connected components in order of their smallest vertex."""
-    n = graph.order
-    color = bytearray(n)
-    seen = bytearray(n)
-    reports: list[ComponentReport] = []
-    for start in range(n):
-        if seen[start]:
+def _pieces(order: int, adjacent) -> Iterator[tuple[list[int], bool]]:
+    """Connected components in order of their smallest vertex.
+
+    Yields each component's sorted members and whether it two-colors;
+    ``adjacent(v)`` lists the neighbors of vertex ``v``.
+    """
+    color = bytearray(order)  # 0 while unseen, then 1 or 2
+    for start in range(order):
+        if color[start]:
             continue
-        seen[start] = 1
         color[start] = 1
         members = [start]
         bipartite = True
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
+        # Breadth-first: the loop also visits members appended during it.
+        for v in members:
             opposite = 3 - color[v]
-            for w in graph.adjacent(v):
-                if not seen[w]:
-                    seen[w] = 1
+            for w in adjacent(v):
+                if not color[w]:
                     color[w] = opposite
                     members.append(w)
-                    queue.append(w)
-                elif color[w] == color[v]:
+                elif color[w] != opposite:
                     bipartite = False
         members.sort()
+        yield members, bipartite
+
+
+def components(graph: DcmGraph) -> list[ComponentReport]:
+    """Connected components in order of their smallest vertex."""
+    reports: list[ComponentReport] = []
+    for members, bipartite in _pieces(graph.order, graph.adjacent):
         profile = Counter(classify(graph.vertices[i]) for i in members)
         reports.append(
             ComponentReport(
@@ -242,7 +206,7 @@ def components(graph: DcmGraph) -> list[ComponentReport]:
                 members=tuple(members),
             )
         )
-    assert sum(r.order for r in reports) == n
+    assert sum(r.order for r in reports) == graph.order
     return reports
 
 
@@ -500,51 +464,26 @@ def build_almost_perfect_graph(k: int) -> AlmostPerfectGraph:
             )
             raw.append((skip, edges))
     raw.sort(key=lambda v: v[1])
-    chords = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
-    chord_id = {c: i for i, c in enumerate(chords)}
-    crossers = [0] * len(chords)
-    for i, first in enumerate(chords):
-        for j in range(i + 1, len(chords)):
-            if is_crossing(first, chords[j]):
-                crossers[i] |= 1 << j
-                crossers[j] |= 1 << i
+    eindex, cross = chord_tables(n)
     masks = []
-    cross_masks = []
+    blocked = []
     for _, edges in raw:
-        used = 0
-        crossed = 0
-        for e in edges:
-            used |= 1 << chord_id[e]
-            crossed |= crossers[chord_id[e]]
+        used, crossed = edge_masks(edges, eindex, cross)
         masks.append(used)
-        cross_masks.append(crossed)
-    order = len(raw)
-    adjacency: list[list[int]] = [[] for _ in range(order)]
-    for i in range(order):
-        mask_i, cross_i = masks[i], cross_masks[i]
-        for j in range(i + 1, order):
-            if mask_i & masks[j] == 0 and cross_i & masks[j] == 0:
-                adjacency[i].append(j)
-                adjacency[j].append(i)
-    offsets = array("q", [0])
+        blocked.append(used | crossed)
+    counts = array("i")
     targets = array("i")
-    for row in adjacency:
+    for b in blocked:
+        # A vertex's own chords block it, so no row lists the vertex.
+        row = [j for j, mask in enumerate(masks) if not mask & b]
+        counts.append(len(row))
         targets.extend(row)
-        offsets.append(offsets[-1] + len(row))
-    seen = bytearray(order)
-    pieces = 0
-    for start in range(order):
-        if seen[start]:
-            continue
-        pieces += 1
-        seen[start] = 1
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in adjacency[v]:
-                if not seen[w]:
-                    seen[w] = 1
-                    queue.append(w)
+    offsets = _offsets(counts)
+
+    def adjacent(v: int) -> array:
+        return targets[offsets[v] : offsets[v + 1]]
+
+    pieces = sum(1 for _ in _pieces(len(raw), adjacent))
     index = {edges: i for i, (_, edges) in enumerate(raw)}
     ring_indices = []
     for skip in range(1, n + 1):
@@ -560,7 +499,7 @@ def build_almost_perfect_graph(k: int) -> AlmostPerfectGraph:
             ring_indices[(pos - 1) % n],
             ring_indices[(pos + 1) % n],
         }
-        got = {w for w in adjacency[v] if w in ring_set}
+        got = {w for w in adjacent(v) if w in ring_set}
         if got != expected:
             cycle_ok = False
     return AlmostPerfectGraph(
@@ -569,7 +508,7 @@ def build_almost_perfect_graph(k: int) -> AlmostPerfectGraph:
         vertices=tuple(raw),
         offsets=offsets,
         targets=targets,
-        edge_count=sum(len(row) for row in adjacency) // 2,
+        edge_count=offsets[-1] // 2,
         connected=pieces == 1,
         component_count=pieces,
         ring_indices=tuple(ring_indices),

@@ -12,7 +12,7 @@ import pytest
 
 from dcmatch import cli
 from dcmatch.cli import main
-from dcmatch.verification import CHECK_NAMES
+from dcmatch.verification import CHECK_NAMES, run_checks
 
 EDGE_ROW = (1, 0, 1, 1, 9, 21, 125, 421, 2161, 8677, 42245)
 
@@ -254,12 +254,19 @@ class TestComponents:
             outs.add(out)
         assert len(outs) == 1
 
-    def test_memory_cap_refusal(self, capsys):
-        code, _, err = run(
-            "components", "--k", "12", "--memory-cap", "1", capsys=capsys
-        )
+    def test_memory_cap_refusal(self, capsys, monkeypatch):
+        # The size cap (DCM_MAX_K, default 12) is the one resource guard.
+        monkeypatch.delenv("DCM_MAX_K", raising=False)
+        code, _, err = run("components", "--k", "13", capsys=capsys)
         assert code == 3
         assert err.startswith("dcmatch: ERR_RESOURCE:")
+
+    def test_memory_cap_flag_is_unknown(self, capsys):
+        code, _, err = run(
+            "components", "--k", "2", "--memory-cap", "64", capsys=capsys
+        )
+        assert code == 2
+        assert err.startswith("dcmatch: ERR_USAGE:")
 
 
 class TestGraph:
@@ -395,6 +402,12 @@ class TestVerify:
             line.startswith(("PASS", "SKIP")) for line in lines[:-1]
         )
 
+    def test_growth_probe_detail_is_deterministic(self):
+        (first,) = run_checks(names=("growth-probe",))
+        (again,) = run_checks(names=("growth-probe",))
+        assert first.status == "pass"
+        assert first.detail == again.detail
+
 
 class TestTopLevel:
     def test_no_command(self, capsys):
@@ -426,7 +439,7 @@ class TestTopLevel:
         assert code == 2
         assert err.startswith("dcmatch: ERR_USAGE: DCM_MAX_K")
 
-    @pytest.mark.parametrize("flag", ["--threads", "--memory-cap"])
+    @pytest.mark.parametrize("flag", ["--threads"])
     def test_nonpositive_worker_flags_are_usage_errors(self, capsys, flag):
         code, _, err = run("components", "--k", "2", flag, "0", capsys=capsys)
         assert code == 2

@@ -22,7 +22,7 @@ from dcmatch.graph import (
     to_dot,
     verify_medium_even_structure,
 )
-from dcmatch.matching import parse_matching
+from dcmatch.matching import is_crossing, parse_matching
 
 # (order, category) -> how many components, pinned per size.
 CENSUS = {
@@ -88,14 +88,6 @@ class TestBuild:
         assert graph_to_json_dict(build_graph(4, workers=2)) == base
         assert graph_to_json_dict(build_graph(4, workers=3)) == base
 
-    def test_memory_cap_spill_matches(self):
-        capped = build_graph(5, memory_cap_mb=64)
-        assert graph_to_json_dict(capped) == graph_to_json_dict(graph_for(5))
-
-    def test_memory_cap_too_tight(self):
-        with pytest.raises(ResourceLimitError):
-            build_graph(12, memory_cap_mb=1)
-
     def test_configured_cap(self, monkeypatch):
         monkeypatch.setenv("DCM_MAX_K", "5")
         with pytest.raises(ResourceLimitError):
@@ -106,8 +98,6 @@ class TestBuild:
             build_graph(0)
         with pytest.raises(DomainError):
             build_graph(4, workers=0)
-        with pytest.raises(DomainError):
-            build_graph(4, memory_cap_mb=0)
 
 
 class TestComponents:
@@ -274,13 +264,27 @@ class TestAlmostPerfect:
             assert ap.rings_form_cycle
             assert len(set(ap.ring_indices)) == 2 * k + 1
 
+    def test_edge_counts(self):
+        expected = {1: 3, 2: 25, 3: 161, 4: 1071, 5: 6677, 6: 41535}
+        for k, count in expected.items():
+            assert build_almost_perfect_graph(k).edge_count == count
+
     def test_adjacent_vertices_share_nothing(self):
-        ap = build_almost_perfect_graph(2)
-        for i in range(ap.order):
-            _, edges_i = ap.vertices[i]
-            for j in ap.adjacent(i):
-                _, edges_j = ap.vertices[j]
-                assert not set(edges_i) & set(edges_j)
+        # Oracle: pairwise edge comparison with is_crossing, no bitmasks.
+        for k in range(1, 5):
+            ap = build_almost_perfect_graph(k)
+            edge_sets = [set(edges) for _, edges in ap.vertices]
+            for i, mine in enumerate(edge_sets):
+                expected = {
+                    j
+                    for j, theirs in enumerate(edge_sets)
+                    if j != i
+                    and not mine & theirs
+                    and not any(
+                        is_crossing(e, f) for e in mine for f in theirs
+                    )
+                }
+                assert set(ap.adjacent(i)) == expected, (k, i)
 
     def test_bad_size(self):
         with pytest.raises(DomainError):
