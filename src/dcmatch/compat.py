@@ -18,6 +18,7 @@ neighbors, so enumerating partitions enumerates the adjacency.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, product
@@ -28,6 +29,7 @@ from .matching import (
     Matching,
     canonical_edges,
     enumerate_matchings,
+    from_partner,
     is_crossing,
 )
 
@@ -315,13 +317,21 @@ def flippable_partitions(m: Matching) -> list[FlippablePartition]:
     return found
 
 
+def neighbor_partners(p: list[int]) -> Iterator[list[int]]:
+    """Partner tables of all neighbors of the matching with partner table ``p``."""
+    n = len(p) - 1
+    for raw in _raw_partitions(p, n):
+        q = [0] * (n + 1)
+        for group in raw:
+            for a, b in _flip_edges(group):
+                q[a] = b
+                q[b] = a
+        yield q
+
+
 def neighbors(m: Matching) -> set[Matching]:
     """All matchings disjoint compatible with ``m``, via flip partitions."""
-    out = set()
-    for raw in _raw_partitions(m.partner(), m.n_points):
-        flipped = [e for group in raw for e in _flip_edges(group)]
-        out.add(Matching(canonical_edges(flipped)))
-    return out
+    return {from_partner(q) for q in neighbor_partners(m.partner())}
 
 
 # -- independent oracle -----------------------------------------------------

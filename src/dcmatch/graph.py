@@ -1,23 +1,26 @@
 """The compatibility graph itself: construction, components, and exports.
 
-Vertices are the canonical matchings in enumeration order, adjacency is
-kept as one flat sorted index array plus per-vertex offsets.  Builds are
-chunked, so worker count never changes the result.
+Vertex i is the matching of rank i in canonical order (``matching.rank``),
+and adjacency is one flat sorted index array plus per-vertex offsets.
+Rotations and reflections of the 2k-gon map compatible pairs to
+compatible pairs, so the build enumerates flips only for one
+representative per dihedral orbit and carries its neighbors to the rest
+of the orbit by rank tables.  Rows are built over fixed rank ranges, so
+the worker count never changes the result.
 """
 
 from __future__ import annotations
 
 import os
 from array import array
-from bisect import bisect_left
 from collections import Counter, deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate
 from multiprocessing import get_context
 
-from .compat import chord_tables, edge_masks, neighbors
-from .counting import medium_even_order, medium_odd_order
+from .compat import chord_tables, edge_masks, neighbor_partners
+from .counting import catalan, medium_even_order, medium_odd_order
 from .errors import DomainError, ResourceLimitError
 from .families import LABEL_PATH_LEAF, LABEL_PATH_MEMBER, classify
 from .matching import (
@@ -25,7 +28,11 @@ from .matching import (
     Matching,
     canonical_edges,
     configured_max_k,
+    dihedral_permutations,
     enumerate_matchings,
+    permute,
+    rank,
+    unrank,
 )
 
 # Vertices per build task; fixed so that chunk boundaries, and therefore
@@ -55,10 +62,9 @@ class DcmGraph:
         return self.targets[self.offsets[i] : self.offsets[i + 1]]
 
     def index_of(self, m: Matching) -> int:
-        i = bisect_left(self.vertices, m.edges, key=lambda v: v.edges)
-        if i == len(self.vertices) or self.vertices[i] != m:
+        if m.k != self.k:
             raise ValueError(f"{m} is not a vertex of the size-{self.k} graph")
-        return i
+        return rank(m.partner())
 
 
 @dataclass(frozen=True)
@@ -74,21 +80,100 @@ class ComponentReport:
     members: tuple[int, ...]
 
 
-# Chunk workers read these module globals; they are populated right
-# before forking and cleared afterwards.
-_WORK_VERTICES: list[Matching] | None = None
-_WORK_INDEX: dict[Matching, int] | None = None
+def orbit_tables(k: int) -> tuple[array, array, array]:
+    """Dihedral orbits of the size-k matchings, indexed by rank.
+
+    Returns ``(orbit, element, images)``.  Symmetries are numbered
+    0..4k-1 as in ``dihedral_permutations(2k)``.  Rank i is the image of
+    the representative of orbit ``orbit[i]`` under symmetry
+    ``element[i]``, and ``images[4k * o + e]`` is the rank of the
+    representative of orbit o under symmetry e.  Each orbit's
+    representative is its smallest rank, so ``images[4k * o]``.
+    """
+    perms = dihedral_permutations(2 * k)
+    orbit = array("i", [-1]) * catalan(k)
+    element = array("i", [0]) * len(orbit)
+    images = array("i")
+    for i in range(len(orbit)):
+        if orbit[i] >= 0:
+            continue
+        o = len(images) // len(perms)
+        p = unrank(k, i)
+        for e, sigma in enumerate(perms):
+            j = rank(permute(p, sigma))
+            images.append(j)
+            if orbit[j] < 0:
+                orbit[j] = o
+                element[j] = e
+    return orbit, element, images
 
 
-def _chunk_adjacency(bounds: tuple[int, int]) -> tuple[bytes, bytes]:
-    lo, hi = bounds
-    counts = array("i")
-    flat = array("i")
-    for i in range(lo, hi):
-        found = sorted(_WORK_INDEX[m] for m in neighbors(_WORK_VERTICES[i]))
-        counts.append(len(found))
-        flat.extend(found)
-    return counts.tobytes(), flat.tobytes()
+def _compose(n: int) -> tuple[tuple[int, ...], ...]:
+    # _compose(n)[e][f]: the symmetry "f, then e" of the n-gon.
+    perms = dihedral_permutations(n)
+    number = {sigma: e for e, sigma in enumerate(perms)}
+    return tuple(
+        tuple(number[tuple(outer[t] for t in inner)] for inner in perms)
+        for outer in perms
+    )
+
+
+class _RowBuilder:
+    """Adjacency rows over rank ranges, from the orbit tables.
+
+    The flip enumeration runs once per orbit representative; its
+    neighbors are kept as (orbit offset into ``images``, symmetry), so a
+    row of any other orbit member is a lookup per neighbor.
+    """
+
+    def __init__(self, k: int, orbit: array, element: array, images: array):
+        self.k = k
+        self.orbit = orbit
+        self.element = element
+        self.images = images
+        self.compose = _compose(2 * k)
+        self.known: dict[int, list[tuple[int, int]]] = {}
+
+    def _representative_neighbors(self, o: int) -> list[tuple[int, int]]:
+        group = len(self.compose)
+        p = unrank(self.k, self.images[group * o])
+        out = []
+        for q in neighbor_partners(p):
+            x = rank(q)
+            out.append((group * self.orbit[x], self.element[x]))
+        return out
+
+    def rows(self, bounds: tuple[int, int]) -> tuple[bytes, bytes]:
+        lo, hi = bounds
+        orbit, element, images = self.orbit, self.element, self.images
+        known = self.known
+        counts = array("i")
+        flat = array("i")
+        for i in range(lo, hi):
+            o = orbit[i]
+            found = known.get(o)
+            if found is None:
+                found = known[o] = self._representative_neighbors(o)
+            # Neighbor x = f(rep'), so its image under e is (f, then e)(rep').
+            then = self.compose[element[i]]
+            row = sorted([images[base + then[f]] for base, f in found])
+            counts.append(len(row))
+            flat.extend(row)
+        return counts.tobytes(), flat.tobytes()
+
+
+# Each pool worker's own row builder, made by the pool's initializer in
+# that worker from the tables it is handed; the parent never sets it.
+_worker: _RowBuilder | None = None
+
+
+def _start_worker(k: int, orbit: array, element: array, images: array) -> None:
+    global _worker
+    _worker = _RowBuilder(k, orbit, element, images)
+
+
+def _worker_rows(bounds: tuple[int, int]) -> tuple[bytes, bytes]:
+    return _worker.rows(bounds)
 
 
 def _offsets(counts) -> array:
@@ -96,25 +181,25 @@ def _offsets(counts) -> array:
     return array("q", accumulate(counts, initial=0))
 
 
-def _assemble(k, vertices, results) -> DcmGraph:
+def _merge(results) -> tuple[array, array]:
     # Chunks are appended as they arrive, so no list of them is held.
     counts = array("i")
     targets = array("i")
     for count_bytes, flat_bytes in results:
         counts.frombytes(count_bytes)
         targets.frombytes(flat_bytes)
-    offsets = _offsets(counts)
-    total = offsets[-1]
-    assert total % 2 == 0, "adjacency must be symmetric"
-    return DcmGraph(k, tuple(vertices), offsets, targets, total // 2)
+    return _offsets(counts), targets
 
 
 def build_graph(k: int, workers: int | None = None) -> DcmGraph:
     """Build the size-k graph.
 
-    ``workers`` > 1 forks that many processes over fixed vertex chunks;
-    the merge keeps chunk order, so any worker count yields the same
-    graph.
+    The parent computes the dihedral orbit tables (``orbit_tables``) and
+    cuts the ranks into fixed ranges.  Each range's rows come from the
+    flip neighbors of its orbit representatives, mapped by symmetry.
+    ``workers`` > 1 hands the tables to a pool of that many processes
+    through its initializer; the merge keeps range order, so any worker
+    count yields the same graph.
     """
     limit = configured_max_k()
     if k < 1:
@@ -128,23 +213,22 @@ def build_graph(k: int, workers: int | None = None) -> DcmGraph:
         workers = os.cpu_count() or 1
     if workers < 1:
         raise DomainError(f"worker count must be >= 1, got {workers}")
-    vertices = enumerate_matchings(k)
-    chunks = [
-        (lo, min(lo + _CHUNK, len(vertices)))
-        for lo in range(0, len(vertices), _CHUNK)
-    ]
-    global _WORK_VERTICES, _WORK_INDEX
-    _WORK_VERTICES = vertices
-    _WORK_INDEX = {m: i for i, m in enumerate(vertices)}
-    try:
-        if workers == 1 or len(chunks) == 1:
-            return _assemble(k, vertices, map(_chunk_adjacency, chunks))
-        with get_context("fork").Pool(min(workers, len(chunks))) as pool:
-            results = pool.imap(_chunk_adjacency, chunks)
-            return _assemble(k, vertices, results)
-    finally:
-        _WORK_VERTICES = None
-        _WORK_INDEX = None
+    tables = orbit_tables(k)
+    order = len(tables[0])
+    chunks = [(lo, min(lo + _CHUNK, order)) for lo in range(0, order, _CHUNK)]
+    if workers == 1 or len(chunks) == 1:
+        offsets, targets = _merge(map(_RowBuilder(k, *tables).rows, chunks))
+    else:
+        with get_context("fork").Pool(
+            min(workers, len(chunks)),
+            initializer=_start_worker,
+            initargs=(k, *tables),
+        ) as pool:
+            offsets, targets = _merge(pool.imap(_worker_rows, chunks))
+    total = offsets[-1]
+    assert total % 2 == 0, "adjacency must be symmetric"
+    vertices = tuple(enumerate_matchings(k))
+    return DcmGraph(k, vertices, offsets, targets, total // 2)
 
 
 # -- components --------------------------------------------------------------

@@ -6,14 +6,20 @@ is a property of the cyclic label order alone, so no coordinates are stored.
 
 The canonical form used everywhere: each edge is an ``(a, b)`` tuple with
 ``a < b``, and edges are sorted by their first point.  The string form joins
-edges with commas, e.g. ``"1-2,3-4,5-6"``.
+edges with commas, e.g. ``"1-2,3-4,5-6"``.  Canonical order sorts matchings
+by their edge tuples; a matching's index in it is its rank (:func:`rank`,
+:func:`unrank`), computed from its partner table.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from bisect import bisect_right
+from functools import lru_cache
+from itertools import accumulate
+from math import comb
+from typing import Iterable, Sequence
 
 from .errors import CrossingError, LabelError, ParseError
 
@@ -172,44 +178,144 @@ def matching_from_json(obj: dict) -> Matching:
     return validate(edges, k)
 
 
-def _enumerate_tuples(points: tuple[int, ...]) -> Iterator[tuple[Edge, ...]]:
-    # Non-crossing matchings of an even label sequence: match the first point
-    # to every odd-offset partner, then recurse on the two separated runs.
-    if not points:
-        yield ()
-        return
-    first = points[0]
-    for j in range(1, len(points), 2):
-        edge = (first, points[j])
-        for inner in _enumerate_tuples(points[1:j]):
-            for outer in _enumerate_tuples(points[j + 1 :]):
-                yield (edge,) + inner + outer
-
-
 def enumerate_matchings(k: int, max_k: int | None = None) -> list[Matching]:
     """All non-crossing perfect matchings on 2k points, in canonical order."""
     limit = configured_max_k() if max_k is None else max_k
     if not 1 <= k <= limit:
         raise ValueError(f"k must be in 1..{limit}, got {k}")
-    found = [
-        Matching(canonical_edges(t))
-        for t in _enumerate_tuples(tuple(range(1, 2 * k + 1)))
+    # Matchings of each run of points, as canonical edge tuples: match the
+    # run's first point to every odd-offset partner, then combine the runs
+    # inside and after that chord.  The first chord grows, then the inside,
+    # then the rest, so every list comes out in canonical order.  Runs are
+    # memoised, which also shares their edge tuples.
+    runs: dict[tuple[int, int], list[tuple[Edge, ...]]] = {}
+
+    def run(first: int, pairs: int) -> list[tuple[Edge, ...]]:
+        found = runs.get((first, pairs))
+        if found is None:
+            found = [] if pairs else [()]
+            for j in range(pairs):
+                edge = (first, first + 2 * j + 1)
+                after = run(first + 2 * j + 2, pairs - 1 - j)
+                for inside in run(first + 1, j):
+                    head = (edge,) + inside
+                    found.extend([head + rest for rest in after])
+            runs[(first, pairs)] = found
+        return found
+
+    return [Matching(t) for t in run(1, k)]
+
+
+# -- ranking -----------------------------------------------------------------
+#
+# Canonical order sorts first by the chord at point 1, then by the pairs
+# inside it, then by the pairs after it.  So if that chord (1, 2j + 2)
+# encloses j pairs and o = k - 1 - j pairs lie after it, the rank is
+#
+#     before[k][j] + rank(inside) * C(o) + rank(after),
+#
+# where ``before[k][j]`` counts the size-k matchings whose first chord
+# encloses fewer than j pairs (Ruskey, Combinatorial Generation; Knuth,
+# TAOCP 7.2.1.6).  Unrolled, every chord adds its own ``before`` term,
+# scaled by C(o) for each chord around it.
+
+
+@lru_cache(maxsize=None)
+def _rank_tables(k: int) -> tuple[list[list[int]], list[int]]:
+    cat = [comb(2 * i, i) // (i + 1) for i in range(k + 1)]
+    before = [
+        list(accumulate((cat[i] * cat[s - 1 - i] for i in range(s)), initial=0))
+        for s in range(k + 1)
     ]
-    found.sort(key=lambda m: m.edges)
-    return found
+    return before, cat
+
+
+def rank(p: Sequence[int]) -> int:
+    """Index in canonical order of the matching with partner table ``p``.
+
+    ``p`` is taken to be a valid non-crossing partner table; it is not
+    checked.
+    """
+    n = len(p) - 1
+    before, cat = _rank_tables(n // 2)
+    r = 0
+    end, scale = n, 1  # last point of the current run, and its multiplier
+    # The run and multiplier to go back to after each chord closes.
+    outer_end = [0] * (n + 1)
+    outer_scale = [0] * (n + 1)
+    for a in range(1, n + 1):
+        b = p[a]
+        if b > a:
+            r += scale * before[(end - a + 1) // 2][(b - a - 1) // 2]
+            outer_end[b] = end
+            outer_scale[b] = scale
+            scale *= cat[(end - b) // 2]
+            end = b - 1
+        else:
+            end = outer_end[a]
+            scale = outer_scale[a]
+    return r
+
+
+def unrank(k: int, r: int) -> list[int]:
+    """Partner table of the size-k matching at index ``r`` of canonical order."""
+    before, cat = _rank_tables(k)
+    if not 0 <= r < cat[k]:
+        raise ValueError(f"rank {r} out of range for k={k}")
+    p = [0] * (2 * k + 1)
+    runs = [(1, k, r)]  # (first point, pairs, rank within the run)
+    while runs:
+        a, size, r = runs.pop()
+        if not size:
+            continue
+        j = bisect_right(before[size], r) - 1
+        inside, after = divmod(r - before[size][j], cat[size - 1 - j])
+        b = a + 2 * j + 1
+        p[a], p[b] = b, a
+        runs.append((a + 1, j, inside))
+        runs.append((b + 1, size - 1 - j, after))
+    return p
+
+
+# -- symmetries --------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def dihedral_permutations(n: int) -> tuple[tuple[int, ...], ...]:
+    """The 2n symmetries of the n-gon as point maps, 0 fixed.
+
+    Element ``s < n`` rotates by s: point t goes to t + s (mod n).
+    Element ``n + s`` reflects (t goes to n + 1 - t) and then rotates by s.
+    """
+    points = range(1, n + 1)
+    return tuple(
+        (0, *[(t - 1 + s) % n + 1 for t in points]) for s in range(n)
+    ) + tuple((0, *[(n - t + s) % n + 1 for t in points]) for s in range(n))
+
+
+def permute(p: Sequence[int], sigma: Sequence[int]) -> list[int]:
+    """Partner table of the matching ``p`` after moving each point t to sigma[t]."""
+    q = [0] * len(p)
+    for t in range(1, len(p)):
+        q[sigma[t]] = sigma[p[t]]
+    return q
+
+
+def from_partner(p: Sequence[int]) -> Matching:
+    """The matching with partner table ``p`` (index 0 unused); not validated."""
+    return Matching(tuple((a, b) for a, b in enumerate(p) if a < b))
 
 
 def rotate(m: Matching, s: int) -> Matching:
     """Rotate labels by ``s`` steps: point ``t`` becomes ``t + s`` (mod 2k)."""
     n = m.n_points
-    shifted = [((a - 1 + s) % n + 1, (b - 1 + s) % n + 1) for a, b in m.edges]
-    return Matching(canonical_edges(shifted))
+    return from_partner(permute(m.partner(), dihedral_permutations(n)[s % n]))
 
 
 def reflect(m: Matching) -> Matching:
     """Mirror the point set: point ``t`` becomes ``2k + 1 - t``."""
     n = m.n_points
-    return Matching(canonical_edges((n + 1 - a, n + 1 - b) for a, b in m.edges))
+    return from_partner(permute(m.partner(), dihedral_permutations(n)[n]))
 
 
 def edge_kind(m: Matching, edge: Iterable[int]) -> str:

@@ -244,15 +244,18 @@ class TestComponents:
         }
 
     def test_threads_do_not_change_bytes(self, capsys):
-        outs = set()
-        for threads in ("1", "3"):
-            code, out, _ = run(
-                "components", "--k", "4", "--format", "csv",
-                "--threads", threads, capsys=capsys,
-            )
-            assert code == 0
-            outs.add(out)
-        assert len(outs) == 1
+        # k = 9 has 4862 vertices, more than one build chunk, so its
+        # threaded builds go through the worker pool.
+        for k in ("4", "9"):
+            outs = set()
+            for threads in ("1", "3"):
+                code, out, _ = run(
+                    "components", "--k", k, "--format", "csv",
+                    "--threads", threads, capsys=capsys,
+                )
+                assert code == 0
+                outs.add(out)
+            assert len(outs) == 1
 
     def test_memory_cap_refusal(self, capsys, monkeypatch):
         # The size cap (DCM_MAX_K, default 12) is the one resource guard.

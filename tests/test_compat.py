@@ -18,7 +18,13 @@ from dcmatch.compat import (
     neighbors_bruteforce,
 )
 from dcmatch.errors import FlipError
-from dcmatch.matching import enumerate_matchings, parse_matching, validate
+from dcmatch.matching import (
+    enumerate_matchings,
+    parse_matching,
+    reflect,
+    rotate,
+    validate,
+)
 
 RING4 = parse_matching("1-2,3-4,5-6,7-8")
 
@@ -209,6 +215,18 @@ class TestOracleAgreement:
                 m2 for m2 in ms if are_disjoint_compatible(m, m2)
             }
             assert neighbors_bruteforce(m) == expected
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_bruteforce_is_dihedrally_equivariant(self, k):
+        # The geometric fact the orbit-driven graph build rests on,
+        # checked on the chord-mask route alone.
+        for m in enumerate_matchings(k):
+            around = neighbors_bruteforce(m)
+            for s in range(2 * k):
+                assert neighbors_bruteforce(rotate(m, s)) == {
+                    rotate(x, s) for x in around
+                }
+            assert neighbors_bruteforce(reflect(m)) == {reflect(x) for x in around}
 
     def test_ring_degrees(self):
         # Ring degrees follow the closed-form row 1, 1, 3, 6, 15.

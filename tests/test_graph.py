@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import multiprocessing
 from collections import Counter
 
 import pytest
 
+from dcmatch import graph as graph_module
+from dcmatch.compat import neighbors_bruteforce
 from dcmatch.counting import edge_series
 from dcmatch.errors import DomainError, ResourceLimitError
 from dcmatch.families import classify, rings
@@ -19,10 +22,17 @@ from dcmatch.graph import (
     graph_to_json_dict,
     is_bipartite,
     isomorphism_classes,
+    orbit_tables,
     to_dot,
     verify_medium_even_structure,
 )
-from dcmatch.matching import is_crossing, parse_matching
+from dcmatch.matching import (
+    enumerate_matchings,
+    is_crossing,
+    parse_matching,
+    reflect,
+    rotate,
+)
 
 # (order, category) -> how many components, pinned per size.
 CENSUS = {
@@ -76,17 +86,42 @@ class TestBuild:
             for j in row:
                 assert i in g.adjacent(j)
 
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_rows_match_bruteforce(self, k):
+        # Oracle: chord-mask scan over enumeration order, no ranks or symmetries.
+        ms = enumerate_matchings(k)
+        index = {m: i for i, m in enumerate(ms)}
+        g = graph_for(k)
+        for i, m in enumerate(ms):
+            expected = sorted(index[x] for x in neighbors_bruteforce(m))
+            assert list(g.adjacent(i)) == expected, (k, i)
+
     def test_index_roundtrip(self):
         g = graph_for(4)
         for i, m in enumerate(g.vertices):
             assert g.index_of(m) == i
-        with pytest.raises(ValueError):
-            g.index_of(parse_matching("1-2,3-4"))
+        for other_size in ("1-2,3-4", "1-10,2-3,4-5,6-7,8-9"):
+            with pytest.raises(ValueError):
+                g.index_of(parse_matching(other_size))
 
     def test_worker_count_is_invisible(self):
         base = graph_to_json_dict(build_graph(4, workers=1))
         assert graph_to_json_dict(build_graph(4, workers=2)) == base
         assert graph_to_json_dict(build_graph(4, workers=3)) == base
+
+    def test_worker_count_is_invisible_across_chunks(self):
+        # 4862 vertices make three rank ranges, so the pool is used.
+        base = graph_to_json_dict(build_graph(9, workers=1))
+        assert len(base["vertices"]) > 2 * graph_module._CHUNK
+        assert graph_to_json_dict(build_graph(9, workers=2)) == base
+        assert graph_to_json_dict(build_graph(9, workers=3)) == base
+
+    def test_spawned_workers_build_the_same_graph(self, monkeypatch):
+        # Spawned workers inherit nothing from the parent's memory.
+        base = graph_to_json_dict(build_graph(9, workers=1))
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(graph_module, "get_context", lambda method: spawn)
+        assert graph_to_json_dict(build_graph(9, workers=2)) == base
 
     def test_configured_cap(self, monkeypatch):
         monkeypatch.setenv("DCM_MAX_K", "5")
@@ -98,6 +133,27 @@ class TestBuild:
             build_graph(0)
         with pytest.raises(DomainError):
             build_graph(4, workers=0)
+
+
+class TestOrbits:
+    @pytest.mark.parametrize("k, count", [(8, 65), (10, 490)])
+    def test_orbit_counts(self, k, count):
+        orbit, _, images = orbit_tables(k)
+        assert max(orbit) + 1 == count
+        assert len(images) == 4 * k * count
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_tables_describe_each_vertex(self, k):
+        # Oracle: relabel the representative's edges with rotate/reflect.
+        vertices = graph_for(k).vertices
+        orbit, element, images = orbit_tables(k)
+        n = 2 * k
+        for i, m in enumerate(vertices):
+            rep = vertices[images[2 * n * orbit[i]]]
+            e = element[i]
+            image = rotate(rep, e) if e < n else rotate(reflect(rep), e - n)
+            assert image == m
+            assert images[2 * n * orbit[i]] <= i
 
 
 class TestComponents:

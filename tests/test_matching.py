@@ -10,20 +10,26 @@ from hypothesis import given, strategies as st
 from dcmatch.errors import CrossingError, LabelError, ParseError
 from dcmatch.matching import (
     Matching,
+    canonical_edges,
+    dihedral_permutations,
     edge_kind,
     enumerate_matchings,
+    from_partner,
     insert,
     is_crossing,
     is_ring,
     parse_matching,
+    permute,
+    rank,
     reflect,
     remove,
     rotate,
     skips,
+    unrank,
     validate,
 )
 
-CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
+CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
 
 # All five matchings on 6 points, in canonical enumeration order.
 EXPECTED_K3 = [
@@ -195,6 +201,52 @@ class TestRelabelings:
     def test_relabelings_preserve_validity(self, m):
         validate(rotate(m, 3).edges)
         validate(reflect(m).edges)
+
+
+class TestRanking:
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_rank_is_enumeration_index(self, k):
+        for i, m in enumerate(enumerate_matchings(k)):
+            assert rank(m.partner()) == i
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_unrank_then_rank_is_identity(self, k):
+        for i in range(CATALAN[k]):
+            p = unrank(k, i)
+            assert rank(p) == i
+            validate(from_partner(p).edges, k)
+
+    def test_unrank_out_of_range(self):
+        with pytest.raises(ValueError):
+            unrank(3, 5)
+        with pytest.raises(ValueError):
+            unrank(3, -1)
+
+
+class TestSymmetries:
+    # Oracle: label arithmetic on the edge list, no permutation tables.
+    @staticmethod
+    def expected(m, s, mirrored):
+        n = m.n_points
+        edges = m.edges
+        if mirrored:
+            edges = [(n + 1 - a, n + 1 - b) for a, b in edges]
+        return Matching(
+            canonical_edges(((a - 1 + s) % n + 1, (b - 1 + s) % n + 1) for a, b in edges)
+        )
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_permutations_match_rotate_and_reflect(self, k):
+        n = 2 * k
+        perms = dihedral_permutations(n)
+        assert len(perms) == 2 * n
+        for m in enumerate_matchings(k):
+            p = m.partner()
+            for s in range(n):
+                image = from_partner(permute(p, perms[s]))
+                assert image == rotate(m, s) == self.expected(m, s, False)
+                image = from_partner(permute(p, perms[n + s]))
+                assert image == rotate(reflect(m), s) == self.expected(m, s, True)
 
 
 class TestEdgeKinds:
