@@ -7,11 +7,12 @@ label free.  Each *element* is a vertical edge (one point per row)
 followed by a horizontal edge (two points on one row, recorded as ``+``
 for upper and ``-`` for lower).  The first element is ``+``, the last
 ``-``, and the free middle signs form the family parameter ``chi``.
+The start label ``z`` only rotates the drawing, by ``z - 1`` steps.
 
 Families:
 
 * isolated matchings (no neighbor): grown from the single 2-point
-  matching by repeatedly inserting a block (two chords on four
+  matching by repeatedly inserting :data:`BLOCK` (two chords on four
   consecutive points, paired outer/inner); recognized by cancelling
   blocks cyclically, like balanced brackets, down to a single chord;
 * degree-one matchings: grown the same way from the size 2 and 3 rings;
@@ -23,6 +24,9 @@ Families:
 * even path members (``make_edb``): elements plus an extra horizontal
   pair next to the j-th element and its twin on the opposite row; their
   leaves (``make_edbl1``, ``make_edbl2``) arise by one flip.
+
+Each strip family's table, built lazily per size, holds the ``z = 1``
+members and their rotations, each mapped to its smallest parameters.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError
-from .matching import Edge, Matching, validate
+from .matching import Edge, Matching, insert, rotate, validate
 from .compat import flip
 
 LABEL_ISOLATED = "Isolated-I"
@@ -43,6 +47,10 @@ LABEL_PATH_LEAF = "Medium-EDBL"
 LABEL_REGULAR = "Regular"
 
 FAMILY_VARIANTS = ("I", "L", "Ring", "DB", "DBD", "DBDL", "EDB", "EDBL1", "EDBL2")
+
+# Two edges on four consecutive points, outer pair first.  Splicing it
+# into any gap of a host matching leaves the host's degree unchanged.
+BLOCK = validate([(1, 4), (2, 3)])
 
 
 # -- sign strings -----------------------------------------------------------
@@ -95,6 +103,11 @@ def _chi_len(elements: int) -> int:
     return max(elements - 2, 0)
 
 
+def _check_z(z: int, n: int) -> None:
+    if not 1 <= z <= n:
+        raise ValueError(f"start label must be in 1..{n}, got {z}")
+
+
 class _Strip:
     """Accumulates rows of point keys, then labels them clockwise."""
 
@@ -107,8 +120,7 @@ class _Strip:
 
     def labels(self, z: int) -> dict[str, int]:
         n = len(self.upper) + len(self.lower)
-        if not 1 <= z <= n:
-            raise ValueError(f"start label must be in 1..{n}, got {z}")
+        _check_z(z, n)
         out = {}
         cur = z
         for key in self.upper + list(reversed(self.lower)):
@@ -151,6 +163,7 @@ def db_partner(k: int, chi: str, z: int) -> tuple[str, int]:
     if k < 2 or k % 2:
         raise DomainError(f"paired strip matchings need even k >= 2, got {k}")
     _check_chi(chi, _chi_len(k // 2))
+    _check_z(z, 2 * k)
     signs = _element_signs(k // 2, chi)
     delta = signs.count("+") - signs.count("-")
     z2 = (z + k + delta - 1) % (2 * k) + 1
@@ -319,24 +332,10 @@ def i_coloring(m: Matching) -> dict[Edge, str]:
 
 
 def _insert_block_everywhere(m: Matching) -> set[Matching]:
-    # All matchings obtained by splicing a new block into any cyclic gap.
-    # Position j..j+3 hosts the block; old labels continue right after it.
-    out = set()
-    n_new = m.n_points + 4
-    for j in range(1, n_new + 1):
-        block = [
-            ((j - 1) % n_new + 1, (j + 2) % n_new + 1),
-            (j % n_new + 1, (j + 1) % n_new + 1),
-        ]
-        shifted = [
-            (
-                (j + 2 + a) % n_new + 1,
-                (j + 2 + b) % n_new + 1,
-            )
-            for a, b in m.edges
-        ]
-        out.add(validate(block + shifted))
-    return out
+    # All matchings obtained by splicing a new block into any cyclic gap:
+    # before point 1, then every rotation of that.
+    grown = insert(m, BLOCK, 0)
+    return {rotate(grown, s) for s in range(grown.n_points)}
 
 
 @lru_cache(maxsize=None)
@@ -363,31 +362,33 @@ def _grown_family(base: str, k: int) -> frozenset[Matching]:
 
 @lru_cache(maxsize=None)
 def _strip_family(variant: str, k: int) -> dict[Matching, tuple]:
-    """All members of a strip-built family, mapped to their sorted
+    """All members of a strip-built family, mapped to their smallest
     parameter tuples."""
     half, odd_half = k // 2, (k + 1) // 2 - 1
     makers = {
-        "DB": (half, lambda chi, z: make_db(k, chi, z).matching),
-        "DBD": (odd_half, lambda chi, z: make_dbd(k, chi, z).matching),
-        "DBDL": (odd_half, lambda j, chi, z: make_dbdl(k, j, chi, z)),
-        "EDB": (half - 1, lambda j, chi, z: make_edb(k, j, chi, z).matching),
-        "EDBL1": (half - 1, lambda j, chi, z: make_edbl1(k, j, chi, z)),
-        "EDBL2": (half - 1, lambda j, chi, z: make_edbl2(k, j, chi, z)),
+        "DB": (half, lambda chi: make_db(k, chi, 1).matching),
+        "DBD": (odd_half, lambda chi: make_dbd(k, chi, 1).matching),
+        "DBDL": (odd_half, lambda j, chi: make_dbdl(k, j, chi, 1)),
+        "EDB": (half - 1, lambda j, chi: make_edb(k, j, chi, 1).matching),
+        "EDBL1": (half - 1, lambda j, chi: make_edbl1(k, j, chi, 1)),
+        "EDBL2": (half - 1, lambda j, chi: make_edbl2(k, j, chi, 1)),
     }
     if variant not in makers:
         raise ValueError(f"unknown strip family {variant!r}")
     count, make = makers[variant]
-    # Witnesses are (chi, z), or (j, chi, z) where the maker takes j.
+    # Witnesses are (chi, z), or (j, chi, z) where the maker takes j; z is
+    # a rotation by z - 1.  Parameters ascend, so the first one kept for a
+    # matching is its smallest.
     js = [()] if variant in ("DB", "DBD") else [
         (j,) for j in range(1, count + 1)
     ]
-    out: dict[Matching, list] = {}
-    for chi in _all_chi(_chi_len(count)):
-        for j in js:
+    out: dict[Matching, tuple] = {}
+    for j in js:
+        for chi in _all_chi(_chi_len(count)):
+            first = make(*j, chi)
             for z in range(1, 2 * k + 1):
-                params = (*j, chi, z)
-                out.setdefault(make(*params), []).append(params)
-    return {m: tuple(sorted(params)) for m, params in out.items()}
+                out.setdefault(rotate(first, z - 1), (*j, chi, z))
+    return out
 
 
 def _all_chi(width: int) -> list[str]:
@@ -412,33 +413,25 @@ def generate_family(variant: str, k: int) -> set[Matching]:
     return set(_strip_family(variant, k))
 
 
+# Strip tables in precedence order for even and odd k: (variant, label,
+# smallest k).
+_PRECEDENCE = (
+    (("DB", LABEL_PAIR, 2), ("EDB", LABEL_PATH_MEMBER, 4),
+     ("EDBL1", LABEL_PATH_LEAF, 4), ("EDBL2", LABEL_PATH_LEAF, 4)),
+    (("DBD", LABEL_STAR_CENTER, 3), ("DBDL", LABEL_STAR_LEAF, 3)),
+)
+
+
 def classify_with_witness(m: Matching) -> tuple[str, tuple | None]:
     """Family label of a matching, with strip parameters when known."""
     k = m.k
-    if k % 2:
-        if is_I(m):
-            return LABEL_ISOLATED, None
-        for variant, label in (
-            ("DBD", LABEL_STAR_CENTER),
-            ("DBDL", LABEL_STAR_LEAF),
-        ):
-            if k >= 3:
-                params = _strip_family(variant, k).get(m)
-                if params:
-                    return label, params[0]
-        return LABEL_REGULAR, None
-    if k >= 2:
-        params = _strip_family("DB", k).get(m)
-        if params:
-            return LABEL_PAIR, params[0]
-    if k >= 4:
-        params = _strip_family("EDB", k).get(m)
-        if params:
-            return LABEL_PATH_MEMBER, params[0]
-        for variant in ("EDBL1", "EDBL2"):
-            params = _strip_family(variant, k).get(m)
-            if params:
-                return LABEL_PATH_LEAF, params[0]
+    if k % 2 and is_I(m):
+        return LABEL_ISOLATED, None
+    for variant, label, smallest in _PRECEDENCE[k % 2]:
+        if k >= smallest:
+            witness = _strip_family(variant, k).get(m)
+            if witness is not None:
+                return label, witness
     return LABEL_REGULAR, None
 
 

@@ -33,6 +33,7 @@ from .counting import (
 from .dual_tree import find_antiblocks, find_blocks
 from .errors import ResourceLimitError
 from .families import (
+    BLOCK,
     LABEL_PATH_MEMBER,
     classify_with_witness,
     generate_family,
@@ -47,7 +48,7 @@ from .graph import (
     isomorphism_classes,
     verify_medium_even_structure,
 )
-from .matching import Matching, enumerate_matchings, insert, parse_matching
+from .matching import Matching, enumerate_matchings, insert
 
 # Census rows pinned independently of the counting formulas; the checks
 # require the measured censuses to equal both.
@@ -64,10 +65,6 @@ GROWTH_TIME_BUDGET = 1.0
 
 # --quick skips graph builds above this size.
 QUICK_BUILD_CAP = 6
-
-# Two edges on four consecutive points, outer pair first: splicing this
-# into any gap of a host matching must leave the host's degree unchanged.
-_BLOCK = parse_matching("1-4,2-3")
 
 
 @dataclass(frozen=True)
@@ -441,7 +438,7 @@ class _Runner:
             for m in enumerate_matchings(k):
                 degree = len(neighbors(m))
                 for gap in range(2 * k + 1):
-                    grown = insert(m, _BLOCK, gap)
+                    grown = insert(m, BLOCK, gap)
                     if len(neighbors(grown)) != degree:
                         return f"k={k}: degree changed inserting at {gap} in {m}"
         return f"ok splicing an outer/inner pair preserves degree (hosts k={_span_str(ks)})"

@@ -176,6 +176,17 @@ class TestClassify:
         assert code == 0
         assert out == 'Pair-DB chi="" z=1\n'
 
+    def test_three_parameter_witness(self, capsys):
+        # make_edb(6, 1, "", 2): an even path member away from start label 1.
+        argv = ("classify", "--k", "6", "--matching",
+                "1-2,3-4,5-6,7-10,8-9,11-12")
+        code, out, _ = run(*argv, capsys=capsys)
+        assert code == 0
+        assert out == 'Medium-EDB j=1 chi="" z=2\n'
+        code, out, _ = run(*argv, "--format", "json", capsys=capsys)
+        assert code == 0
+        assert json.loads(out)["witness"] == [1, "", 2]
+
     def test_json_witness_null_for_regular(self, capsys):
         code, out, _ = run(
             "classify", "--k", "5", "--matching", "1-2,3-4,5-6,7-8,9-10",

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -59,6 +61,14 @@ L_SIZES = {2: 2, 3: 2, 4: 12, 5: 20, 6: 88, 7: 182, 8: 700}
 
 chi_strategy = st.text(alphabet="+-", max_size=8)
 
+# Strip families in classification precedence, for even and odd k.
+STRIP_PRECEDENCE = (
+    (("DB", LABEL_PAIR), ("EDB", LABEL_PATH_MEMBER),
+     ("EDBL1", LABEL_PATH_LEAF), ("EDBL2", LABEL_PATH_LEAF)),
+    (("DBD", LABEL_STAR_CENTER), ("DBDL", LABEL_STAR_LEAF)),
+)
+STRIP_VARIANTS = [v for row in STRIP_PRECEDENCE for v, _ in row]
+
 
 def all_chi(width):
     out = [""]
@@ -71,6 +81,31 @@ def db_params(k):
     for chi in all_chi(k // 2 - 2 if k >= 4 else 0):
         for z in range(1, 2 * k + 1):
             yield chi, z
+
+
+@lru_cache(maxsize=None)
+def reference_strip_family(variant, k):
+    """Every member of a strip family, from one maker call per start
+    label and parameters, mapped to its smallest parameter tuple."""
+    makers = {
+        "DB": (k // 2, lambda chi, z: make_db(k, chi, z).matching),
+        "DBD": ((k - 1) // 2, lambda chi, z: make_dbd(k, chi, z).matching),
+        "DBDL": ((k - 1) // 2, lambda j, chi, z: make_dbdl(k, j, chi, z)),
+        "EDB": (k // 2 - 1, lambda j, chi, z: make_edb(k, j, chi, z).matching),
+        "EDBL1": (k // 2 - 1, lambda j, chi, z: make_edbl1(k, j, chi, z)),
+        "EDBL2": (k // 2 - 1, lambda j, chi, z: make_edbl2(k, j, chi, z)),
+    }
+    count, make = makers[variant]
+    js = [()] if variant in ("DB", "DBD") else [
+        (j,) for j in range(1, count + 1)
+    ]
+    out = {}
+    chis = all_chi(max(count - 2, 0))
+    for j, chi, z in product(js, chis, range(1, 2 * k + 1)):
+        params = (*j, chi, z)
+        m = make(*params)
+        out[m] = min(out.get(m, params), params)
+    return out
 
 
 class TestChiOps:
@@ -155,6 +190,13 @@ class TestDbPartner:
         for k in (4, 6, 8):
             for chi, z in db_params(k):
                 assert db_partner(k, *db_partner(k, chi, z)) == (chi, z)
+
+    def test_start_label_out_of_range(self):
+        # Same range and message as the makers' start label.
+        for z in (0, 99):
+            message = f"start label must be in 1..8, got {z}"
+            with pytest.raises(ValueError, match=message):
+                db_partner(4, "", z)
 
     def test_two_point_host_round_trip(self):
         # At k=2 the z parameter is 2-periodic, so the involution holds
@@ -292,6 +334,28 @@ class TestEdbl:
     def test_degenerate_leaves_coincide(self):
         # With a single element both flips give the same set of matchings.
         assert generate_family("EDBL1", 4) == generate_family("EDBL2", 4)
+
+
+class TestStripTablesAgainstReference:
+    """The rotation-built tables against one maker call per start label."""
+
+    @pytest.mark.parametrize("variant", STRIP_VARIANTS)
+    def test_members_and_witnesses(self, variant):
+        for k in range(1, 11):
+            try:
+                reference = reference_strip_family(variant, k)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    generate_family(variant, k)
+                continue
+            assert generate_family(variant, k) == set(reference)
+            for m in reference:
+                expected = next(
+                    (label, reference_strip_family(v, k)[m])
+                    for v, label in STRIP_PRECEDENCE[k % 2]
+                    if m in reference_strip_family(v, k)
+                )
+                assert classify_with_witness(m) == expected
 
 
 class TestRings:
