@@ -378,9 +378,10 @@ def _strip_family(variant: str, k: int) -> dict[Matching, tuple]:
     count, make = makers[variant]
     # Witnesses are (chi, z), or (j, chi, z) where the maker takes j; z is
     # a rotation by z - 1.  Parameters ascend, so the first one kept for a
-    # matching is its smallest.
+    # matching is its smallest.  j = 1 is always tried, so at a size
+    # without the family the maker raises its own DomainError.
     js = [()] if variant in ("DB", "DBD") else [
-        (j,) for j in range(1, count + 1)
+        (j,) for j in range(1, max(count, 1) + 1)
     ]
     out: dict[Matching, tuple] = {}
     for j in js:

@@ -362,15 +362,27 @@ def _refine(adj: list[list[int]], colors: list[int]) -> list[int]:
 
 
 def _canonical_form(adj: list[list[int]], colors: list[int]) -> tuple:
+    """Canonical form of a vertex-coloured graph.
+
+    The form is an isomorphism invariant of (graph, colouring). Each
+    leaf of the search is a discrete colouring, read as a labelling, and
+    its form is the relabelled edge list; so under one uniform colouring
+    two graphs share a form exactly when they are isomorphic. After
+    colour refinement, the search individualises each vertex of the
+    first cell with more than one vertex and returns the minimum form
+    over these branches. Two vertices of that cell with the same open
+    neighbourhood are twins: swapping them is an automorphism that keeps
+    the colouring, so their branches give the same form, and only the
+    first vertex of each neighbourhood is branched on.
+    """
     colors = _refine(adj, colors)
     groups: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         groups.setdefault(c, []).append(v)
     ambiguous = [vs for _, vs in sorted(groups.items()) if len(vs) > 1]
     if not ambiguous:
-        rank = {v: colors[v] for v in range(len(adj))}
         edges = sorted(
-            (min(rank[v], rank[w]), max(rank[v], rank[w]))
+            (min(colors[v], colors[w]), max(colors[v], colors[w]))
             for v in range(len(adj))
             for w in adj[v]
             if v < w
@@ -378,7 +390,12 @@ def _canonical_form(adj: list[list[int]], colors: list[int]) -> tuple:
         return len(adj), tuple(edges)
     best = None
     fresh = len(adj)
+    seen: set[frozenset[int]] = set()
     for v in ambiguous[0]:
+        neighbourhood = frozenset(adj[v])
+        if neighbourhood in seen:
+            continue
+        seen.add(neighbourhood)
         branched = list(colors)
         branched[v] = fresh
         candidate = _canonical_form(adj, branched)

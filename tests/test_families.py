@@ -345,6 +345,9 @@ class TestStripTablesAgainstReference:
             try:
                 reference = reference_strip_family(variant, k)
             except DomainError:
+                reference = {}
+            if not reference:
+                # No member at this size means no such family.
                 with pytest.raises(DomainError):
                     generate_family(variant, k)
                 continue
@@ -356,6 +359,23 @@ class TestStripTablesAgainstReference:
                     if m in reference_strip_family(v, k)
                 )
                 assert classify_with_witness(m) == expected
+
+
+class TestMissingSizes:
+    """Where a strip family does not exist, asking for it is an error."""
+
+    @pytest.mark.parametrize(
+        "variant, k, message",
+        [
+            *[(v, k, "even path members need even k >= 4")
+              for v in ("EDB", "EDBL1", "EDBL2") for k in (1, 2, 3, 5)],
+            *[("DBDL", k, "odd star centers need odd k >= 3")
+              for k in (1, 2, 4)],
+        ],
+    )
+    def test_raises_the_makers_error(self, variant, k, message):
+        with pytest.raises(DomainError, match=message):
+            generate_family(variant, k)
 
 
 class TestRings:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import multiprocessing
+import random
 from collections import Counter
 
 import pytest
@@ -33,6 +34,7 @@ from dcmatch.matching import (
     reflect,
     rotate,
 )
+from dcmatch.verification import ISO_CLASSES_BY_K
 
 # (order, category) -> how many components, pinned per size.
 CENSUS = {
@@ -298,6 +300,162 @@ class TestMediumEvenStructure:
             verify_medium_even_structure(graph_for(5))
         with pytest.raises(DomainError):
             verify_medium_even_structure(graph_for(2))
+
+
+# -- canonical search against an unpruned reference and VF2 ----------------
+
+
+def unpruned_canonical_form(adj, colors):
+    """The canonical search without twin pruning: it branches on every
+    vertex of the first ambiguous cell."""
+    colors = graph_module._refine(adj, colors)
+    groups = {}
+    for v, c in enumerate(colors):
+        groups.setdefault(c, []).append(v)
+    ambiguous = [vs for _, vs in sorted(groups.items()) if len(vs) > 1]
+    if not ambiguous:
+        edges = sorted(
+            (min(colors[v], colors[w]), max(colors[v], colors[w]))
+            for v in range(len(adj))
+            for w in adj[v]
+            if v < w
+        )
+        return len(adj), tuple(edges)
+    best = None
+    for v in ambiguous[0]:
+        branched = list(colors)
+        branched[v] = len(adj)
+        candidate = unpruned_canonical_form(adj, branched)
+        if best is None or candidate < best:
+            best = candidate
+    return best
+
+
+def induced(k, report):
+    return graph_module._induced_adjacency(graph_for(k), report.members)
+
+
+def relabelled(adj, rng):
+    perm = list(range(len(adj)))
+    rng.shuffle(perm)
+    out = [[] for _ in adj]
+    for v, row in enumerate(adj):
+        out[perm[v]] = sorted(perm[w] for w in row)
+    return out
+
+
+def random_regular_adjacencies(nx):
+    """40 seeded random 3- and 4-regular graphs on 8 to 12 vertices."""
+    rng = random.Random(2014)
+    out = []
+    for i in range(40):
+        d = 3 + i % 2
+        n = rng.choice([n for n in range(8, 13) if n * d % 2 == 0])
+        g = nx.random_regular_graph(d, n, seed=rng.randrange(2**32))
+        out.append([sorted(g[v]) for v in range(n)])
+    return out
+
+
+def to_nx(nx, adj):
+    g = nx.empty_graph(len(adj))
+    g.add_edges_from((v, w) for v, row in enumerate(adj) for w in row)
+    return g
+
+
+@pytest.fixture
+def nx():
+    return pytest.importorskip("networkx")
+
+
+class TestCanonicalForm:
+    def test_pruning_keeps_every_component_form(self):
+        for k in range(1, 11):
+            graphs = [
+                induced(k, r)
+                for r in reports_for(k)
+                if r.category in ("small", "medium")
+            ]
+            if k % 2 == 0 and k >= 4:
+                graphs.append(graph_module._medium_even_template(k))
+            for adj in graphs:
+                colors = [0] * len(adj)
+                assert graph_module._canonical_form(
+                    adj, colors
+                ) == unpruned_canonical_form(adj, colors)
+
+    def test_regular_graphs(self, nx):
+        # Refinement cannot split a regular graph, so the search alone
+        # decides its form: a pruning rule that drops a needed branch
+        # gives a different or label-dependent form here.
+        rng = random.Random(7)
+        pool = []
+        for adj in random_regular_adjacencies(nx):
+            colors = [0] * len(adj)
+            form = graph_module._canonical_form(adj, colors)
+            assert form == unpruned_canonical_form(adj, colors)
+            moved = relabelled(adj, rng)
+            assert graph_module._canonical_form(moved, colors) == form
+            pool += [(to_nx(nx, adj), form), (to_nx(nx, moved), form)]
+        for i, (a, form_a) in enumerate(pool):
+            for b, form_b in pool[i + 1:]:
+                assert (form_a == form_b) == nx.is_isomorphic(a, b)
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_vf2_reproduces_the_class_table(self, nx, k):
+        classes = []
+        for r in reports_for(k):
+            h = to_nx(nx, induced(k, r))
+            for rep, ids in classes:
+                if len(rep) == len(h) and nx.is_isomorphic(rep, h):
+                    ids.append(r.id)
+                    break
+            else:
+                classes.append((h, [r.id]))
+        assert len(classes) == ISO_CLASSES_BY_K[k]
+        _, certified = isomorphism_classes(graph_for(k), reports_for(k))
+        assert sorted(ids for _, ids in classes) == certified
+
+    @pytest.mark.parametrize("k", (4, 6, 8, 10))
+    def test_vf2_matches_the_medium_even_template(self, nx, k):
+        template = to_nx(nx, graph_module._medium_even_template(k))
+        mediums = [r for r in reports_for(k) if r.category == "medium"]
+        assert mediums
+        for r in mediums:
+            assert nx.is_isomorphic(to_nx(nx, induced(k, r)), template)
+
+
+class TestSearchSize:
+    """Twin pruning keeps the search small on the even medium shape,
+    where the unpruned search visits about 2^(k-2) leaves."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        # The search recurses through the module global, so the wrapper
+        # sees every call.
+        count = [0]
+        search = graph_module._canonical_form
+
+        def counted(adj, colors):
+            count[0] += 1
+            return search(adj, colors)
+
+        monkeypatch.setattr(graph_module, "_canonical_form", counted)
+        return count
+
+    @pytest.mark.parametrize("k", (8, 10))
+    def test_even_medium_components(self, calls, k):
+        mediums = [r for r in reports_for(k) if r.category == "medium"]
+        assert mediums
+        for r in mediums:
+            calls[0] = 0
+            component_certificate(graph_for(k), r)
+            assert calls[0] <= 2 * k
+
+    @pytest.mark.parametrize("k", (8, 10))
+    def test_medium_even_template(self, calls, k):
+        adj = graph_module._medium_even_template(k)
+        graph_module._canonical_form(adj, [0] * len(adj))
+        assert calls[0] <= 2 * k
 
 
 class TestAlmostPerfect:
