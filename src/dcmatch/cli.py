@@ -66,7 +66,12 @@ def _max_k() -> int:
 def _positive(text: str) -> int:
     # argparse type for --threads: a bad value is a usage error at parse
     # time, not a DomainError from the library later.
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}"
+        ) from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value

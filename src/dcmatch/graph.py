@@ -5,8 +5,9 @@ and adjacency is one flat sorted index array plus per-vertex offsets.
 Rotations and reflections of the 2k-gon map compatible pairs to
 compatible pairs, so the build enumerates flips only for one
 representative per dihedral orbit and carries its neighbors to the rest
-of the orbit by rank tables.  Rows are built over fixed rank ranges, so
-the worker count never changes the result.
+of the orbit by rank tables.  Worker processes only enumerate those
+flips, one pure job per representative; the rows are built in rank
+order, so the worker count never changes the result.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from array import array
 from collections import Counter, deque
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 from multiprocessing import get_context
 
@@ -34,11 +36,6 @@ from .matching import (
     rank,
     unrank,
 )
-
-# Vertices per build task; fixed so that chunk boundaries, and therefore
-# the merged result, never depend on the worker count.
-_CHUNK = 2048
-
 
 @dataclass(frozen=True, eq=False)
 class DcmGraph:
@@ -118,62 +115,9 @@ def _compose(n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-class _RowBuilder:
-    """Adjacency rows over rank ranges, from the orbit tables.
-
-    The flip enumeration runs once per orbit representative; its
-    neighbors are kept as (orbit offset into ``images``, symmetry), so a
-    row of any other orbit member is a lookup per neighbor.
-    """
-
-    def __init__(self, k: int, orbit: array, element: array, images: array):
-        self.k = k
-        self.orbit = orbit
-        self.element = element
-        self.images = images
-        self.compose = _compose(2 * k)
-        self.known: dict[int, list[tuple[int, int]]] = {}
-
-    def _representative_neighbors(self, o: int) -> list[tuple[int, int]]:
-        group = len(self.compose)
-        p = unrank(self.k, self.images[group * o])
-        out = []
-        for q in neighbor_partners(p):
-            x = rank(q)
-            out.append((group * self.orbit[x], self.element[x]))
-        return out
-
-    def rows(self, bounds: tuple[int, int]) -> tuple[bytes, bytes]:
-        lo, hi = bounds
-        orbit, element, images = self.orbit, self.element, self.images
-        known = self.known
-        counts = array("i")
-        flat = array("i")
-        for i in range(lo, hi):
-            o = orbit[i]
-            found = known.get(o)
-            if found is None:
-                found = known[o] = self._representative_neighbors(o)
-            # Neighbor x = f(rep'), so its image under e is (f, then e)(rep').
-            then = self.compose[element[i]]
-            row = sorted([images[base + then[f]] for base, f in found])
-            counts.append(len(row))
-            flat.extend(row)
-        return counts.tobytes(), flat.tobytes()
-
-
-# Each pool worker's own row builder, made by the pool's initializer in
-# that worker from the tables it is handed; the parent never sets it.
-_worker: _RowBuilder | None = None
-
-
-def _start_worker(k: int, orbit: array, element: array, images: array) -> None:
-    global _worker
-    _worker = _RowBuilder(k, orbit, element, images)
-
-
-def _worker_rows(bounds: tuple[int, int]) -> tuple[bytes, bytes]:
-    return _worker.rows(bounds)
+def _flip_ranks(k: int, r: int) -> list[int]:
+    # The one pool job: ranks of the flip neighbors of the matching of rank r.
+    return [rank(q) for q in neighbor_partners(unrank(k, r))]
 
 
 def _offsets(counts) -> array:
@@ -181,24 +125,40 @@ def _offsets(counts) -> array:
     return array("q", accumulate(counts, initial=0))
 
 
-def _merge(results) -> tuple[array, array]:
-    # Chunks are appended as they arrive, so no list of them is held.
+def _rows(
+    k: int, workers: int, orbit: array, element: array, images: array
+) -> tuple[array, array]:
+    group = 4 * k
+    representatives = images[::group]
+    job = partial(_flip_ranks, k)
+    if workers == 1 or len(representatives) == 1:
+        flips = map(job, representatives)
+    else:
+        with get_context("fork").Pool(min(workers, len(representatives))) as pool:
+            flips = pool.map(job, representatives)
+    # Each representative neighbor x, kept as (its orbit's offset into
+    # images, the symmetry that maps that orbit's representative to x).
+    known = [[(group * orbit[x], element[x]) for x in found] for found in flips]
+    compose = _compose(2 * k)
     counts = array("i")
     targets = array("i")
-    for count_bytes, flat_bytes in results:
-        counts.frombytes(count_bytes)
-        targets.frombytes(flat_bytes)
+    for i in range(len(orbit)):
+        # Neighbor x = f(rep'), so its image under e is (f, then e)(rep').
+        then = compose[element[i]]
+        row = sorted([images[base + then[f]] for base, f in known[orbit[i]]])
+        counts.append(len(row))
+        targets.extend(row)
     return _offsets(counts), targets
 
 
 def build_graph(k: int, workers: int | None = None) -> DcmGraph:
     """Build the size-k graph.
 
-    The parent computes the dihedral orbit tables (``orbit_tables``) and
-    cuts the ranks into fixed ranges.  Each range's rows come from the
-    flip neighbors of its orbit representatives, mapped by symmetry.
-    ``workers`` > 1 hands the tables to a pool of that many processes
-    through its initializer; the merge keeps range order, so any worker
+    The parent computes the dihedral orbit tables (``orbit_tables``).
+    Flips are enumerated once per orbit representative, by ``workers``
+    processes when that is more than one, and the parent then builds
+    every row in rank order from those neighbors, mapped by symmetry.
+    No row depends on which process enumerated its flips, so any worker
     count yields the same graph.
     """
     limit = configured_max_k()
@@ -213,18 +173,8 @@ def build_graph(k: int, workers: int | None = None) -> DcmGraph:
         workers = os.cpu_count() or 1
     if workers < 1:
         raise DomainError(f"worker count must be >= 1, got {workers}")
-    tables = orbit_tables(k)
-    order = len(tables[0])
-    chunks = [(lo, min(lo + _CHUNK, order)) for lo in range(0, order, _CHUNK)]
-    if workers == 1 or len(chunks) == 1:
-        offsets, targets = _merge(map(_RowBuilder(k, *tables).rows, chunks))
-    else:
-        with get_context("fork").Pool(
-            min(workers, len(chunks)),
-            initializer=_start_worker,
-            initargs=(k, *tables),
-        ) as pool:
-            offsets, targets = _merge(pool.imap(_worker_rows, chunks))
+    # The per-orbit neighbor lists die with _rows, before the vertices are made.
+    offsets, targets = _rows(k, workers, *orbit_tables(k))
     total = offsets[-1]
     assert total % 2 == 0, "adjacency must be symmetric"
     vertices = tuple(enumerate_matchings(k))

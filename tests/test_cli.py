@@ -255,8 +255,8 @@ class TestComponents:
         }
 
     def test_threads_do_not_change_bytes(self, capsys):
-        # k = 9 has 4862 vertices, more than one build chunk, so its
-        # threaded builds go through the worker pool.
+        # Both sizes have more than one dihedral orbit, so their threaded
+        # builds enumerate flips in the worker pool.
         for k in ("4", "9"):
             outs = set()
             for threads in ("1", "3"):
@@ -453,11 +453,15 @@ class TestTopLevel:
         assert code == 2
         assert err.startswith("dcmatch: ERR_USAGE: DCM_MAX_K")
 
-    @pytest.mark.parametrize("flag", ["--threads"])
-    def test_nonpositive_worker_flags_are_usage_errors(self, capsys, flag):
-        code, _, err = run("components", "--k", "2", flag, "0", capsys=capsys)
+    @pytest.mark.parametrize("value", ["0", "-1", "x"])
+    def test_nonpositive_worker_flags_are_usage_errors(self, capsys, value):
+        code, _, err = run(
+            "components", "--k", "2", "--threads", value, capsys=capsys
+        )
         assert code == 2
         assert err.startswith("dcmatch: ERR_USAGE:")
+        assert "--threads" in err
+        assert "_positive" not in err
         assert err.count("\n") == 1
 
     def test_console_script(self):

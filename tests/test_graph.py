@@ -106,17 +106,27 @@ class TestBuild:
             with pytest.raises(ValueError):
                 g.index_of(parse_matching(other_size))
 
-    def test_worker_count_is_invisible(self):
-        base = graph_to_json_dict(build_graph(4, workers=1))
-        assert graph_to_json_dict(build_graph(4, workers=2)) == base
-        assert graph_to_json_dict(build_graph(4, workers=3)) == base
+    @pytest.mark.parametrize("k", [4, 9])
+    def test_worker_count_is_invisible(self, k):
+        # Both sizes have more than one orbit, so workers > 1 use the pool.
+        base = graph_to_json_dict(build_graph(k, workers=1))
+        assert graph_to_json_dict(build_graph(k, workers=2)) == base
+        assert graph_to_json_dict(build_graph(k, workers=3)) == base
 
-    def test_worker_count_is_invisible_across_chunks(self):
-        # 4862 vertices make three rank ranges, so the pool is used.
-        base = graph_to_json_dict(build_graph(9, workers=1))
-        assert len(base["vertices"]) > 2 * graph_module._CHUNK
-        assert graph_to_json_dict(build_graph(9, workers=2)) == base
-        assert graph_to_json_dict(build_graph(9, workers=3)) == base
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_one_flip_enumeration_per_orbit(self, monkeypatch, workers):
+        # Forked workers inherit both the shared counter and the patch.
+        calls = multiprocessing.get_context("fork").Value("i", 0)
+        real = graph_module.neighbor_partners
+
+        def counted(p):
+            with calls.get_lock():
+                calls.value += 1
+            return real(p)
+
+        monkeypatch.setattr(graph_module, "neighbor_partners", counted)
+        build_graph(9, workers=workers)
+        assert calls.value == max(orbit_tables(9)[0]) + 1 == 175
 
     def test_spawned_workers_build_the_same_graph(self, monkeypatch):
         # Spawned workers inherit nothing from the parent's memory.
