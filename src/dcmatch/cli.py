@@ -369,8 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify", "run the reproduction checks",
             fmt=("text", "json"), default_fmt="json")
-    p.add_argument("--k", type=int)
-    p.add_argument("--k-range", metavar="A..B")
+    sizes = p.add_mutually_exclusive_group()
+    sizes.add_argument("--k", type=int)
+    sizes.add_argument("--k-range", metavar="A..B")
     p.add_argument("--quick", action="store_true",
                    help="skip graph builds above k=6")
     p.add_argument("--threads", type=_positive, metavar="N")

@@ -7,7 +7,9 @@ compatible pairs, so the build enumerates flips only for one
 representative per dihedral orbit and carries its neighbors to the rest
 of the orbit by rank tables.  Worker processes only enumerate those
 flips, one pure job per representative; the rows are built in rank
-order, so the worker count never changes the result.
+order, so the worker count never changes the result.  The graph keeps
+each vertex's orbit index, and the census classifies one matching per
+orbit, since every family label is invariant under the dihedral group.
 """
 
 from __future__ import annotations
@@ -39,13 +41,18 @@ from .matching import (
 
 @dataclass(frozen=True, eq=False)
 class DcmGraph:
-    """Compatibility graph on all matchings of one size, in CSR form."""
+    """Compatibility graph on all matchings of one size, in CSR form.
+
+    ``orbit[i]`` is the dihedral orbit index of vertex i, as in
+    ``orbit_tables``: orbits are numbered in order of their smallest rank.
+    """
 
     k: int
     vertices: tuple[Matching, ...]
     offsets: array
     targets: array
     edge_count: int
+    orbit: array
 
     @property
     def order(self) -> int:
@@ -159,7 +166,8 @@ def build_graph(k: int, workers: int | None = None) -> DcmGraph:
     processes when that is more than one, and the parent then builds
     every row in rank order from those neighbors, mapped by symmetry.
     No row depends on which process enumerated its flips, so any worker
-    count yields the same graph.
+    count yields the same graph.  The graph keeps the per-rank orbit
+    index; the symmetry and image tables are freed once the rows exist.
     """
     limit = configured_max_k()
     if k < 1:
@@ -173,12 +181,14 @@ def build_graph(k: int, workers: int | None = None) -> DcmGraph:
         workers = os.cpu_count() or 1
     if workers < 1:
         raise DomainError(f"worker count must be >= 1, got {workers}")
+    orbit, element, images = orbit_tables(k)
     # The per-orbit neighbor lists die with _rows, before the vertices are made.
-    offsets, targets = _rows(k, workers, *orbit_tables(k))
+    offsets, targets = _rows(k, workers, orbit, element, images)
+    del element, images
     total = offsets[-1]
     assert total % 2 == 0, "adjacency must be symmetric"
     vertices = tuple(enumerate_matchings(k))
-    return DcmGraph(k, vertices, offsets, targets, total // 2)
+    return DcmGraph(k, vertices, offsets, targets, total // 2, orbit)
 
 
 # -- components --------------------------------------------------------------
@@ -225,10 +235,20 @@ def _pieces(order: int, adjacent) -> Iterator[tuple[list[int], bool]]:
 
 
 def components(graph: DcmGraph) -> list[ComponentReport]:
-    """Connected components in order of their smallest vertex."""
+    """Connected components in order of their smallest vertex.
+
+    Family labels are constant on dihedral orbits (a rotation or
+    reflection maps each family onto itself), so only the first rank of
+    each orbit is classified and every member takes its orbit's label.
+    """
+    labels: list[str] = []
+    for i, o in enumerate(graph.orbit):
+        # Orbits are numbered in rank order, so o is new exactly here.
+        if o == len(labels):
+            labels.append(classify(graph.vertices[i]))
     reports: list[ComponentReport] = []
     for members, bipartite in _pieces(graph.order, graph.adjacent):
-        profile = Counter(classify(graph.vertices[i]) for i in members)
+        profile = Counter(labels[graph.orbit[i]] for i in members)
         reports.append(
             ComponentReport(
                 id=len(reports),

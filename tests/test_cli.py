@@ -416,6 +416,17 @@ class TestVerify:
             line.startswith(("PASS", "SKIP")) for line in lines[:-1]
         )
 
+    def test_k_and_k_range_are_exclusive(self, capsys):
+        code, out, err = run(
+            "verify", "--k", "3", "--k-range", "1..2", capsys=capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("dcmatch: ERR_USAGE:")
+        assert err.count("\n") == 1
+        assert "--k-range" in err
+        assert "--k" in err.replace("--k-range", "")
+
     def test_growth_probe_detail_is_deterministic(self):
         (first,) = run_checks(names=("growth-probe",))
         (again,) = run_checks(names=("growth-probe",))

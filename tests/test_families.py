@@ -570,3 +570,10 @@ class TestClassify:
         assert r in generate_family("DBD", 3)
         assert r in generate_family("DBDL", 3)
         assert classify(r) == LABEL_STAR_CENTER
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_label_is_dihedral_invariant(self, k):
+        # The census classifies one matching per dihedral orbit; rotation
+        # by one and one reflection generate the group.
+        for m in enumerate_matchings(k):
+            assert classify(m) == classify(rotate(m, 1)) == classify(reflect(m))

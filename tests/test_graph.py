@@ -167,6 +167,20 @@ class TestOrbits:
             assert image == m
             assert images[2 * n * orbit[i]] <= i
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_graph_keeps_the_orbit_table(self, workers):
+        for k in range(1, 10):
+            graph = build_graph(k, workers=workers)
+            assert graph.orbit == orbit_tables(k)[0]
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_orbit_is_closed_under_the_generators(self, k):
+        # Oracle: rotate/reflect and index_of, not the orbit tables.
+        graph = graph_for(k)
+        for i, v in enumerate(graph.vertices):
+            assert graph.orbit[graph.index_of(rotate(v, 1))] == graph.orbit[i]
+            assert graph.orbit[graph.index_of(reflect(v))] == graph.orbit[i]
+
 
 class TestComponents:
     def test_census_rows(self):
@@ -204,6 +218,45 @@ class TestComponents:
             assert len(ring_home) == 1
             owner = reports_for(k)[ring_home.pop()]
             assert owner.category == ("big" if k >= 5 else "medium")
+
+
+def reference_reports(graph):
+    """Component reports that classify every vertex, not one per orbit."""
+    reports = []
+    for members, bipartite in graph_module._pieces(graph.order, graph.adjacent):
+        profile = Counter(classify(graph.vertices[i]) for i in members)
+        reports.append(
+            graph_module.ComponentReport(
+                id=len(reports),
+                order=len(members),
+                category=graph_module._census_category(graph.k, len(members)),
+                profile=dict(sorted(profile.items())),
+                representative=graph.vertices[members[0]],
+                bipartite=bipartite,
+                members=tuple(members),
+            )
+        )
+    return reports
+
+
+class TestOrbitLabels:
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_reports_match_per_vertex_labels(self, k):
+        # profile reaches no CLI output, so only this compares it.
+        assert reports_for(k) == reference_reports(graph_for(k))
+
+    def test_one_classify_call_per_orbit(self, monkeypatch):
+        calls = [0]
+        real = graph_module.classify
+
+        def counted(m):
+            calls[0] += 1
+            return real(m)
+
+        graph = build_graph(9)
+        monkeypatch.setattr(graph_module, "classify", counted)
+        components(graph)
+        assert calls[0] == max(graph.orbit) + 1 == 175
 
 
 class TestBipartite:
