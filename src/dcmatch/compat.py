@@ -182,11 +182,6 @@ def _check_flippable(m: Matching, edges: tuple[Edge, ...]) -> str | None:
     return None
 
 
-def is_flippable_set(m: Matching, edges) -> bool:
-    """Whether the edges form a flippable group inside ``m``."""
-    return _check_flippable(m, canonical_edges(edges)) is None
-
-
 def _flip_edges(edges: tuple[Edge, ...]) -> list[Edge]:
     # Shift the pairing of consecutive support points to the other one.
     s = sorted(chain.from_iterable(edges))

@@ -238,21 +238,3 @@ def big_component_order(k: int) -> int:
     specials += medium_even_order(l) * count_EDB_components(l)
     return catalan(k) - specials
 
-
-def big_order_inequalities(l_max: int) -> bool:
-    """Whether the ring component strictly outweighs every medium one.
-
-    Checks, with exact integers for 5 <= l <= l_max, that the
-    subtraction formula leaves more vertices than the largest medium
-    order at both sizes 2l-1 and 2l.
-    """
-    if l_max < 5:
-        raise DomainError(f"the inequalities start at l = 5, got {l_max}")
-    for l in range(5, l_max + 1):
-        odd_rest = count_I(l) + medium_odd_order(l) * count_DBD(l)
-        if catalan(2 * l - 1) <= odd_rest + medium_odd_order(l):
-            return False
-        even_rest = count_DB(l) + medium_even_order(l) * count_EDB_components(l)
-        if catalan(2 * l) <= even_rest + medium_even_order(l):
-            return False
-    return True

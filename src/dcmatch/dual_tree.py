@@ -18,7 +18,6 @@ arc it contains, which equals the smallest side label incident to it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .errors import TreeError
 from .matching import Edge, Matching, rotate, validate
@@ -82,29 +81,6 @@ class EmbeddedTree:
             if self.marked is None
             else [self.marked[0][0], self.marked[0][1], self.marked[1]],
         }
-
-
-def tree_from_json(obj: dict) -> EmbeddedTree:
-    """Rebuild an embedded tree from its JSON form, with structure checks."""
-    try:
-        k = int(obj["k"])
-        vertices = tuple(int(v) for v in obj["vertices"])
-        phi = {
-            int(v): tuple((int(a), int(b)) for a, b in ring)
-            for v, ring in obj["phi"].items()
-        }
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TreeError(f"malformed tree JSON: {exc}") from exc
-    side_labels: dict[Side, int] = {}
-    for a, b, face, label in obj.get("side_labels", []):
-        side_labels[((int(a), int(b)), int(face))] = int(label)
-    marked = obj.get("marked")
-    if marked is not None:
-        a, b, face = marked
-        marked = ((int(a), int(b)), int(face))
-    tree = EmbeddedTree(k, vertices, phi, side_labels, marked)
-    _check_tree(tree)
-    return tree
 
 
 def _check_tree(tree: EmbeddedTree) -> None:

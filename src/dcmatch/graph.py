@@ -1,15 +1,13 @@
 """The compatibility graph itself: construction, components, and exports.
 
-Vertex i is the matching of rank i in canonical order (``matching.rank``),
-and adjacency is one flat sorted index array plus per-vertex offsets.
-Rotations and reflections of the 2k-gon map compatible pairs to
-compatible pairs, so the build enumerates flips only for one
-representative per dihedral orbit and carries its neighbors to the rest
-of the orbit by rank tables.  Worker processes only enumerate those
-flips, one pure job per representative; the rows are built in rank
-order, so the worker count never changes the result.  The graph keeps
-each vertex's orbit index, and the census classifies one matching per
-orbit, since every family label is invariant under the dihedral group.
+Vertex i is the matching of rank i in canonical order (``matching.rank``).
+Rotations and reflections of the 2k-gon preserve compatibility, so the
+graph is kept as its quotient by that dihedral group: the orbit tables,
+and per orbit its representative's neighbors as arcs labelled by
+symmetries (a voltage graph; Gross and Tucker, *Topological Graph
+Theory*, 1987, ch. 2).  Worker processes only enumerate the flips of the
+representatives, one pure job each.  A vertex's neighbors are computed
+when asked for, and the census reads every component off the quotient.
 """
 
 from __future__ import annotations
@@ -17,9 +15,9 @@ from __future__ import annotations
 import os
 from array import array
 from collections import Counter, deque
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import accumulate
 from multiprocessing import get_context
 
@@ -34,36 +32,65 @@ from .matching import (
     configured_max_k,
     dihedral_permutations,
     enumerate_matchings,
+    from_partner,
     permute,
     rank,
     unrank,
 )
 
+
+class _Ranked(Sequence):
+    """Read-only sequence of the size-k matchings by rank, made on lookup."""
+
+    def __init__(self, k: int):
+        self._k = k
+        self._ranks = range(catalan(k))
+
+    def __len__(self) -> int:
+        return len(self._ranks)
+
+    def __getitem__(self, i: int) -> Matching:
+        # Indexing the range checks bounds and counts negatives from the end.
+        return from_partner(unrank(self._k, self._ranks[i]))
+
+
 @dataclass(frozen=True, eq=False)
 class DcmGraph:
-    """Compatibility graph on all matchings of one size, in CSR form.
+    """Compatibility graph on all matchings of one size, as its dihedral
+    quotient.
 
-    ``orbit[i]`` is the dihedral orbit index of vertex i, as in
+    ``orbit``, ``element`` and ``images`` are the tables of
     ``orbit_tables``: orbits are numbered in order of their smallest rank.
+    ``arcs[o]`` lists each neighbor x of orbit o's representative as
+    ``(orbit[x], element[x])``.
     """
 
     k: int
-    vertices: tuple[Matching, ...]
-    offsets: array
-    targets: array
-    edge_count: int
     orbit: array
+    element: array
+    images: array
+    arcs: list[tuple[tuple[int, int], ...]]
+    edge_count: int
 
     @property
     def order(self) -> int:
-        return len(self.vertices)
+        return len(self.orbit)
+
+    @property
+    def vertices(self) -> Sequence[Matching]:
+        """Vertex i is the matching of rank i."""
+        return _Ranked(self.k)
 
     def degree(self, i: int) -> int:
-        return self.offsets[i + 1] - self.offsets[i]
+        return len(self.arcs[self.orbit[i]])
 
-    def adjacent(self, i: int) -> array:
+    def adjacent(self, i: int) -> list[int]:
         """Sorted neighbor indices of vertex ``i``."""
-        return self.targets[self.offsets[i] : self.offsets[i + 1]]
+        # Neighbor x = f(rep'), so its image under e is (f, then e)(rep').
+        then = _compose(2 * self.k)[self.element[i]]
+        base = 4 * self.k
+        arcs = self.arcs[self.orbit[i]]
+        return sorted([self.images[base * o + then[f]] for o, f in arcs])
 
     def index_of(self, m: Matching) -> int:
         if m.k != self.k:
@@ -112,14 +139,29 @@ def orbit_tables(k: int) -> tuple[array, array, array]:
     return orbit, element, images
 
 
+@lru_cache(maxsize=None)
 def _compose(n: int) -> tuple[tuple[int, ...], ...]:
-    # _compose(n)[e][f]: the symmetry "f, then e" of the n-gon.
-    perms = dihedral_permutations(n)
-    number = {sigma: e for e, sigma in enumerate(perms)}
+    # _compose(n)[e][f]: the symmetry "f, then e" of the n-gon.  Symmetry
+    # a*n + s is rho^s tau^a, rho the rotation by one step and tau the
+    # reflection, as in dihedral_permutations; tau rho^t = rho^-t tau.
+    # Worked in the abstract group, so the table holds for n = 2 too,
+    # where the point maps repeat.
     return tuple(
-        tuple(number[tuple(outer[t] for t in inner)] for inner in perms)
-        for outer in perms
+        tuple(n * (a ^ b) + (s - t if a else s + t) % n for b in (0, 1) for t in range(n))
+        for a in (0, 1)
+        for s in range(n)
     )
+
+
+def _check_size(k: int, what: str) -> None:
+    limit = configured_max_k()
+    if k < 1:
+        raise DomainError(f"{what} size must be >= 1, got {k}")
+    if k > limit:
+        raise ResourceLimitError(
+            f"k={k} is over the configured cap of {limit}; "
+            "set DCM_MAX_K to raise it"
+        )
 
 
 def _flip_ranks(k: int, r: int) -> list[int]:
@@ -127,14 +169,21 @@ def _flip_ranks(k: int, r: int) -> list[int]:
     return [rank(q) for q in neighbor_partners(unrank(k, r))]
 
 
-def _offsets(counts) -> array:
-    # CSR row starts: running sums of the row lengths, led by a zero.
-    return array("q", accumulate(counts, initial=0))
+def build_graph(k: int, workers: int | None = None) -> DcmGraph:
+    """Build the size-k graph as its dihedral quotient.
 
-
-def _rows(
-    k: int, workers: int, orbit: array, element: array, images: array
-) -> tuple[array, array]:
+    The parent computes the orbit tables (``orbit_tables``).  Flips are
+    enumerated once per orbit representative, by ``workers`` processes
+    when that is more than one, and each neighbor found becomes an arc
+    (its orbit, its symmetry).  No arc depends on which process
+    enumerated it, so any worker count yields the same graph.
+    """
+    _check_size(k, "graph")
+    if workers is None:
+        workers = os.cpu_count() or 1
+    if workers < 1:
+        raise DomainError(f"worker count must be >= 1, got {workers}")
+    orbit, element, images = orbit_tables(k)
     group = 4 * k
     representatives = images[::group]
     job = partial(_flip_ranks, k)
@@ -143,52 +192,10 @@ def _rows(
     else:
         with get_context("fork").Pool(min(workers, len(representatives))) as pool:
             flips = pool.map(job, representatives)
-    # Each representative neighbor x, kept as (its orbit's offset into
-    # images, the symmetry that maps that orbit's representative to x).
-    known = [[(group * orbit[x], element[x]) for x in found] for found in flips]
-    compose = _compose(2 * k)
-    counts = array("i")
-    targets = array("i")
-    for i in range(len(orbit)):
-        # Neighbor x = f(rep'), so its image under e is (f, then e)(rep').
-        then = compose[element[i]]
-        row = sorted([images[base + then[f]] for base, f in known[orbit[i]]])
-        counts.append(len(row))
-        targets.extend(row)
-    return _offsets(counts), targets
-
-
-def build_graph(k: int, workers: int | None = None) -> DcmGraph:
-    """Build the size-k graph.
-
-    The parent computes the dihedral orbit tables (``orbit_tables``).
-    Flips are enumerated once per orbit representative, by ``workers``
-    processes when that is more than one, and the parent then builds
-    every row in rank order from those neighbors, mapped by symmetry.
-    No row depends on which process enumerated its flips, so any worker
-    count yields the same graph.  The graph keeps the per-rank orbit
-    index; the symmetry and image tables are freed once the rows exist.
-    """
-    limit = configured_max_k()
-    if k < 1:
-        raise DomainError(f"graph size must be >= 1, got {k}")
-    if k > limit:
-        raise ResourceLimitError(
-            f"k={k} is over the configured cap of {limit}; "
-            "set DCM_MAX_K to raise it"
-        )
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers < 1:
-        raise DomainError(f"worker count must be >= 1, got {workers}")
-    orbit, element, images = orbit_tables(k)
-    # The per-orbit neighbor lists die with _rows, before the vertices are made.
-    offsets, targets = _rows(k, workers, orbit, element, images)
-    del element, images
-    total = offsets[-1]
-    assert total % 2 == 0, "adjacency must be symmetric"
-    vertices = tuple(enumerate_matchings(k))
-    return DcmGraph(k, vertices, offsets, targets, total // 2, orbit)
+    arcs = [tuple((orbit[x], element[x]) for x in found) for found in flips]
+    ends = sum(len(arcs[o]) for o in orbit)
+    assert ends % 2 == 0, "adjacency must be symmetric"
+    return DcmGraph(k, orbit, element, images, arcs, ends // 2)
 
 
 # -- components --------------------------------------------------------------
@@ -234,33 +241,93 @@ def _pieces(order: int, adjacent) -> Iterator[tuple[list[int], bool]]:
         yield members, bipartite
 
 
+def _closure(generators: set[tuple[int, int]], compose) -> set[tuple[int, int]]:
+    """The subgroup of D x Z2 that ``generators`` generate."""
+    found, todo = {(0, 0)}, [(0, 0)]
+    for d, t in todo:
+        for g, u in generators:
+            x = (compose[d][g], t ^ u)
+            if x not in found:
+                found.add(x)
+                todo.append(x)
+    return found
+
+
 def components(graph: DcmGraph) -> list[ComponentReport]:
     """Connected components in order of their smallest vertex.
 
-    Family labels are constant on dihedral orbits (a rotation or
-    reflection maps each family onto itself), so only the first rank of
-    each orbit is classified and every member takes its orbit's label.
+    One breadth-first search per piece B of the quotient gives each orbit
+    o a potential p_o in the dihedral group D (a tree arc o -> o' with
+    symmetry f sets p_o' = p_o f) and a depth parity.  Vertex g(rep_o)
+    sits at h = g p_o^-1; an arc o -> o' with symmetry f moves h to
+    h p_o f p_o'^-1, and a symmetry s fixing rep_o names the same vertex
+    at h p_o s p_o^-1.  With the colour parities they carry, these moves
+    generate H <= D x Z2.  B lifts to one component per left coset of
+    H's image H_D in D, each two-colouring exactly when (id, 1) is not
+    in H and holding |orbit o| / [D : H_D] members of each orbit o of B.
+    Family labels are dihedral invariants: one ``classify`` per orbit.
     """
-    labels: list[str] = []
-    for i, o in enumerate(graph.orbit):
-        # Orbits are numbered in rank order, so o is new exactly here.
-        if o == len(labels):
-            labels.append(classify(graph.vertices[i]))
+    k, group, arcs = graph.k, 4 * graph.k, graph.arcs
+    compose = _compose(2 * k)
+    inverse = [row.index(0) for row in compose]
+    piece = array("i", [-1]) * len(arcs)
+    potential = array("i", [0]) * len(arcs)
+    parity = bytearray(len(arcs))
+    lift_of: list[list[int]] = []  # per piece: the lift holding each h in D
+    kinds: list[tuple[bool, dict[str, int]]] = []  # per lift: bipartite, profile
+    for start in range(len(arcs)):
+        if piece[start] >= 0:
+            continue
+        piece[start] = len(lift_of)
+        orbits = [start]
+        generators = set()
+        weight: Counter = Counter()
+        # Breadth-first: the loop also visits orbits appended during it.
+        for o in orbits:
+            p = potential[o]
+            row = graph.images[group * o : group * (o + 1)]
+            fixed = [s for s, j in enumerate(row) if j == row[0]]
+            weight[classify(graph.vertices[row[0]])] += group // len(fixed)
+            generators.update((compose[compose[p][s]][inverse[p]], 0) for s in fixed)
+            for w, f in arcs[o]:
+                if piece[w] < 0:
+                    piece[w] = piece[start]
+                    potential[w] = compose[p][f]
+                    parity[w] = 1 - parity[o]
+                    orbits.append(w)
+                move = compose[compose[p][f]][inverse[potential[w]]]
+                generators.add((move, 1 ^ parity[o] ^ parity[w]))
+        subgroup = _closure(generators, compose)
+        within = {d for d, _ in subgroup}
+        lifts = group // len(within)
+        profile = {label: n // lifts for label, n in sorted(weight.items())}
+        kind = (0, 1) not in subgroup, profile
+        cosets = [-1] * group
+        for d in range(group):
+            if cosets[d] < 0:
+                for x in within:
+                    cosets[compose[d][x]] = len(kinds)
+                kinds.append(kind)
+        lift_of.append(cosets)
+    found: dict[int, list[int]] = {}
+    for v, (o, e) in enumerate(zip(graph.orbit, graph.element)):
+        h = compose[e][inverse[potential[o]]]
+        found.setdefault(lift_of[piece[o]][h], []).append(v)
     reports: list[ComponentReport] = []
-    for members, bipartite in _pieces(graph.order, graph.adjacent):
-        profile = Counter(labels[graph.orbit[i]] for i in members)
+    for lift, members in found.items():
+        bipartite, profile = kinds[lift]
+        assert sum(profile.values()) == len(members), "lift orders must agree"
         reports.append(
             ComponentReport(
                 id=len(reports),
                 order=len(members),
-                category=_census_category(graph.k, len(members)),
-                profile=dict(sorted(profile.items())),
+                category=_census_category(k, len(members)),
+                profile=dict(profile),
                 representative=graph.vertices[members[0]],
                 bipartite=bipartite,
                 members=tuple(members),
             )
         )
-    assert sum(r.order for r in reports) == graph.order
     return reports
 
 
@@ -305,8 +372,10 @@ def _odd_cycle(parent, v, w):
 
 def degree_stats(graph: DcmGraph) -> tuple[int, tuple[int, ...]]:
     """Maximum degree and the sorted indices of all vertices attaining it."""
-    best = max(graph.degree(i) for i in range(graph.order))
-    argmax = tuple(i for i in range(graph.order) if graph.degree(i) == best)
+    # Degree is constant on orbits.
+    degrees = [len(out) for out in graph.arcs]
+    best = max(degrees)
+    argmax = tuple(i for i, o in enumerate(graph.orbit) if degrees[o] == best)
     return best, argmax
 
 
@@ -517,14 +586,7 @@ def build_almost_perfect_graph(k: int) -> AlmostPerfectGraph:
     The build compares every vertex pair, so it is only practical for
     small k; the acceptance checks stop at k=6.
     """
-    limit = configured_max_k()
-    if k < 1:
-        raise DomainError(f"variant graph size must be >= 1, got {k}")
-    if k > limit:
-        raise ResourceLimitError(
-            f"k={k} is over the configured cap of {limit}; "
-            "set DCM_MAX_K to raise it"
-        )
+    _check_size(k, "variant graph")
     n = 2 * k + 1
     raw: list[tuple[int, tuple[Edge, ...]]] = []
     for skip in range(1, n + 1):
@@ -549,7 +611,8 @@ def build_almost_perfect_graph(k: int) -> AlmostPerfectGraph:
         row = [j for j, mask in enumerate(masks) if not mask & b]
         counts.append(len(row))
         targets.extend(row)
-    offsets = _offsets(counts)
+    # CSR row starts: running sums of the row lengths, led by a zero.
+    offsets = array("q", accumulate(counts, initial=0))
 
     def adjacent(v: int) -> array:
         return targets[offsets[v] : offsets[v + 1]]
@@ -592,24 +655,19 @@ def build_almost_perfect_graph(k: int) -> AlmostPerfectGraph:
 
 def to_dot(graph: DcmGraph) -> str:
     """DOT text: quoted canonical strings, each edge emitted once."""
+    names = [str(m) for m in graph.vertices]
     lines = [f"graph dcm_{graph.k} {{"]
-    for m in graph.vertices:
-        lines.append(f'  "{m}";')
+    lines.extend(f'  "{name}";' for name in names)
     for i in range(graph.order):
         for j in graph.adjacent(i):
             if i < j:
-                lines.append(f'  "{graph.vertices[i]}" -- "{graph.vertices[j]}";')
+                lines.append(f'  "{names[i]}" -- "{names[j]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def graph_to_json_dict(graph: DcmGraph) -> dict:
-    edges = [
-        [i, int(j)]
-        for i in range(graph.order)
-        for j in graph.adjacent(i)
-        if i < j
-    ]
+    edges = [[i, j] for i in range(graph.order) for j in graph.adjacent(i) if i < j]
     return {
         "k": graph.k,
         "vertices": [str(m) for m in graph.vertices],

@@ -163,21 +163,6 @@ def parse_matching(text: str) -> Matching:
     return validate(pairs)
 
 
-def matching_from_json(obj: dict) -> Matching:
-    """Build a matching from the ``{"k": ..., "edges": [[a, b], ...]}`` form."""
-    if not isinstance(obj, dict) or "edges" not in obj:
-        raise ParseError("matching JSON must be an object with an 'edges' key")
-    edges = obj["edges"]
-    if not isinstance(edges, list) or not all(
-        isinstance(e, (list, tuple)) and len(e) == 2 for e in edges
-    ):
-        raise ParseError("'edges' must be a list of [a, b] pairs")
-    k = obj.get("k", len(edges))
-    if not isinstance(k, int):
-        raise ParseError("'k' must be an integer")
-    return validate(edges, k)
-
-
 def enumerate_matchings(k: int, max_k: int | None = None) -> list[Matching]:
     """All non-crossing perfect matchings on 2k points, in canonical order."""
     limit = configured_max_k() if max_k is None else max_k

@@ -31,7 +31,6 @@ from .counting import (
     riordan,
 )
 from .dual_tree import find_antiblocks, find_blocks
-from .errors import ResourceLimitError
 from .families import (
     BLOCK,
     LABEL_PATH_MEMBER,
@@ -48,7 +47,7 @@ from .graph import (
     isomorphism_classes,
     verify_medium_even_structure,
 )
-from .matching import Matching, enumerate_matchings, insert
+from .matching import enumerate_matchings, insert
 
 # Census rows pinned independently of the counting formulas; the checks
 # require the measured censuses to equal both.

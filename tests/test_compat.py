@@ -9,16 +9,17 @@ import pytest
 from dcmatch.compat import (
     FlippablePartition,
     FlippableSet,
+    _check_flippable,
     alternating_cycles,
     are_disjoint_compatible,
     flip,
     flippable_partitions,
-    is_flippable_set,
     neighbors,
     neighbors_bruteforce,
 )
 from dcmatch.errors import FlipError
 from dcmatch.matching import (
+    canonical_edges,
     enumerate_matchings,
     parse_matching,
     reflect,
@@ -105,6 +106,12 @@ class TestCycles:
         b = parse_matching("1-6,2-5,3-4")
         cycles = alternating_cycles(a, b)
         assert sorted(t for c in cycles for t in c) == list(range(1, 7))
+
+
+def is_flippable_set(m, edges):
+    """Whether the edges form a flippable group inside ``m``, by the
+    check ``flip`` applies to each of its groups."""
+    return _check_flippable(m, canonical_edges(edges)) is None
 
 
 class TestFlippableSets:

@@ -14,7 +14,6 @@ from dcmatch.compat import neighbors
 from dcmatch.counting import (
     SeriesTable,
     big_component_order,
-    big_order_inequalities,
     binomial,
     catalan,
     count_DB,
@@ -251,11 +250,6 @@ class TestBigComponent:
             order = big_component_order(k)
             assert 0 < order < catalan(k)
 
-    def test_inequalities(self):
-        assert big_order_inequalities(40)
-
     def test_domains(self):
         with pytest.raises(DomainError):
             big_component_order(8)
-        with pytest.raises(DomainError):
-            big_order_inequalities(4)

@@ -14,7 +14,6 @@ from dcmatch.dual_tree import (
     from_dual_tree,
     rotationally_equivalent,
     to_dual_tree,
-    tree_from_json,
 )
 from dcmatch.errors import TreeError
 from dcmatch.matching import (
@@ -105,33 +104,23 @@ class TestFromDualTree:
             from_dual_tree(bad)
 
 
-class TestTreeJson:
-    def test_round_trip(self):
-        for m in enumerate_matchings(4):
-            t = to_dual_tree(m)
-            back = tree_from_json(t.to_json_dict())
-            assert back == t
-            assert from_dual_tree(back) == m
+class TestTreeChecks:
+    """Structure checks that ``from_dual_tree`` runs before it walks."""
+
+    MARK = ((1, 2), 1)
 
     def test_malformed_rejected(self):
-        with pytest.raises(TreeError):
-            tree_from_json({"k": 2})
-        t = to_dual_tree(parse_matching("1-2,3-4")).to_json_dict()
-        t["vertices"] = [1, 2]
-        with pytest.raises(TreeError):
-            tree_from_json(t)
+        t = to_dual_tree(parse_matching("1-2,3-4"))
+        short = EmbeddedTree(t.k, (1, 2), t.phi, {}, self.MARK)
+        with pytest.raises(TreeError, match="phi keys"):
+            from_dual_tree(short)
 
     def test_disconnected_phi_rejected(self):
         # Two chords borrowing the same face pair would make a cycle.
-        bad = {
-            "k": 2,
-            "vertices": [1, 2, 3],
-            "phi": {"1": [[1, 2], [3, 4]], "2": [[1, 2], [3, 4]], "3": []},
-            "side_labels": [],
-            "marked": None,
-        }
-        with pytest.raises(TreeError):
-            tree_from_json(bad)
+        phi = {1: ((1, 2), (3, 4)), 2: ((1, 2), (3, 4)), 3: ()}
+        bad = EmbeddedTree(2, (1, 2, 3), phi, {}, self.MARK)
+        with pytest.raises(TreeError, match="not connected"):
+            from_dual_tree(bad)
 
 
 class TestEmbeddingCode:

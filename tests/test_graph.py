@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import multiprocessing
 import random
+from array import array
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 
 from dcmatch import graph as graph_module
-from dcmatch.compat import neighbors_bruteforce
-from dcmatch.counting import edge_series
+from dcmatch.compat import neighbor_partners, neighbors_bruteforce
+from dcmatch.counting import big_component_order, edge_series
 from dcmatch.errors import DomainError, ResourceLimitError
 from dcmatch.families import classify, rings
 from dcmatch.graph import (
@@ -28,11 +30,14 @@ from dcmatch.graph import (
     verify_medium_even_structure,
 )
 from dcmatch.matching import (
+    dihedral_permutations,
     enumerate_matchings,
     is_crossing,
     parse_matching,
+    rank,
     reflect,
     rotate,
+    unrank,
 )
 from dcmatch.verification import ISO_CLASSES_BY_K
 
@@ -220,18 +225,20 @@ class TestComponents:
             assert owner.category == ("big" if k >= 5 else "medium")
 
 
-def reference_reports(graph):
-    """Component reports that classify every vertex, not one per orbit."""
+def reference_reports(k, adjacent):
+    """Component reports from a breadth-first search over ``adjacent``,
+    classifying every vertex, not one per orbit."""
+    vertices = enumerate_matchings(k)
     reports = []
-    for members, bipartite in graph_module._pieces(graph.order, graph.adjacent):
-        profile = Counter(classify(graph.vertices[i]) for i in members)
+    for members, bipartite in graph_module._pieces(len(vertices), adjacent):
+        profile = Counter(classify(vertices[i]) for i in members)
         reports.append(
             graph_module.ComponentReport(
                 id=len(reports),
                 order=len(members),
-                category=graph_module._census_category(graph.k, len(members)),
+                category=graph_module._census_category(k, len(members)),
                 profile=dict(sorted(profile.items())),
-                representative=graph.vertices[members[0]],
+                representative=vertices[members[0]],
                 bipartite=bipartite,
                 members=tuple(members),
             )
@@ -242,8 +249,9 @@ def reference_reports(graph):
 class TestOrbitLabels:
     @pytest.mark.parametrize("k", range(1, 11))
     def test_reports_match_per_vertex_labels(self, k):
-        # profile reaches no CLI output, so only this compares it.
-        assert reports_for(k) == reference_reports(graph_for(k))
+        # profile reaches no CLI output, so only this and the row
+        # reference below compare it.
+        assert reports_for(k) == reference_reports(k, graph_for(k).adjacent)
 
     def test_one_classify_call_per_orbit(self, monkeypatch):
         calls = [0]
@@ -257,6 +265,139 @@ class TestOrbitLabels:
         monkeypatch.setattr(graph_module, "classify", counted)
         components(graph)
         assert calls[0] == max(graph.orbit) + 1 == 175
+
+
+# -- the quotient census against per-rank rows ------------------------------
+
+
+def reference_rows(k):
+    """Per-rank CSR rows (offsets, targets) of the size-k graph.
+
+    Every row is built in rank order from the flips of its orbit's
+    representative, with symmetries composed as point maps: the rows the
+    graph kept before its census moved to the quotient.
+    """
+    orbit, element, images = orbit_tables(k)
+    group = 4 * k
+    perms = dihedral_permutations(2 * k)
+    number = {sigma: e for e, sigma in enumerate(perms)}
+    compose = [
+        [number[tuple(outer[t] for t in inner)] for inner in perms]
+        for outer in perms
+    ]
+    known = []
+    for r in images[::group]:
+        found = [rank(q) for q in neighbor_partners(unrank(k, r))]
+        known.append([(group * orbit[x], element[x]) for x in found])
+    counts = array("i")
+    targets = array("i")
+    for i in range(len(orbit)):
+        then = compose[element[i]]
+        row = sorted(images[base + then[f]] for base, f in known[orbit[i]])
+        counts.append(len(row))
+        targets.extend(row)
+    return array("q", accumulate(counts, initial=0)), targets
+
+
+_references: dict[int, tuple] = {}
+
+
+def assert_matches_rows(graph):
+    k = graph.k
+    if k not in _references:
+        offsets, targets = reference_rows(k)
+
+        def adjacent(v):
+            return targets[offsets[v] : offsets[v + 1]]
+
+        _references[k] = offsets, targets, reference_reports(k, adjacent)
+    offsets, targets, reports = _references[k]
+    assert graph.order == len(offsets) - 1
+    assert graph.edge_count == len(targets) // 2
+    for i in range(graph.order):
+        row = list(targets[offsets[i] : offsets[i + 1]])
+        assert graph.degree(i) == len(row), (k, i)
+        assert graph.adjacent(i) == row, (k, i)
+    assert components(graph) == reports
+
+
+class TestQuotient:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_matches_the_rows(self, k, workers):
+        assert_matches_rows(build_graph(k, workers=workers))
+
+    def test_matches_the_rows_at_11(self):
+        assert_matches_rows(graph_for(11))
+
+    def test_one_vertex_at_k1(self):
+        # dihedral_permutations(2) repeats point maps; the group table must not.
+        g = build_graph(1)
+        assert (g.order, g.edge_count, g.degree(0), g.adjacent(0)) == (1, 0, 0, [])
+        (r,) = components(g)
+        assert (r.order, r.category, r.bipartite, r.members) == (1, "small", True, (0,))
+
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_stabilised_orbits_list_each_member_once(self, k):
+        # The rings are one orbit of two, fixed by half of the 4k symmetries.
+        g = graph_for(k)
+        ring = g.orbit[g.index_of(rings(k)[0])]
+        assert list(g.orbit).count(ring) == 2
+        members = [i for r in reports_for(k) for i in r.members]
+        assert sorted(members) == list(range(g.order))
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_compose_is_the_point_map_composition(self, k):
+        perms = dihedral_permutations(2 * k)
+        table = graph_module._compose(2 * k)
+        for e, outer in enumerate(perms):
+            for f, inner in enumerate(perms):
+                assert perms[table[e][f]] == tuple(outer[t] for t in inner)
+
+    def test_compose_is_a_group_at_two_points(self):
+        # At n = 2 the point maps repeat, so only the axioms pin the table.
+        table = graph_module._compose(2)
+        elements = range(4)
+        assert all(table[0][e] == table[e][0] == e for e in elements)
+        assert all(0 in table[e] for e in elements)
+        for a in elements:
+            for b in elements:
+                for c in elements:
+                    assert table[table[a][b]][c] == table[a][table[b][c]]
+
+
+class TestVertices:
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_rank_roundtrip(self, k):
+        g = graph_for(k)
+        assert len(g.vertices) == g.order
+        assert list(g.vertices) == enumerate_matchings(k)
+        for i in range(g.order):
+            assert g.index_of(g.vertices[i]) == i
+
+    def test_indexing_like_a_tuple(self):
+        g = graph_for(4)
+        as_tuple = tuple(enumerate_matchings(4))
+        for i in (0, 13, -1, -14):
+            assert g.vertices[i] == as_tuple[i]
+        for i in (14, -15):
+            with pytest.raises(IndexError):
+                as_tuple[i]
+            with pytest.raises(IndexError):
+                g.vertices[i]
+
+
+class TestBigComponent:
+    @pytest.mark.parametrize("k", range(9, 13))
+    def test_order_is_the_subtraction_formula(self, k):
+        big = [r.order for r in reports_for(k) if r.category == "big"]
+        assert big == [big_component_order(k)]
+
+    def test_orbits_with_symmetry_at_12(self):
+        # An orbit smaller than the 48 symmetries has a non-trivial stabiliser.
+        sizes = Counter(graph_for(12).orbit).values()
+        assert len(sizes) == 4588
+        assert sum(1 for size in sizes if size < 48) == 487
 
 
 class TestBipartite:

@@ -134,9 +134,7 @@ class TestParse:
         m = parse_matching("1-6,2-5,3-4")
         d = m.to_json_dict()
         assert d == {"k": 3, "edges": [[1, 6], [2, 5], [3, 4]]}
-        from dcmatch.matching import matching_from_json
-
-        assert matching_from_json(d) == m
+        assert validate(d["edges"], d["k"]) == m
 
 
 class TestEnumerate:
