@@ -13,6 +13,13 @@ consecutive support points, with all remaining edges confined to single
 gaps between consecutive support points.  Flipping shifts each group's
 pairing to the complementary one.  Distinct partitions give distinct
 neighbors, so enumerating partitions enumerates the adjacency.
+
+The enumeration walks each group's chain of edges in support order and
+writes down the flipped pairs as it goes, memoised per closed run of
+points.  A chain is not extended past a run it skips or covers that has
+no partition of its own, so most dead branches end at a memo lookup.
+``neighbors`` and ``neighbor_partners`` read the pairs directly;
+``flippable_partitions`` recovers the groups from the alternating cycles.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, product
+from itertools import chain, combinations
 
 from .errors import FlipError
 from .matching import (
@@ -29,7 +36,6 @@ from .matching import (
     Matching,
     canonical_edges,
     enumerate_matchings,
-    from_partner,
     is_crossing,
 )
 
@@ -222,111 +228,120 @@ def flip(m: Matching, partition: FlippablePartition | list) -> Matching:
 
 
 # -- partition enumeration --------------------------------------------------
+#
+# In a flip partition of a closed run lo..hi (a run matched within itself),
+# the group of the edge (lo, b) holds a chain (s1,e1),...,(sm,em) of edges
+# that either nests under (lo, b) or continues to its right.  Each chain
+# step hops over whole closed runs.  Flipping the group pairs every chain
+# end with the next chain start:
+#
+#     nested     (lo,s1),(e1,s2),...,(em,b)
+#     rightward  (b,s1),(e1,s2),...,(lo,em)
+#
+# Every run left before, under or after a chain edge, or under or past the
+# anchor, sits in one gap of the group and is partitioned on its own.
 
 
-def _anchored_parts(p: list[int], a: int, hi: int):
-    """Groups that could contain the edge at the interval's first point.
+def _interval(p: list[int], memo: dict, lo: int, hi: int) -> list[tuple]:
+    """Flipped pairs of every flip partition of the closed run lo..hi.
 
-    Yields (edges, gaps): the group's edges and the intervals left over,
-    each of which must be partitioned on its own.  The anchor edge
-    (a, p[a]) is either the group's spanning edge with the chain nested
-    inside it, or the leftmost pair with the chain continuing to its
-    right.  Chain steps hop over whole closed runs, which become gaps.
+    Each partition is one flat tuple of ``(a, b)`` pairs with ``a < b``:
+    the edges the flip puts on the run's points.  An empty list means no
+    partition exists.
     """
-    b = p[a]
-
-    def nested(c, edges, gaps):
-        if edges:
-            tail = [(c, b - 1)] if c <= b - 1 else []
-            outer_gap = [(b + 1, hi)] if b + 1 <= hi else []
-            yield [(a, b)] + edges, gaps + tail + outer_gap
-        s = c
-        while s <= b - 1:
-            e2 = p[s]
-            pre = [(c, s - 1)] if s > c else []
-            under = [(s + 1, e2 - 1)] if s + 1 <= e2 - 1 else []
-            yield from nested(e2 + 1, edges + [(s, e2)], gaps + pre + under)
-            s = e2 + 1
-
-    def rightward(c, edges, gaps):
-        if edges:
-            tail = [(c, hi)] if c <= hi else []
-            yield [(a, b)] + edges, gaps + tail
-        s = c
-        while s <= hi:
-            e2 = p[s]
-            pre = [(c, s - 1)] if s > c else []
-            under = [(s + 1, e2 - 1)] if s + 1 <= e2 - 1 else []
-            yield from rightward(
-                e2 + 1, edges + [(s, e2)], gaps + pre + under
-            )
-            s = e2 + 1
-
-    yield from nested(a + 1, [], [])
-    under_anchor = [(a + 1, b - 1)] if a + 1 <= b - 1 else []
-    yield from rightward(b + 1, [], under_anchor)
+    key = lo * len(p) + hi  # distinct for every run, since hi < len(p)
+    found = memo.get(key)
+    if found is None:
+        found = memo[key] = []
+        b = p[lo]
+        # A chain nested under (lo, b), with the run past b left aside.
+        past = [_interval(p, memo, b + 1, hi)] if b < hi else []
+        if all(past):
+            _walk(p, memo, found, lo + 1, b - 1, lo, b, (), [], past)
+        # A chain right of (lo, b), with the run under it left aside.
+        under = [_interval(p, memo, lo + 1, b - 1)] if lo + 1 < b else []
+        if all(under):
+            _walk(p, memo, found, b + 1, hi, b, lo, (), under, [])
+    return found
 
 
-def _raw_partitions(
-    p: list[int], n: int
-) -> list[tuple[tuple[Edge, ...], ...]]:
-    """All flip partitions, as tuples of edge groups, unordered."""
-    memo: dict[tuple[int, int], list] = {}
+def _walk(p, memo, found, c, limit, prev, close, pairs, pieces, after) -> None:
+    """Extend a chain by every edge starting in c..limit, to the right of
+    ``prev``, the last chain point so far; ``close`` is the anchor end that
+    the last chain end pairs with.
 
-    def interval(lo: int, hi: int):
-        if lo > hi:
-            return [()]
-        key = (lo, hi)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        out = []
-        for edges, gaps in _anchored_parts(p, lo, hi):
-            pieces = [interval(glo, ghi) for glo, ghi in gaps]
-            if all(pieces):
-                head = (tuple(edges),)
-                for combo in product(*pieces):
-                    out.append(head + tuple(chain.from_iterable(combo)))
-        memo[key] = out
-        return out
+    ``pieces`` and ``after`` hold the partitions of the runs the group
+    leaves aside.  A step whose skipped or covered run has none is not
+    taken, since no extension of it can be completed.
+    """
+    if pairs:
+        last = (prev, close) if prev < close else (close, prev)
+        tail = [_interval(p, memo, c, limit)] if c <= limit else []
+        if all(tail):
+            combos = [pairs + (last,)]
+            for piece in pieces + tail + after:
+                combos = [x + y for x in combos for y in piece]
+            found.extend(combos)
+    s = c
+    while s <= limit:
+        e = p[s]
+        step = pieces
+        if s > c:
+            pre = _interval(p, memo, c, s - 1)
+            step = step + [pre] if pre else None
+        if step is not None and s + 1 < e:
+            inner = _interval(p, memo, s + 1, e - 1)
+            step = step + [inner] if inner else None
+        if step is not None:
+            grown = pairs + ((prev, s),)
+            _walk(p, memo, found, e + 1, limit, e, close, grown, step, after)
+        s = e + 1
 
-    return interval(1, n)
+
+def _flips(p: list[int]) -> list[tuple]:
+    # Flipped pairs of every flip partition of the matching p.
+    return _interval(p, {}, 1, len(p) - 1)
 
 
 def flippable_partitions(m: Matching) -> list[FlippablePartition]:
     """Every flip partition of ``m``, in support order.
 
     The list is empty exactly when ``m`` is isolated; its length is the
-    degree of ``m`` in the compatibility graph.
+    degree of ``m`` in the compatibility graph.  Each partition is read
+    off the neighbor it flips to: a group is the edges of ``m`` on one
+    alternating cycle of the two matchings.
     """
     found = []
-    for raw in _raw_partitions(m.partner(), m.n_points):
-        parts = tuple(
-            sorted(
-                (FlippableSet(canonical_edges(g)) for g in raw),
-                key=lambda f: f.support,
-            )
+    for pairs in _flips(m.partner()):
+        cycles = alternating_cycles(m, Matching(tuple(sorted(pairs))))
+        parts = sorted(
+            (FlippableSet(canonical_edges(zip(c[::2], c[1::2]))) for c in cycles),
+            key=lambda f: f.support,
         )
-        found.append(FlippablePartition(parts))
+        found.append(FlippablePartition(tuple(parts)))
     found.sort(key=lambda P: tuple(f.support for f in P.parts))
     return found
 
 
 def neighbor_partners(p: list[int]) -> Iterator[list[int]]:
-    """Partner tables of all neighbors of the matching with partner table ``p``."""
+    """Partner tables of all neighbors of the matching with partner table ``p``.
+
+    Each table is written straight from the flipped pairs of one flip
+    partition.
+    """
     n = len(p) - 1
-    for raw in _raw_partitions(p, n):
+    for pairs in _flips(p):
         q = [0] * (n + 1)
-        for group in raw:
-            for a, b in _flip_edges(group):
-                q[a] = b
-                q[b] = a
+        for a, b in pairs:
+            q[a] = b
+            q[b] = a
         yield q
 
 
 def neighbors(m: Matching) -> set[Matching]:
     """All matchings disjoint compatible with ``m``, via flip partitions."""
-    return {from_partner(q) for q in neighbor_partners(m.partner())}
+    # Every flipped pair has a < b, so sorting makes the canonical form.
+    return {Matching(tuple(sorted(pairs))) for pairs in _flips(m.partner())}
 
 
 # -- independent oracle -----------------------------------------------------

@@ -24,7 +24,12 @@ from multiprocessing import get_context
 from .compat import chord_tables, edge_masks, neighbor_partners
 from .counting import catalan, medium_even_order, medium_odd_order
 from .errors import DomainError, ResourceLimitError
-from .families import LABEL_PATH_LEAF, LABEL_PATH_MEMBER, classify
+from .families import (
+    LABEL_PATH_LEAF,
+    LABEL_PATH_MEMBER,
+    classify,
+    classify_with_witness,
+)
 from .matching import (
     Edge,
     Matching,
@@ -498,6 +503,31 @@ def _medium_even_template(k: int) -> list[list[int]]:
     return adj
 
 
+def _spine_problem(graph: DcmGraph, spine: dict[int, tuple], half: int) -> str | None:
+    # The first way the path members break the parameter rule, if any;
+    # spine[v] = (j, side, neighbor set) for each path member v.
+    sides: dict[tuple, set[int]] = {}
+    for j, side, _ in spine.values():
+        sides.setdefault(side, set()).add(j)
+    if len(sides) != 2 or any(js != set(range(1, half)) for js in sides.values()):
+        return "malformed spine parameters"
+    linked_pairs = chords = 0
+    items = sorted(spine.items())
+    for i, (a, (j1, side1, around)) in enumerate(items):
+        for b, (j2, side2, _) in items[i + 1 :]:
+            linked = b in around
+            if linked != (side1 != side2 and j1 + j2 >= half):
+                return (
+                    "parameter rule broken between "
+                    f"{graph.vertices[a]} and {graph.vertices[b]}"
+                )
+            linked_pairs += linked
+            chords += linked and j1 + j2 >= half + 2
+    if linked_pairs != 2 * half - 3 + chords:
+        return "chord count off"
+    return None
+
+
 def verify_medium_even_structure(
     graph: DcmGraph, reports: list[ComponentReport] | None = None
 ) -> tuple[bool, list[str]]:
@@ -506,6 +536,11 @@ def verify_medium_even_structure(
     Each one must be the fixed chord-decorated path: k-2 path members
     each holding two leaves, with the extra chords dictated by the
     parity rule, and the member/leaf roles matching the family labels.
+    The path members carry strip parameters (j, chi, z) with j in
+    1..(k/2 - 1) on two sides (chi, z).  Two of them are adjacent exactly
+    when they sit on opposite sides and their j values sum to at least
+    k/2, and sums of at least k/2 + 2 give the non-path chords.  Each
+    member's matching, label and neighbors are made once.
     """
     k = graph.k
     if k % 2 or k < 4:
@@ -529,17 +564,22 @@ def verify_medium_even_structure(
             problems.append(f"order {report.order} != {expected_order}")
         if report.profile != expected_profile:
             problems.append(f"profile {report.profile}")
+        spine: dict[int, tuple] = {}
         for v in report.members:
-            label = classify(graph.vertices[v])
-            leaf_neighbors = sum(
-                1 for w in graph.adjacent(v) if graph.degree(w) == 1
-            )
-            if label == LABEL_PATH_MEMBER and leaf_neighbors != 2:
-                problems.append(
-                    f"member {graph.vertices[v]} has {leaf_neighbors} leaves"
-                )
+            m = graph.vertices[v]
+            label, params = classify_with_witness(m)
+            if label == LABEL_PATH_MEMBER:
+                around = set(graph.adjacent(v))
+                leaf_neighbors = sum(1 for w in around if graph.degree(w) == 1)
+                if leaf_neighbors != 2:
+                    problems.append(f"member {m} has {leaf_neighbors} leaves")
+                j, chi, z = params
+                spine[v] = (j, (chi, z), around)
             if label == LABEL_PATH_LEAF and graph.degree(v) != 1:
-                problems.append(f"leaf {graph.vertices[v]} is not degree 1")
+                problems.append(f"leaf {m} is not degree 1")
+        problem = _spine_problem(graph, spine, k // 2)
+        if problem:
+            problems.append(problem)
         if component_certificate(graph, report) != template_cert:
             problems.append("shape differs from the chord-decorated path")
         if problems:

@@ -33,7 +33,6 @@ from .counting import (
 from .dual_tree import find_antiblocks, find_blocks
 from .families import (
     BLOCK,
-    LABEL_PATH_MEMBER,
     classify_with_witness,
     generate_family,
     rings,
@@ -313,9 +312,6 @@ class _Runner:
             )
             if not ok:
                 bad.extend(f"k={k}: {n}" for n in notes if "matches" not in n)
-            problem = self._spine_parameter_rule(k)
-            if problem:
-                bad.append(f"k={k}: {problem}")
         if bad:
             return "fail", "; ".join(bad[:6])
         return "pass", (
@@ -323,55 +319,6 @@ class _Runner:
             "spine adjacency follows the parameter-sum rule, for "
             f"k={_span_str(ks)}"
         )
-
-    def _spine_parameter_rule(self, k: int) -> str | None:
-        """Spine vertices of one medium component carry parameters (j, chi, z)
-        with j in 1..(k/2 - 1) on two opposite sides; two of them are adjacent
-        exactly when they sit on opposite sides and their j values sum to at
-        least k/2, with sums at least k/2 + 2 forming the non-path chords."""
-        half = k // 2
-        g = self.cache.graph(k)
-        for report in self.cache.reports(k):
-            if report.category != "medium":
-                continue
-            spine = {}
-            for v in report.members:
-                label, params = classify_with_witness(g.vertices[v])
-                if label == LABEL_PATH_MEMBER:
-                    j, chi, z = params
-                    spine[v] = (j, (chi, z))
-            sides: dict[tuple, set[int]] = {}
-            for j, side in spine.values():
-                sides.setdefault(side, set()).add(j)
-            if len(sides) != 2 or any(
-                js != set(range(1, half)) for js in sides.values()
-            ):
-                return f"component {report.id}: malformed spine parameters"
-            chords = 0
-            items = sorted(spine.items())
-            for a, (j1, side1) in items:
-                for b, (j2, side2) in items:
-                    if a >= b:
-                        continue
-                    linked = b in g.adjacent(a)
-                    expected = side1 != side2 and j1 + j2 >= half
-                    if linked != expected:
-                        return (
-                            f"component {report.id}: parameter rule broken "
-                            f"between {g.vertices[a]} and {g.vertices[b]}"
-                        )
-                    if linked and j1 + j2 >= half + 2:
-                        chords += 1
-            path_edges = k - 3
-            spine_edges = sum(
-                1
-                for a in spine
-                for b in g.adjacent(a)
-                if b in spine and a < b
-            )
-            if spine_edges != path_edges + chords:
-                return f"component {report.id}: chord count off"
-        return None
 
     # -- 9: neighbor oracle -------------------------------------------------
 

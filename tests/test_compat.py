@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from itertools import combinations
+import random
+from itertools import chain, combinations, product
 
 import pytest
 
@@ -10,20 +11,26 @@ from dcmatch.compat import (
     FlippablePartition,
     FlippableSet,
     _check_flippable,
+    _flip_edges,
+    _pair_tables,
     alternating_cycles,
     are_disjoint_compatible,
     flip,
     flippable_partitions,
+    neighbor_partners,
     neighbors,
     neighbors_bruteforce,
 )
+from dcmatch.counting import catalan
 from dcmatch.errors import FlipError
 from dcmatch.matching import (
     canonical_edges,
     enumerate_matchings,
+    from_partner,
     parse_matching,
     reflect,
     rotate,
+    unrank,
     validate,
 )
 
@@ -127,7 +134,8 @@ class TestFlippableSets:
         assert not is_flippable_set(RING4, [(1, 2)])
 
     def test_hull_violation_rejected(self):
-        # 2-5 sits inside the hull of {1-2 ... wait, use the nested matching
+        # The group's support is 1, 3, 4, 6; 2-5 has its ends in two
+        # different gaps of it, so it enters the group's hull.
         m = parse_matching("1-6,2-5,3-4")
         assert not is_flippable_set(m, [(1, 6), (3, 4)])
 
@@ -197,10 +205,23 @@ class TestPartitions:
         assert neighbors(parse_matching("1-6,2-5,3-4")) == set()
 
     def test_partition_count_equals_neighbor_count(self):
-        # Distinct partitions always flip to distinct neighbors.
-        for k in range(1, 6):
+        # Distinct partitions flip to distinct neighbors, and to all of
+        # them.  flip re-checks each group on its own and the groups'
+        # hulls pairwise; the brute-force scan shares no code with the
+        # enumeration.
+        for k in range(1, 7):
             for m in enumerate_matchings(k):
-                assert len(flippable_partitions(m)) == len(neighbors(m))
+                Ps = flippable_partitions(m)
+                flipped = [flip(m, P) for P in Ps]
+                assert len(set(flipped)) == len(Ps)
+                assert set(flipped) == neighbors_bruteforce(m)
+                for P, x in zip(Ps, flipped):
+                    # Each group is the edges of m on one alternating cycle.
+                    on_cycles = sorted(
+                        tuple(e for e in m.edges if e[0] in set(c))
+                        for c in alternating_cycles(m, x)
+                    )
+                    assert sorted(part.edges for part in P) == on_cycles
 
     def test_structured_types(self):
         P = flippable_partitions(RING4)[0]
@@ -242,3 +263,127 @@ class TestOracleAgreement:
                 [(i, i + 1) for i in range(1, 2 * k, 2)]
             )
             assert len(neighbors(ring)) == deg, f"k={k}"
+
+
+# -- the edge-group route the pair enumeration replaced ---------------------
+
+
+def _anchored_parts(p, a, hi):
+    # Groups that could hold the edge at a, with the intervals they leave.
+    b = p[a]
+
+    def nested(c, edges, gaps):
+        if edges:
+            tail = [(c, b - 1)] if c <= b - 1 else []
+            outer_gap = [(b + 1, hi)] if b + 1 <= hi else []
+            yield [(a, b)] + edges, gaps + tail + outer_gap
+        s = c
+        while s <= b - 1:
+            e2 = p[s]
+            pre = [(c, s - 1)] if s > c else []
+            under = [(s + 1, e2 - 1)] if s + 1 <= e2 - 1 else []
+            yield from nested(e2 + 1, edges + [(s, e2)], gaps + pre + under)
+            s = e2 + 1
+
+    def rightward(c, edges, gaps):
+        if edges:
+            tail = [(c, hi)] if c <= hi else []
+            yield [(a, b)] + edges, gaps + tail
+        s = c
+        while s <= hi:
+            e2 = p[s]
+            pre = [(c, s - 1)] if s > c else []
+            under = [(s + 1, e2 - 1)] if s + 1 <= e2 - 1 else []
+            yield from rightward(e2 + 1, edges + [(s, e2)], gaps + pre + under)
+            s = e2 + 1
+
+    yield from nested(a + 1, [], [])
+    under_anchor = [(a + 1, b - 1)] if a + 1 <= b - 1 else []
+    yield from rightward(b + 1, [], under_anchor)
+
+
+def reference_partners(p):
+    """Partner tables of the neighbors of ``p``, as a set of tuples: every
+    flip partition as edge groups, unpruned and memoised by (lo, hi),
+    each group flipped by re-sorting its support."""
+    memo = {}
+
+    def interval(lo, hi):
+        if lo > hi:
+            return [()]
+        if (lo, hi) not in memo:
+            out = []
+            for edges, gaps in _anchored_parts(p, lo, hi):
+                pieces = [interval(glo, ghi) for glo, ghi in gaps]
+                for combo in product(*pieces):
+                    out.append((tuple(edges),) + tuple(chain.from_iterable(combo)))
+            memo[lo, hi] = out
+        return memo[lo, hi]
+
+    n = len(p) - 1
+    found = set()
+    for raw in interval(1, n):
+        q = [0] * (n + 1)
+        for group in raw:
+            for a, b in _flip_edges(group):
+                q[a] = b
+                q[b] = a
+        found.add(tuple(q))
+    return found
+
+
+def random_matching(k, rng):
+    return from_partner(unrank(k, rng.randrange(catalan(k))))
+
+
+class TestPairEnumeration:
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_matches_the_group_route(self, k):
+        for m in enumerate_matchings(k):
+            p = m.partner()
+            found = [tuple(q) for q in neighbor_partners(p)]
+            assert len(set(found)) == len(found)
+            assert set(found) == reference_partners(p)
+
+    def test_matches_the_group_route_at_40(self):
+        m = random_matching(40, random.Random(40))
+        found = {tuple(q) for q in neighbor_partners(m.partner())}
+        assert found == reference_partners(m.partner())
+        assert len(found) > 1000
+
+    def test_matches_the_group_route_at_70(self):
+        # The runs 1..140 and 3..12 are both looked up, and an interval
+        # key packed as lo * 64 + hi is 204 for both.  Closed runs have
+        # even length, so a key packed as lo * B + hi only collides past
+        # 2B points.  1-140 holds 2-13 (a 5-pair ring inside) and a stack
+        # of 63 nested chords, which keeps the neighbors few.
+        edges = [(1, 140), (2, 13)]
+        edges += [(t, t + 1) for t in range(3, 13, 2)]
+        edges += [(14 + i, 139 - i) for i in range(63)]
+        p = validate(edges).partner()
+        found = {tuple(q) for q in neighbor_partners(p)}
+        assert found == reference_partners(p)
+        assert len(found) == 21
+
+    @pytest.mark.parametrize("k, samples", [(11, 12), (12, 6)])
+    def test_samples_match_bruteforce(self, k, samples):
+        rng = random.Random(f"flips/{k}")
+        try:
+            for _ in range(samples):
+                m = random_matching(k, rng)
+                assert neighbors(m) == neighbors_bruteforce(m)
+        finally:
+            _pair_tables.cache_clear()  # about 100 MB at k = 12
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_neighbors_are_canonical(self, k):
+        # neighbors sorts the flipped pairs without sorting within a pair.
+        for m in enumerate_matchings(k):
+            for x in neighbors(m):
+                assert validate(x.edges, k).edges == x.edges
+
+    def test_neighbors_are_canonical_at_40(self):
+        m = random_matching(40, random.Random(40))
+        assert len(neighbors(m)) == 2253
+        for x in neighbors(m):
+            assert validate(x.edges, 40).edges == x.edges
