@@ -52,22 +52,6 @@ def catalan(k: int) -> int:
     return _exact_div(comb(2 * k, k), k + 1, "catalan number")
 
 
-def fuss_a(l: int) -> int:
-    """Number of non-crossing partitions of 4l points into l quadruples."""
-    if l < 0:
-        raise DomainError(f"fuss_a needs l >= 0, got {l}")
-    return _exact_div(comb(4 * l, l), 3 * l + 1, "quadruple partition count")
-
-
-def fuss_series(n: int) -> SeriesTable:
-    """Quadruple partition counts as a series prefix a_0..a_n."""
-    if n < 0:
-        raise DomainError(f"series length must be >= 0, got {n}")
-    return SeriesTable(
-        "quadruple partitions", tuple(fuss_a(l) for l in range(n + 1))
-    )
-
-
 # -- family counts (l is the half-size) -------------------------------------
 
 

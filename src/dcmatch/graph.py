@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 from array import array
+from bisect import bisect_left
 from collections import Counter, deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -35,12 +36,11 @@ from .matching import (
     Matching,
     canonical_edges,
     configured_max_k,
-    dihedral_permutations,
     enumerate_matchings,
     from_partner,
-    permute,
     rank,
     unrank,
+    words,
 )
 
 
@@ -125,23 +125,52 @@ def orbit_tables(k: int) -> tuple[array, array, array]:
     ``element[i]``, and ``images[4k * o + e]`` is the rank of the
     representative of orbit o under symmetry e.  Each orbit's
     representative is its smallest rank, so ``images[4k * o]``.
+
+    Images are walked as Dyck words (``matching.words``), one rotation
+    step at a time, and ranked by bisecting the sorted words; only each
+    representative is unranked.
     """
-    perms = dihedral_permutations(2 * k)
-    orbit = array("i", [-1]) * catalan(k)
+    by_rank = words(k)
+    ranks = array("i", sorted(range(len(by_rank)), key=by_rank.__getitem__))
+    sorted_words = array("q", map(by_rank.__getitem__, ranks))
+    n = 2 * k
+    orbit = array("i", [-1]) * len(by_rank)
     element = array("i", [0]) * len(orbit)
     images = array("i")
     for i in range(len(orbit)):
         if orbit[i] >= 0:
             continue
-        o = len(images) // len(perms)
-        p = unrank(k, i)
-        for e, sigma in enumerate(perms):
-            j = rank(permute(p, sigma))
-            images.append(j)
-            if orbit[j] < 0:
-                orbit[j] = o
-                element[j] = e
+        o = len(images) // (2 * n)
+        w, p = by_rank[i], unrank(k, i)
+        for a, (w, p) in enumerate(((w, p), _reflected(w, p))):
+            for s, image in enumerate(_rotations(w, p)):
+                j = ranks[bisect_left(sorted_words, image)]
+                images.append(j)
+                if orbit[j] < 0:
+                    orbit[j] = o
+                    element[j] = a * n + s
     return orbit, element, images
+
+
+def _rotations(w: int, p: Sequence[int]) -> Iterator[int]:
+    """Words of the matching with word ``w`` and partner table ``p``
+    rotated by 0, 1, ..., n - 1 steps (point t goes to t + s)."""
+    n = len(p) - 1
+    top = 1 << (n - 1)
+    for s in range(n):
+        yield w
+        # The last point, n - s before any step, moves to the front as an
+        # opener; its partner, now at point a, moves to a + 1 and closes.
+        a = (p[n - s] + s - 1) % n + 1
+        w = (w >> 1 | top) ^ top >> a
+
+
+def _reflected(w: int, p: Sequence[int]) -> tuple[int, list[int]]:
+    """Word and partner table of the mirror image (t goes to n + 1 - t):
+    the bits of ``w`` reversed and complemented."""
+    n = len(p) - 1
+    mirrored = int(format(w, f"0{n}b")[::-1], 2) ^ ((1 << n) - 1)
+    return mirrored, [0] + [n + 1 - p[t] for t in range(n, 0, -1)]
 
 
 @lru_cache(maxsize=None)
@@ -177,10 +206,11 @@ def _flip_ranks(k: int, r: int) -> list[int]:
 def build_graph(k: int, workers: int | None = None) -> DcmGraph:
     """Build the size-k graph as its dihedral quotient.
 
-    The parent computes the orbit tables (``orbit_tables``).  Flips are
-    enumerated once per orbit representative, by ``workers`` processes
-    when that is more than one, and each neighbor found becomes an arc
-    (its orbit, its symmetry).  No arc depends on which process
+    The parent computes the orbit tables (``orbit_tables``), unranking
+    one matching per orbit and ranking the rest from their Dyck words.
+    Flips are enumerated once per orbit representative, by ``workers``
+    processes when that is more than one, and each neighbor found becomes
+    an arc (its orbit, its symmetry).  No arc depends on which process
     enumerated it, so any worker count yields the same graph.
     """
     _check_size(k, "graph")

@@ -8,12 +8,14 @@ The canonical form used everywhere: each edge is an ``(a, b)`` tuple with
 ``a < b``, and edges are sorted by their first point.  The string form joins
 edges with commas, e.g. ``"1-2,3-4,5-6"``.  Canonical order sorts matchings
 by their edge tuples; a matching's index in it is its rank (:func:`rank`,
-:func:`unrank`), computed from its partner table.
+:func:`unrank`), computed from its partner table.  Its Dyck word marks
+which points open a chord (:func:`words`).
 """
 
 from __future__ import annotations
 
 import os
+from array import array
 from dataclasses import dataclass
 from bisect import bisect_right
 from functools import lru_cache
@@ -260,6 +262,28 @@ def unrank(k: int, r: int) -> list[int]:
         runs.append((a + 1, j, inside))
         runs.append((b + 1, size - 1 - j, after))
     return p
+
+
+def words(k: int) -> array:
+    """Dyck words of the size-k matchings, in canonical order.
+
+    A word is a 2k-bit int whose bit t, counted from the top, is set when
+    point t opens a chord.  A matching with first chord ``(1, 2j + 2)``
+    has the word ``1 inside 0 after``, so the words are combined in the
+    order of :func:`enumerate_matchings`.  They fit 63 bits for k <= 31.
+    """
+    runs = [array("q", [0])]  # runs[s]: the words of s pairs, in order
+    for size in range(1, k + 1):
+        found = array("q")
+        top = 1 << (2 * size - 1)
+        for j in range(size):
+            after = runs[size - 1 - j]
+            shift = 2 * (size - 1 - j) + 1  # the closer, then after
+            for inside in runs[j]:
+                head = top | inside << shift
+                found.extend([head | rest for rest in after])
+        runs.append(found)
+    return runs[k]
 
 
 # -- symmetries --------------------------------------------------------------

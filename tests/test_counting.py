@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
 import pytest
@@ -24,8 +23,6 @@ from dcmatch.counting import (
     count_L_odd,
     count_pairs,
     edge_series,
-    fuss_a,
-    fuss_series,
     growth_estimate,
     medium_even_order,
     medium_odd_order,
@@ -36,30 +33,8 @@ from dcmatch.families import generate_family, rings
 from dcmatch.matching import enumerate_matchings
 
 CATALAN_ROW = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012]
-FUSS_ROW = [1, 1, 4, 22, 140, 969]
 RIORDAN_ROW = {2: 1, 3: 1, 4: 3, 5: 6, 6: 15, 7: 36, 8: 91, 12: 4213}
 EDGE_ROW = (1, 0, 1, 1, 9, 21, 125, 421, 2161, 8677, 42245)
-
-
-def quadruple_partitions(points: tuple[int, ...]) -> int:
-    """Count partitions of the given cyclic points into non-crossing
-    4-sets by picking the first point's block and recursing into the
-    gaps it leaves."""
-    if not points:
-        return 1
-    if len(points) % 4:
-        return 0
-    first, rest = points[0], points[1:]
-    total = 0
-    for a, b, c in combinations(range(len(rest)), 3):
-        gaps = (rest[:a], rest[a + 1 : b], rest[b + 1 : c], rest[c + 1 :])
-        product = 1
-        for gap in gaps:
-            product *= quadruple_partitions(gap)
-            if product == 0:
-                break
-        total += product
-    return total
 
 
 class TestCatalan:
@@ -80,34 +55,6 @@ class TestCatalan:
             catalan(-1)
         with pytest.raises(DomainError):
             binomial(-1, 0)
-
-
-class TestFuss:
-    def test_row(self):
-        assert [fuss_a(l) for l in range(6)] == FUSS_ROW
-
-    def test_brute_force_oracle(self):
-        for l in range(4):
-            got = quadruple_partitions(tuple(range(1, 4 * l + 1)))
-            assert fuss_a(l) == got
-
-    def test_series_satisfies_its_recursion(self):
-        # Termwise: coefficient m >= 1 is the sum of f_i f_j f_l f_t over
-        # all splits i+j+l+t = m-1.
-        f = fuss_series(12).coefficients
-        assert f[0] == 1
-        for m in range(1, 13):
-            expected = sum(
-                f[i] * f[j] * f[l] * f[m - 1 - i - j - l]
-                for i in range(m)
-                for j in range(m - i)
-                for l in range(m - i - j)
-            )
-            assert f[m] == expected
-
-    def test_negative(self):
-        with pytest.raises(DomainError):
-            fuss_a(-1)
 
 
 class TestRiordan:

@@ -11,8 +11,9 @@ from itertools import accumulate
 import pytest
 
 from dcmatch import graph as graph_module
+from dcmatch import matching as matching_module
 from dcmatch.compat import neighbor_partners, neighbors_bruteforce
-from dcmatch.counting import big_component_order, edge_series
+from dcmatch.counting import big_component_order, catalan, edge_series
 from dcmatch.errors import DomainError, ResourceLimitError
 from dcmatch.families import classify, rings
 from dcmatch.graph import (
@@ -34,6 +35,7 @@ from dcmatch.matching import (
     enumerate_matchings,
     is_crossing,
     parse_matching,
+    permute,
     rank,
     reflect,
     rotate,
@@ -185,6 +187,77 @@ class TestOrbits:
         for i, v in enumerate(graph.vertices):
             assert graph.orbit[graph.index_of(rotate(v, 1))] == graph.orbit[i]
             assert graph.orbit[graph.index_of(reflect(v))] == graph.orbit[i]
+
+
+def reference_orbit_tables(k):
+    """The orbit tables by ranking every image's permuted partner table:
+    one ``rank(permute(p, sigma))`` per symmetry of each representative."""
+    perms = dihedral_permutations(2 * k)
+    orbit = array("i", [-1]) * catalan(k)
+    element = array("i", [0]) * len(orbit)
+    images = array("i")
+    for i in range(len(orbit)):
+        if orbit[i] >= 0:
+            continue
+        o = len(images) // len(perms)
+        p = unrank(k, i)
+        for e, sigma in enumerate(perms):
+            j = rank(permute(p, sigma))
+            images.append(j)
+            if orbit[j] < 0:
+                orbit[j] = o
+                element[j] = e
+    return orbit, element, images
+
+
+def word_of(p):
+    """Oracle: the Dyck word read point by point off a partner table."""
+    n = len(p) - 1
+    return sum(1 << (n - t) for t in range(1, n + 1) if p[t] > t)
+
+
+class TestOrbitWalk:
+    @pytest.mark.parametrize("k", range(1, 12))
+    def test_matches_the_ranked_pass(self, k):
+        assert orbit_tables(k) == reference_orbit_tables(k)
+
+    def test_matches_the_ranked_pass_at_12(self):
+        assert orbit_tables(12) == reference_orbit_tables(12)
+
+    @pytest.mark.parametrize("k", range(1, 31))
+    def test_steps_match_permute(self, k):
+        # Seeded random partner tables, up to 60 points.
+        rng = random.Random(k)
+        n = 2 * k
+        perms = dihedral_permutations(n)
+        for _ in range(3):
+            p = unrank(k, rng.randrange(catalan(k)))
+            turns = [word_of(permute(p, perms[s])) for s in range(n)]
+            assert list(graph_module._rotations(word_of(p), p)) == turns
+            w, q = graph_module._reflected(word_of(p), p)
+            assert q == permute(p, perms[n])
+            assert w == word_of(q)
+            turns = [word_of(permute(p, perms[n + s])) for s in range(n)]
+            assert list(graph_module._rotations(w, q)) == turns
+
+    def test_one_unrank_per_orbit_and_no_rank(self, monkeypatch):
+        calls = Counter()
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for module in (graph_module, matching_module):
+            for name in ("rank", "permute", "unrank"):
+                if hasattr(module, name):
+                    counting(module, name)
+        orbit_tables(9)
+        assert calls == Counter(unrank=175)
 
 
 class TestComponents:

@@ -27,6 +27,7 @@ from dcmatch.matching import (
     skips,
     unrank,
     validate,
+    words,
 )
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
@@ -219,6 +220,28 @@ class TestRanking:
             unrank(3, 5)
         with pytest.raises(ValueError):
             unrank(3, -1)
+
+
+def word_of(p):
+    """Oracle: the Dyck word read point by point off a partner table."""
+    n = len(p) - 1
+    return sum(1 << (n - t) for t in range(1, n + 1) if p[t] > t)
+
+
+class TestWords:
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_word_at_each_rank(self, k):
+        found = words(k)
+        assert len(found) == CATALAN[k]
+        for r, w in enumerate(found):
+            assert w == word_of(unrank(k, r)), (k, r)
+
+    def test_canonical_order_is_not_numeric_order(self):
+        found = words(4)
+        a = rank(parse_matching("1-6,2-5,3-4,7-8").partner())
+        b = rank(parse_matching("1-8,2-3,4-5,6-7").partner())
+        assert a < b
+        assert (found[a], found[b]) == (0b11100010, 0b11010100)
 
 
 class TestSymmetries:
