@@ -36,7 +36,12 @@ from .graph import (
     graph_to_json_dict,
     to_dot,
 )
-from .matching import configured_max_k, enumerate_matchings, parse_matching
+from .matching import (
+    check_size,
+    configured_max_k,
+    enumerate_matchings,
+    parse_matching,
+)
 from .verification import run_checks, summary_dict
 
 EXIT_OK = 0
@@ -78,14 +83,11 @@ def _positive(text: str) -> int:
 
 
 def _check_k(k: int) -> None:
-    cap = _max_k()
-    if k < 1:
-        raise _UsageError(f"k must be >= 1, got {k}")
-    if k > cap:
-        raise ResourceLimitError(
-            f"k={k} is over the configured cap of {cap}; "
-            "set DCM_MAX_K to raise it"
-        )
+    # k < 1 (a DomainError) and a malformed DCM_MAX_K are usage errors.
+    try:
+        check_size(k)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
 
 
 def _parse_range(text: str) -> tuple[int, int]:

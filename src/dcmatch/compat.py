@@ -35,6 +35,7 @@ from .matching import (
     Edge,
     Matching,
     canonical_edges,
+    check_size,
     enumerate_matchings,
     is_crossing,
 )
@@ -391,6 +392,7 @@ def neighbors_bruteforce(m: Matching) -> set[Matching]:
     Independent of the flip route: precomputed chord bitmasks decide
     edge-disjointness and crossing-freeness per candidate.
     """
+    check_size(m.k)  # before the cache, which would skip the guard
     ms, masks = _pair_tables(m.k)
     mask, cm = edge_masks(m.edges, *chord_tables(2 * m.k))
     return {

@@ -32,13 +32,6 @@ class SeriesTable:
         return len(self.coefficients)
 
 
-def binomial(n: int, r: int) -> int:
-    """Binomial coefficient with explicit domain checking."""
-    if n < 0 or r < 0:
-        raise DomainError(f"binomial needs nonnegative arguments, got {n}, {r}")
-    return comb(n, r)
-
-
 def _exact_div(num: int, den: int, what: str) -> int:
     q, r = divmod(num, den)
     assert r == 0, f"{what} is not an integer: {num}/{den}"

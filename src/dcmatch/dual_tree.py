@@ -246,58 +246,6 @@ def rotationally_equivalent(m1: Matching, m2: Matching) -> bool:
     return by_rotation
 
 
-def find_branches(tree: EmbeddedTree, n: int) -> list[tuple[int, ...]]:
-    """Paths (v1, ..., v_{n+1}) ending in a leaf with all interior vertices
-    of degree 2.  Each leaf admits at most one such path, walked inward."""
-    if n < 1:
-        raise ValueError("branch length must be at least 1")
-    faces = tree.edge_faces()
-    adj: dict[int, list[int]] = {v: [] for v in tree.vertices}
-    for a, b in faces.values():
-        adj[a].append(b)
-        adj[b].append(a)
-    out = []
-    for leaf in tree.leaves():
-        path = [leaf]
-        prev, cur = leaf, adj[leaf][0]
-        ok = True
-        for _ in range(n - 1):
-            if len(adj[cur]) != 2:
-                ok = False
-                break
-            path.append(cur)
-            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-            prev, cur = cur, nxt
-        if ok:
-            path.append(cur)
-            out.append(tuple(reversed(path)))
-    return sorted(out)
-
-
-def find_v_shapes(tree: EmbeddedTree) -> list[tuple[int, int, int]]:
-    """Ordered leaf-center-leaf wedges (v1, v2, v3) where the chord to v3
-    immediately follows the chord to v1 in the center's face order."""
-    faces = tree.edge_faces()
-
-    def across(e: Edge, v: int) -> int:
-        a, b = faces[e]
-        return b if a == v else a
-
-    out = []
-    for v, ring in tree.phi.items():
-        d = len(ring)
-        if d < 2:
-            continue
-        for i, e in enumerate(ring):
-            f = ring[(i + 1) % d]
-            if e == f:
-                continue
-            v1, v3 = across(e, v), across(f, v)
-            if len(tree.phi[v1]) == 1 and len(tree.phi[v3]) == 1:
-                out.append((v1, v, v3))
-    return sorted(out)
-
-
 @dataclass(frozen=True)
 class SeparatedPair:
     """Two matching edges on four cyclically consecutive points.

@@ -16,7 +16,6 @@ Families:
   consecutive points, paired outer/inner); recognized by cancelling
   blocks cyclically, like balanced brackets, down to a single chord;
 * degree-one matchings: grown the same way from the size 2 and 3 rings;
-  the same cancellation leaves nothing (even size) or a size-3 ring;
 * paired matchings (``make_db``): elements only; mutual unique neighbors,
   linked by :func:`db_partner`;
 * odd star centers (``make_dbd``): elements plus one trailing vertical
@@ -67,12 +66,6 @@ def chi_conjugate(chi: str) -> str:
     """Reverse the sign string and flip every sign."""
     _check_chi(chi, len(chi))
     return "".join("+" if c == "-" else "-" for c in reversed(chi))
-
-
-def chi_delta(chi: str) -> int:
-    """Excess of ``+`` signs over ``-`` signs."""
-    _check_chi(chi, len(chi))
-    return chi.count("+") - chi.count("-")
 
 
 # -- strip layouts ----------------------------------------------------------
@@ -156,9 +149,9 @@ def db_partner(k: int, chi: str, z: int) -> tuple[str, int]:
     """Parameters of the unique neighbor of ``make_db(k, chi, z)``.
 
     The start label shifts by k plus the excess of upper over lower
-    horizontal edges.  With at least two elements that excess equals
-    ``chi_delta(chi)`` (the fixed first and last signs cancel); the
-    single-element host is a lone ``-``.
+    horizontal edges.  With at least two elements it is the excess of
+    ``+`` over ``-`` signs in ``chi`` (the fixed first and last signs
+    cancel); the single-element host is a lone ``-``.
     """
     if k < 2 or k % 2:
         raise DomainError(f"paired strip matchings need even k >= 2, got {k}")
@@ -303,29 +296,6 @@ def is_I(m: Matching) -> bool:
     """Whether the matching is isolated: odd size, and cancelling blocks
     cyclically leaves a single chord (a 2-point residue)."""
     return m.k % 2 == 1 and _block_residue(m) == 2
-
-
-def is_L(m: Matching) -> bool:
-    """Whether the matching has exactly one neighbor: size at least 2, and
-    cancelling blocks cyclically leaves nothing (even size) or 6 points
-    (odd size; a size-3 matching without a block is a ring)."""
-    return m.k >= 2 and _block_residue(m) == (6 if m.k % 2 else 0)
-
-
-def i_coloring(m: Matching) -> dict[Edge, str]:
-    """Two-coloring of an isolated matching's edges.
-
-    An edge is red when the number of edges strictly inside it is even
-    (equivalently, by odd size, when the number outside is even too).
-    Red edges dominate black ones by exactly one.
-    """
-    if not is_I(m):
-        raise ValueError(f"{m} is not an isolated matching")
-    out = {}
-    for a, b in m.edges:
-        inside = (b - a - 1) // 2
-        out[(a, b)] = "red" if inside % 2 == 0 else "black"
-    return out
 
 
 # -- family generation ------------------------------------------------------

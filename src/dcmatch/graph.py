@@ -24,7 +24,7 @@ from multiprocessing import get_context
 
 from .compat import chord_tables, edge_masks, neighbor_partners
 from .counting import catalan, medium_even_order, medium_odd_order
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError
 from .families import (
     LABEL_PATH_LEAF,
     LABEL_PATH_MEMBER,
@@ -35,7 +35,7 @@ from .matching import (
     Edge,
     Matching,
     canonical_edges,
-    configured_max_k,
+    check_size,
     enumerate_matchings,
     from_partner,
     rank,
@@ -187,17 +187,6 @@ def _compose(n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _check_size(k: int, what: str) -> None:
-    limit = configured_max_k()
-    if k < 1:
-        raise DomainError(f"{what} size must be >= 1, got {k}")
-    if k > limit:
-        raise ResourceLimitError(
-            f"k={k} is over the configured cap of {limit}; "
-            "set DCM_MAX_K to raise it"
-        )
-
-
 def _flip_ranks(k: int, r: int) -> list[int]:
     # The one pool job: ranks of the flip neighbors of the matching of rank r.
     return [rank(q) for q in neighbor_partners(unrank(k, r))]
@@ -213,7 +202,7 @@ def build_graph(k: int, workers: int | None = None) -> DcmGraph:
     an arc (its orbit, its symmetry).  No arc depends on which process
     enumerated it, so any worker count yields the same graph.
     """
-    _check_size(k, "graph")
+    check_size(k)
     if workers is None:
         workers = os.cpu_count() or 1
     if workers < 1:
@@ -656,7 +645,7 @@ def build_almost_perfect_graph(k: int) -> AlmostPerfectGraph:
     The build compares every vertex pair, so it is only practical for
     small k; the acceptance checks stop at k=6.
     """
-    _check_size(k, "variant graph")
+    check_size(k)
     n = 2 * k + 1
     raw: list[tuple[int, tuple[Edge, ...]]] = []
     for skip in range(1, n + 1):

@@ -23,7 +23,13 @@ from itertools import accumulate
 from math import comb
 from typing import Iterable, Sequence
 
-from .errors import CrossingError, LabelError, ParseError
+from .errors import (
+    CrossingError,
+    DomainError,
+    LabelError,
+    ParseError,
+    ResourceLimitError,
+)
 
 Edge = tuple[int, int]
 
@@ -42,6 +48,18 @@ def configured_max_k() -> int:
     if value < 1:
         raise ValueError(f"DCM_MAX_K must be positive, got {value}")
     return value
+
+
+def check_size(k: int) -> None:
+    """Reject a size below 1 or over the configured cap."""
+    limit = configured_max_k()
+    if k < 1:
+        raise DomainError(f"k must be >= 1, got {k}")
+    if k > limit:
+        raise ResourceLimitError(
+            f"k={k} is over the configured cap of {limit}; "
+            "set DCM_MAX_K to raise it"
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,11 +183,9 @@ def parse_matching(text: str) -> Matching:
     return validate(pairs)
 
 
-def enumerate_matchings(k: int, max_k: int | None = None) -> list[Matching]:
+def enumerate_matchings(k: int) -> list[Matching]:
     """All non-crossing perfect matchings on 2k points, in canonical order."""
-    limit = configured_max_k() if max_k is None else max_k
-    if not 1 <= k <= limit:
-        raise ValueError(f"k must be in 1..{limit}, got {k}")
+    check_size(k)
     # Matchings of each run of points, as canonical edge tuples: match the
     # run's first point to every odd-offset partner, then combine the runs
     # inside and after that chord.  The first chord grows, then the inside,

@@ -13,7 +13,6 @@ from dcmatch.compat import neighbors
 from dcmatch.counting import (
     SeriesTable,
     big_component_order,
-    binomial,
     catalan,
     count_DB,
     count_DBD,
@@ -53,8 +52,6 @@ class TestCatalan:
     def test_negative(self):
         with pytest.raises(DomainError):
             catalan(-1)
-        with pytest.raises(DomainError):
-            binomial(-1, 0)
 
 
 class TestRiordan:

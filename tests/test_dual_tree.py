@@ -9,8 +9,6 @@ from dcmatch.dual_tree import (
     embedding_code,
     find_antiblocks,
     find_blocks,
-    find_branches,
-    find_v_shapes,
     from_dual_tree,
     rotationally_equivalent,
     to_dual_tree,
@@ -157,34 +155,6 @@ class TestEmbeddingCode:
         )
 
 
-class TestBranchesAndWedges:
-    def test_single_edge_has_two_one_branches(self):
-        t = to_dual_tree(parse_matching("1-2"))
-        assert find_branches(t, 1) == [(1, 2), (2, 1)]
-
-    def test_path_two_branches(self):
-        t = to_dual_tree(parse_matching("1-2,3-4"))
-        assert find_branches(t, 2) == [(1, 2, 3), (3, 2, 1)]
-        assert find_v_shapes(t) == [(1, 2, 3), (3, 2, 1)]
-
-    def test_star_has_wedges_but_no_two_branches(self):
-        t = to_dual_tree(parse_matching("1-2,3-4,5-6,7-8"))
-        assert find_branches(t, 2) == []
-        assert len(find_v_shapes(t)) == 4
-        assert find_branches(t, 1) and len(find_branches(t, 1)) == 4
-
-    def test_long_branch(self):
-        # Fully nested matching: the dual tree is a path on k + 1 vertices.
-        t = to_dual_tree(parse_matching("1-8,2-7,3-6,4-5"))
-        assert len(find_branches(t, 4)) == 2
-        assert len(find_branches(t, 5)) == 0
-
-    def test_invalid_length(self):
-        t = to_dual_tree(parse_matching("1-2"))
-        with pytest.raises(ValueError):
-            find_branches(t, 0)
-
-
 class TestBlocksAndAntiblocks:
     def test_block_instances(self):
         # One plain block and one wrapping across the 8/1 boundary.
@@ -213,9 +183,22 @@ class TestBlocksAndAntiblocks:
 
     @pytest.mark.parametrize("k", range(2, 6))
     def test_counts_match_tree_shapes(self, k):
-        # Blocks appear in the dual tree as 2-branches, antiblocks as
-        # leaf-center-leaf wedges, instance for instance.
+        # Blocks appear in the dual tree as 2-branches (a leaf whose
+        # neighbour has degree 2), antiblocks as wedges (two consecutive
+        # leaf chords at one face), instance for instance.
         for m in enumerate_matchings(k):
             t = to_dual_tree(m)
-            assert len(find_blocks(m)) == len(find_branches(t, 2))
-            assert len(find_antiblocks(m)) == len(find_v_shapes(t))
+            leaf = {v: t.degree(v) == 1 for v in t.vertices}
+            branches = sum(
+                t.degree(t.neighbors(v)[0]) == 2 for v in t.vertices if leaf[v]
+            )
+            wedges = 0
+            for v in t.vertices:
+                ring = t.neighbors(v)
+                if len(ring) > 1:
+                    wedges += sum(
+                        leaf[a] and leaf[b]
+                        for a, b in zip(ring, ring[1:] + ring[:1])
+                    )
+            assert len(find_blocks(m)) == branches
+            assert len(find_antiblocks(m)) == wedges

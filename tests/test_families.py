@@ -22,14 +22,11 @@ from dcmatch.families import (
     LABEL_STAR_CENTER,
     LABEL_STAR_LEAF,
     chi_conjugate,
-    chi_delta,
     classify,
     classify_with_witness,
     db_partner,
     generate_family,
-    i_coloring,
     is_I,
-    is_L,
     make_db,
     make_dbd,
     make_dbdl,
@@ -112,24 +109,16 @@ class TestChiOps:
     def test_conjugate_example(self):
         assert chi_conjugate("++-++--+") == "-++--+--"
 
-    def test_delta_example(self):
-        assert chi_delta("++-++--+") == 2
-
     def test_empty(self):
         assert chi_conjugate("") == ""
-        assert chi_delta("") == 0
 
     @given(chi_strategy)
     def test_conjugate_involution(self, chi):
         assert chi_conjugate(chi_conjugate(chi)) == chi
 
-    @given(chi_strategy)
-    def test_delta_antisymmetry(self, chi):
-        assert chi_delta(chi) + chi_delta(chi_conjugate(chi)) == 0
-
     def test_rejects_stray_characters(self):
         with pytest.raises(ValueError):
-            chi_delta("+x-")
+            chi_conjugate("+x-")
 
 
 class TestMakeDb:
@@ -409,25 +398,16 @@ class TestRecognizers:
         assert not is_I(rings(4)[0])
         assert not is_I(make_db(4, "", 1).matching)
 
-    def test_is_l_pinned(self):
-        assert is_L(rings(2)[0])
-        assert is_L(rings(3)[1])
-        assert is_L(make_dbdl(5, 1, "", 1))
-        assert not is_L(NESTED3)
-        assert not is_L(parse_matching("1-2"))
-
     def test_degree_oracle_agreement(self):
         for k in range(1, 8):
             for m in enumerate_matchings(k):
                 degree = len(neighbors(m))
                 assert is_I(m) == (degree == 0)
-                assert is_L(m) == (degree == 1)
 
     def test_recognizer_counts(self):
         for k in (1, 3, 5, 7):
             found = sum(is_I(m) for m in enumerate_matchings(k))
             assert found == I_SIZES[k]
-        assert sum(is_L(m) for m in enumerate_matchings(4)) == L_SIZES[4]
 
 
 class TestRecognizerOracles:
@@ -441,45 +421,23 @@ class TestRecognizerOracles:
 
     @pytest.mark.parametrize("k", range(2, 10))
     def test_is_l_matches_grown_family(self, k):
-        found = {m for m in enumerate_matchings(k) if is_L(m)}
+        # Being in L means having exactly one neighbor.
+        found = {m for m in enumerate_matchings(k) if len(neighbors(m)) == 1}
         assert found == generate_family("L", k)
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_dihedral_invariance(self, k):
         for m in enumerate_matchings(k):
-            expected = (is_I(m), is_L(m))
+            expected = is_I(m)
             for image in [reflect(m)] + [
                 rotate(m, s) for s in range(1, 2 * k)
             ]:
-                assert (is_I(image), is_L(image)) == expected
+                assert is_I(image) == expected
 
     @pytest.mark.parametrize("k", [1, 3, 5, 7, 9, 11])
     def test_isolated_count_matches_pinned_table(self, k):
         found = sum(is_I(m) for m in enumerate_matchings(k))
         assert found == ISOLATED_BY_K[k]
-
-
-class TestIColoring:
-    def test_single_edge(self):
-        assert i_coloring(parse_matching("1-2")) == {(1, 2): "red"}
-
-    def test_nested_triple(self):
-        assert i_coloring(NESTED3) == {
-            (1, 6): "red",
-            (2, 5): "black",
-            (3, 4): "red",
-        }
-
-    def test_red_beats_black_by_one(self):
-        for k in (1, 3, 5, 7):
-            for m in generate_family("I", k):
-                colors = Counter(i_coloring(m).values())
-                assert colors["red"] == (k + 1) // 2
-                assert colors["black"] == (k + 1) // 2 - 1
-
-    def test_rejects_non_isolated(self):
-        with pytest.raises(ValueError):
-            i_coloring(rings(3)[0])
 
 
 class TestGenerateFamily:

@@ -7,7 +7,15 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from dcmatch.errors import CrossingError, LabelError, ParseError
+from dcmatch.compat import neighbors_bruteforce
+from dcmatch.errors import (
+    CrossingError,
+    DomainError,
+    LabelError,
+    ParseError,
+    ResourceLimitError,
+)
+from dcmatch.graph import build_almost_perfect_graph, build_graph
 from dcmatch.matching import (
     Matching,
     canonical_edges,
@@ -164,15 +172,42 @@ class TestEnumerate:
         for m in ms:
             validate(m.edges)
 
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            enumerate_matchings(0)
-        with pytest.raises(ValueError):
+    def test_out_of_range(self, monkeypatch):
+        monkeypatch.delenv("DCM_MAX_K", raising=False)
+        with pytest.raises(ResourceLimitError):
             enumerate_matchings(13)
-        # An explicit cap overrides the default limit.
-        with pytest.raises(ValueError):
-            enumerate_matchings(5, max_k=4)
-        assert len(enumerate_matchings(3, max_k=3)) == 5
+        # The cap itself is in range.
+        monkeypatch.setenv("DCM_MAX_K", "3")
+        assert len(enumerate_matchings(3)) == 5
+        with pytest.raises(ResourceLimitError):
+            enumerate_matchings(4)
+        with pytest.raises(DomainError):
+            enumerate_matchings(0)
+
+
+@pytest.mark.parametrize(
+    "entry, takes_k",
+    [
+        (enumerate_matchings, True),
+        (lambda k: neighbors_bruteforce(from_partner(unrank(k, 0))), False),
+        (build_graph, True),
+        (build_almost_perfect_graph, True),
+    ],
+    ids=[
+        "enumerate_matchings",
+        "neighbors_bruteforce",
+        "build_graph",
+        "build_almost_perfect_graph",
+    ],
+)
+def test_every_entry_point_keeps_the_cap(monkeypatch, entry, takes_k):
+    entry(4)  # work cached under the default cap must not skip the guard
+    monkeypatch.setenv("DCM_MAX_K", "3")
+    with pytest.raises(ResourceLimitError):
+        entry(4)
+    if takes_k:
+        with pytest.raises(DomainError):
+            entry(0)
 
 
 class TestRelabelings:

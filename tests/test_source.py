@@ -1,0 +1,48 @@
+"""Source-level checks over the package's own modules."""
+
+from __future__ import annotations
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import dcmatch
+
+SOURCE = Path(dcmatch.__file__).parent
+
+# Public functions kept without a caller in the package, each with its
+# reason.
+UNCALLED_ON_PURPOSE = {
+    # The paper's formula for the big component's order;
+    # tests/test_graph.py checks it against the census.
+    "big_component_order",
+    # The paper's formula for a paired matching's one neighbor;
+    # tests/test_families.py checks it against the flip neighbors.
+    "db_partner",
+}
+
+
+def _names(node: ast.AST) -> Counter:
+    # Every use of a name, bare or as an attribute; imports do not count.
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_public_function_has_a_caller():
+    trees = [ast.parse(path.read_text()) for path in sorted(SOURCE.glob("*.py"))]
+    used = sum((_names(tree) for tree in trees), Counter())
+    uncalled = [
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        # A function that only calls itself is still uncalled.
+        and used[node.name] == _names(node)[node.name]
+        and node.name not in dcmatch.__all__
+        and node.name not in UNCALLED_ON_PURPOSE
+    ]
+    assert uncalled == []
