@@ -17,15 +17,7 @@ import sys
 import traceback
 
 from .compat import neighbors
-from .counting import (
-    count_DBD,
-    count_EDB_components,
-    count_I,
-    count_pairs,
-    edge_series,
-    medium_even_order,
-    medium_odd_order,
-)
+from .counting import census_shape, edge_series
 from .dual_tree import to_dual_tree
 from .errors import MatchingError, ResourceLimitError
 from .families import classify_with_witness
@@ -37,6 +29,7 @@ from .graph import (
     to_dot,
 )
 from .matching import (
+    Matching,
     check_size,
     configured_max_k,
     enumerate_matchings,
@@ -105,7 +98,7 @@ def _parse_range(text: str) -> tuple[int, int]:
     return bounds
 
 
-def _matching_argument(args) -> "Matching":
+def _matching_argument(args) -> Matching:
     m = parse_matching(args.matching)
     if m.k != args.k:
         raise _UsageError(
@@ -232,33 +225,8 @@ def _cmd_series(args) -> tuple[str, int]:
 
 
 def _count_rows(lo: int, hi: int) -> list[dict]:
-    rows = []
-    for k in range(lo, hi + 1):
-        if k % 2:
-            half = (k + 1) // 2
-            mediums = 0 if k == 1 else (
-                count_DBD(half) if half >= 3 else 1
-            )
-            rows.append({
-                "k": k,
-                "small_count": count_I(half),
-                "small_order": 1,
-                "medium_count": mediums,
-                "medium_order": medium_odd_order(half) if k >= 3 else 0,
-            })
-        else:
-            half = k // 2
-            mediums = 0 if k == 2 else (
-                count_EDB_components(half) if half >= 3 else 1
-            )
-            rows.append({
-                "k": k,
-                "small_count": count_pairs(half),
-                "small_order": 2,
-                "medium_count": mediums,
-                "medium_order": medium_even_order(half) if k >= 4 else 0,
-            })
-    return rows
+    keys = ("small_count", "small_order", "medium_count", "medium_order")
+    return [{"k": k, **dict(zip(keys, census_shape(k)))} for k in range(lo, hi + 1)]
 
 
 def _cmd_counts(args) -> tuple[str, int]:

@@ -6,7 +6,8 @@ Formulas whose validity starts at some size raise DomainError below it
 instead of extrapolating.
 
 The count_* functions take the half-size parameter l: odd-size families
-live on 2*l - 1 edges, even-size families on 2*l.
+live on 2*l - 1 edges, even-size families on 2*l.  ``census_shape(k)``
+combines them into the component census of size k.
 """
 
 from __future__ import annotations
@@ -196,7 +197,29 @@ def growth_estimate(n: int) -> Fraction:
     return Fraction(d[n], d[n - 1])
 
 
-# -- the big component -------------------------------------------------------
+# -- the census --------------------------------------------------------------
+
+
+def census_shape(k: int) -> tuple[int, int, int, int]:
+    """``(small_count, small_order, medium_count, medium_order)`` at size k.
+
+    Small components are the isolated vertices at odd k and the pairs at
+    even k; medium ones are the stars (odd) and the chord-decorated paths
+    (even), with 0 for both medium entries at k = 1, 2.  Every other
+    vertex lies in the one big component.
+    """
+    if k < 1:
+        raise DomainError(f"the census needs k >= 1, got {k}")
+    l = (k + 1) // 2
+    small = (count_I(l), 1) if k % 2 else (count_pairs(l), 2)
+    if l == 1:
+        return (*small, 0, 0)
+    count, order = (
+        (count_DBD, medium_odd_order) if k % 2
+        else (count_EDB_components, medium_even_order)
+    )
+    # At l = 2 the one medium component comes before either count formula.
+    return (*small, count(l) if l >= 3 else 1, order(l))
 
 
 def big_component_order(k: int) -> int:
@@ -207,11 +230,5 @@ def big_component_order(k: int) -> int:
     """
     if k < 9:
         raise DomainError(f"the subtraction formula needs k >= 9, got {k}")
-    if k % 2:
-        l = (k + 1) // 2
-        return catalan(k) - count_I(l) - medium_odd_order(l) * count_DBD(l)
-    l = k // 2
-    specials = 2 * count_pairs(l)
-    specials += medium_even_order(l) * count_EDB_components(l)
-    return catalan(k) - specials
-
+    small_count, small_order, medium_count, medium_order = census_shape(k)
+    return catalan(k) - small_count * small_order - medium_count * medium_order

@@ -23,7 +23,7 @@ from itertools import accumulate
 from multiprocessing import get_context
 
 from .compat import chord_tables, edge_masks, neighbor_partners
-from .counting import catalan, medium_even_order, medium_odd_order
+from .counting import catalan, census_shape
 from .errors import DomainError
 from .families import (
     LABEL_PATH_LEAF,
@@ -54,8 +54,11 @@ class _Ranked(Sequence):
     def __len__(self) -> int:
         return len(self._ranks)
 
-    def __getitem__(self, i: int) -> Matching:
-        # Indexing the range checks bounds and counts negatives from the end.
+    def __getitem__(self, i: int | slice) -> Matching | list[Matching]:
+        # Indexing the range checks bounds and counts negatives from the
+        # end; slicing it gives the ranks the slice names.
+        if isinstance(i, slice):
+            return [from_partner(unrank(self._k, r)) for r in self._ranks[i]]
         return from_partner(unrank(self._k, self._ranks[i]))
 
 
@@ -225,20 +228,6 @@ def build_graph(k: int, workers: int | None = None) -> DcmGraph:
 # -- components --------------------------------------------------------------
 
 
-def _census_category(k: int, order: int) -> str:
-    if k % 2:
-        small = 1
-        medium = medium_odd_order((k + 1) // 2) if k >= 3 else None
-    else:
-        small = 2
-        medium = medium_even_order(k // 2) if k >= 4 else None
-    if order == small:
-        return "small"
-    if order == medium:
-        return "medium"
-    return "big"
-
-
 def _pieces(order: int, adjacent) -> Iterator[tuple[list[int], bool]]:
     """Connected components in order of their smallest vertex.
 
@@ -292,6 +281,8 @@ def components(graph: DcmGraph) -> list[ComponentReport]:
     Family labels are dihedral invariants: one ``classify`` per orbit.
     """
     k, group, arcs = graph.k, 4 * graph.k, graph.arcs
+    _, small_order, _, medium_order = census_shape(k)
+    category = {medium_order: "medium", small_order: "small"}
     compose = _compose(2 * k)
     inverse = [row.index(0) for row in compose]
     piece = array("i", [-1]) * len(arcs)
@@ -345,7 +336,7 @@ def components(graph: DcmGraph) -> list[ComponentReport]:
             ComponentReport(
                 id=len(reports),
                 order=len(members),
-                category=_census_category(k, len(members)),
+                category=category.get(len(members), "big"),
                 profile=dict(profile),
                 representative=graph.vertices[members[0]],
                 bipartite=bipartite,
@@ -566,7 +557,7 @@ def verify_medium_even_structure(
         raise DomainError(f"medium structure is defined for even k >= 4, got {k}")
     if reports is None:
         reports = components(graph)
-    expected_order = medium_even_order(k // 2)
+    expected_order = census_shape(k)[3]
     expected_profile = {
         LABEL_PATH_LEAF: 2 * (k - 2),
         LABEL_PATH_MEMBER: k - 2,

@@ -11,23 +11,21 @@ shared by the CLI ``verify`` command and the acceptance test suite.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .compat import neighbors, neighbors_bruteforce
 from .counting import (
     catalan,
+    census_shape,
     count_DB,
     count_DBD,
-    count_EDB_components,
     count_I,
     count_L_even,
     count_L_odd,
-    count_pairs,
     edge_series,
     growth_estimate,
-    medium_even_order,
-    medium_odd_order,
     riordan,
 )
 from .dual_tree import find_antiblocks, find_blocks
@@ -133,67 +131,38 @@ class _Runner:
             return "fail", "; ".join(bad)
         return "pass", f"orders equal the Catalan numbers for k={_span_str(ks)}"
 
-    # -- 2: odd census ------------------------------------------------------
+    # -- 2 and 3: odd and even census ---------------------------------------
 
     def check_odd_census(self) -> tuple[str, str]:
-        ks = self.span(1, 11, parity=1, builds=True)
-        if not ks:
-            return "skip", "no applicable sizes in range"
-        bad = []
-        for k in ks:
-            half = (k + 1) // 2
-            reports = self.cache.reports(k)
-            isolated = sum(1 for r in reports if r.order == 1)
-            if not isolated == count_I(half) == ISOLATED_BY_K[k]:
-                bad.append(f"k={k}: {isolated} isolated vertices")
-            mediums = [r for r in reports if r.category == "medium"]
-            if k == 1:
-                if mediums:
-                    bad.append("k=1: unexpected medium component")
-                continue
-            expected = ODD_MEDIUMS_BY_K[k]
-            formula = count_DBD(half) if half >= 3 else expected
-            if not len(mediums) == formula == expected:
-                bad.append(f"k={k}: {len(mediums)} medium stars")
-            if any(r.order != medium_odd_order(half) for r in mediums):
-                bad.append(f"k={k}: star order != {medium_odd_order(half)}")
-        if bad:
-            return "fail", "; ".join(bad)
-        return "pass", (
-            f"isolated and star counts match the tables for k={_span_str(ks)}"
-        )
-
-    # -- 3: even census -----------------------------------------------------
+        return self._census(1, ISOLATED_BY_K, ODD_MEDIUMS_BY_K, "isolated and star")
 
     def check_even_census(self) -> tuple[str, str]:
-        ks = self.span(2, 12, parity=0, builds=True)
+        return self._census(0, PAIRS_BY_K, EVEN_MEDIUMS_BY_K, "pair and medium")
+
+    def _census(self, parity: int, smalls: dict, mediums: dict,
+                words: str) -> tuple[str, str]:
+        # The measured small and medium counts of each size of one parity
+        # must equal both census_shape and the pinned tables; a table with
+        # no entry pins no medium component.
+        ks = self.span(1, 12, parity=parity, builds=True)
         if not ks:
             return "skip", "no applicable sizes in range"
         bad = []
         for k in ks:
-            half = k // 2
-            reports = self.cache.reports(k)
-            pairs = sum(
-                1 for r in reports if r.category == "small" and r.order == 2
-            )
-            if not pairs == count_pairs(half) == PAIRS_BY_K[k]:
-                bad.append(f"k={k}: {pairs} pair components")
-            mediums = [r for r in reports if r.category == "medium"]
-            if k == 2:
-                if mediums:
-                    bad.append("k=2: unexpected medium component")
-                continue
-            expected = EVEN_MEDIUMS_BY_K[k]
-            formula = count_EDB_components(half) if half >= 3 else expected
-            if not len(mediums) == formula == expected:
-                bad.append(f"k={k}: {len(mediums)} medium components")
-            if any(r.order != medium_even_order(half) for r in mediums):
-                bad.append(f"k={k}: medium order != {medium_even_order(half)}")
+            small_count, _, medium_count, _ = census_shape(k)
+            got = Counter(r.category for r in self.cache.reports(k))
+            for kind, formula, pinned in (
+                ("small", small_count, smalls[k]),
+                ("medium", medium_count, mediums.get(k, 0)),
+            ):
+                if not got[kind] == formula == pinned:
+                    bad.append(
+                        f"k={k}: {got[kind]} {kind} components "
+                        f"(formula {formula}, table {pinned})"
+                    )
         if bad:
             return "fail", "; ".join(bad)
-        return "pass", (
-            f"pair and medium counts match the tables for k={_span_str(ks)}"
-        )
+        return "pass", f"{words} counts match the tables for k={_span_str(ks)}"
 
     # -- 4: isomorphism classes ---------------------------------------------
 
@@ -491,7 +460,6 @@ class _Runner:
 
     def check_growth_probe(self) -> tuple[str, str]:
         start = time.perf_counter()
-        edge_series(GROWTH_TERMS)
         ratio = growth_estimate(GROWTH_TERMS)
         elapsed = time.perf_counter() - start
         lo, hi = GROWTH_WINDOW

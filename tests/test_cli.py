@@ -7,11 +7,13 @@ import io
 import json
 import subprocess
 import sys
+import typing
 
 import pytest
 
 from dcmatch import cli
 from dcmatch.cli import main
+from dcmatch.matching import Matching
 from dcmatch.verification import CHECK_NAMES, run_checks
 
 EDGE_ROW = (1, 0, 1, 1, 9, 21, 125, 421, 2161, 8677, 42245)
@@ -474,6 +476,9 @@ class TestTopLevel:
         assert "--threads" in err
         assert "_positive" not in err
         assert err.count("\n") == 1
+
+    def test_annotations_resolve(self):
+        assert typing.get_type_hints(cli._matching_argument)["return"] is Matching
 
     def test_console_script(self):
         proc = subprocess.run(

@@ -14,6 +14,7 @@ from dcmatch.counting import (
     SeriesTable,
     big_component_order,
     catalan,
+    census_shape,
     count_DB,
     count_DBD,
     count_EDB_components,
@@ -30,6 +31,12 @@ from dcmatch.counting import (
 from dcmatch.errors import DomainError
 from dcmatch.families import generate_family, rings
 from dcmatch.matching import enumerate_matchings
+from dcmatch.verification import (
+    EVEN_MEDIUMS_BY_K,
+    ISOLATED_BY_K,
+    ODD_MEDIUMS_BY_K,
+    PAIRS_BY_K,
+)
 
 CATALAN_ROW = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012]
 RIORDAN_ROW = {2: 1, 3: 1, 4: 3, 5: 6, 6: 15, 7: 36, 8: 91, 12: 4213}
@@ -178,6 +185,22 @@ class TestGrowth:
     def test_domain(self):
         with pytest.raises(DomainError):
             growth_estimate(2)
+
+
+class TestCensusShape:
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_pinned_rows(self, k):
+        if k % 2:
+            row = ISOLATED_BY_K[k], 1, ODD_MEDIUMS_BY_K.get(k, 0)
+            medium_order = 0 if k == 1 else (k + 1) // 2
+        else:
+            row = PAIRS_BY_K[k], 2, EVEN_MEDIUMS_BY_K.get(k, 0)
+            medium_order = 0 if k == 2 else 3 * k - 6
+        assert census_shape(k) == (*row, medium_order)
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            census_shape(0)
 
 
 class TestBigComponent:

@@ -13,7 +13,13 @@ import pytest
 from dcmatch import graph as graph_module
 from dcmatch import matching as matching_module
 from dcmatch.compat import neighbor_partners, neighbors_bruteforce
-from dcmatch.counting import big_component_order, catalan, edge_series
+from dcmatch.counting import (
+    big_component_order,
+    catalan,
+    edge_series,
+    medium_even_order,
+    medium_odd_order,
+)
 from dcmatch.errors import DomainError, ResourceLimitError
 from dcmatch.families import classify, rings
 from dcmatch.graph import (
@@ -298,6 +304,16 @@ class TestComponents:
             assert owner.category == ("big" if k >= 5 else "medium")
 
 
+def reference_category(k, order):
+    # The census class from the small orders 1 and 2 and the medium order
+    # formulas, without census_shape, so the reports check it.
+    if k % 2:
+        small, medium = 1, medium_odd_order((k + 1) // 2) if k >= 3 else None
+    else:
+        small, medium = 2, medium_even_order(k // 2) if k >= 4 else None
+    return "small" if order == small else "medium" if order == medium else "big"
+
+
 def reference_reports(k, adjacent):
     """Component reports from a breadth-first search over ``adjacent``,
     classifying every vertex, not one per orbit."""
@@ -309,7 +325,7 @@ def reference_reports(k, adjacent):
             graph_module.ComponentReport(
                 id=len(reports),
                 order=len(members),
-                category=graph_module._census_category(k, len(members)),
+                category=reference_category(k, len(members)),
                 profile=dict(sorted(profile.items())),
                 representative=vertices[members[0]],
                 bipartite=bipartite,
@@ -458,6 +474,12 @@ class TestVertices:
                 as_tuple[i]
             with pytest.raises(IndexError):
                 g.vertices[i]
+
+    @pytest.mark.parametrize(
+        "cut", [slice(1, 3), slice(None, None, -1), slice(-2, 3, -4), slice(20, 30)]
+    )
+    def test_slicing_like_a_list(self, cut):
+        assert graph_for(4).vertices[cut] == enumerate_matchings(4)[cut]
 
 
 class TestBigComponent:
