@@ -378,25 +378,58 @@ def edge_masks(
     return used, crossed
 
 
+def set_bits(x: int) -> list[int]:
+    """Positions of the set bits of ``x``, in ascending order."""
+    # bin() writes the bits in one C pass; reversed, position i is bit i.
+    bits = bin(x)[:1:-1]
+    found = []
+    i = bits.find("1")
+    while i >= 0:
+        found.append(i)
+        i = bits.find("1", i + 1)
+    return found
+
+
+def chord_index(masks: list[int], n_chords: int) -> list[int]:
+    """Per chord, the bitset of the positions in ``masks`` that use it.
+
+    Each position's bit is set in one byte array per chord, and each
+    array becomes one int, so the build is linear in the chords listed.
+    """
+    rows = [bytearray(len(masks) // 8 + 1) for _ in range(n_chords)]
+    for i, mask in enumerate(masks):
+        byte, bit = i >> 3, 1 << (i & 7)
+        for c in set_bits(mask):
+            rows[c][byte] |= bit
+    return [int.from_bytes(row, "little") for row in rows]
+
+
+def unblocked(index: list[int], count: int, blocked: int) -> list[int]:
+    """Positions, of ``count`` indexed, whose chords avoid ``blocked``."""
+    hit = 0
+    for c in set_bits(blocked):
+        hit |= index[c]
+    return set_bits(((1 << count) - 1) ^ hit)
+
+
 @lru_cache(maxsize=None)
 def _pair_tables(k: int):
-    # Every matching of size k with its chord mask over 2k points.
+    # Every matching of size k, its chord mask over 2k points, and the
+    # chord index over those masks; clearing the cache frees all three.
     eindex, cross = chord_tables(2 * k)
     ms = enumerate_matchings(k)
-    return ms, [edge_masks(m.edges, eindex, cross)[0] for m in ms]
+    masks = [edge_masks(m.edges, eindex, cross)[0] for m in ms]
+    return ms, masks, chord_index(masks, len(cross))
 
 
 def neighbors_bruteforce(m: Matching) -> set[Matching]:
-    """Adjacency by scanning all matchings of the same size.
+    """Adjacency read off the chord index of all matchings of the size.
 
-    Independent of the flip route: precomputed chord bitmasks decide
-    edge-disjointness and crossing-freeness per candidate.
+    Independent of the flip route: the matchings adjacent to ``m`` are
+    those using none of its chords and no chord crossing one of them.
+    ``m`` uses its own chords, so it is never listed.
     """
     check_size(m.k)  # before the cache, which would skip the guard
-    ms, masks = _pair_tables(m.k)
-    mask, cm = edge_masks(m.edges, *chord_tables(2 * m.k))
-    return {
-        m2
-        for m2, mask2 in zip(ms, masks)
-        if m2 != m and not mask & mask2 and not cm & mask2
-    }
+    ms, _, index = _pair_tables(m.k)
+    used, crossed = edge_masks(m.edges, *chord_tables(2 * m.k))
+    return {ms[i] for i in unblocked(index, len(ms), used | crossed)}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from itertools import chain, combinations, product
 
 import pytest
@@ -15,11 +16,13 @@ from dcmatch.compat import (
     _pair_tables,
     alternating_cycles,
     are_disjoint_compatible,
+    chord_tables,
     flip,
     flippable_partitions,
     neighbor_partners,
     neighbors,
     neighbors_bruteforce,
+    set_bits,
 )
 from dcmatch.counting import catalan
 from dcmatch.errors import FlipError
@@ -27,6 +30,7 @@ from dcmatch.matching import (
     canonical_edges,
     enumerate_matchings,
     from_partner,
+    is_crossing,
     parse_matching,
     reflect,
     rotate,
@@ -244,6 +248,20 @@ class TestOracleAgreement:
             }
             assert neighbors_bruteforce(m) == expected
 
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_bruteforce_matches_edge_predicate(self, k):
+        # Oracle: pairwise edge comparison with is_crossing, no bitmasks.
+        ms = enumerate_matchings(k)
+        for m in ms:
+            mine = set(m.edges)
+            expected = {
+                m2
+                for m2 in ms
+                if not mine & set(m2.edges)
+                and not any(is_crossing(e, f) for e in mine for f in m2.edges)
+            }
+            assert neighbors_bruteforce(m) == expected
+
     @pytest.mark.parametrize("k", range(1, 7))
     def test_bruteforce_is_dihedrally_equivariant(self, k):
         # The geometric fact the orbit-driven graph build rests on,
@@ -266,6 +284,29 @@ class TestOracleAgreement:
 
 
 # -- the edge-group route the pair enumeration replaced ---------------------
+
+
+class TestChordIndex:
+    def test_set_bits(self):
+        assert set_bits(0) == []
+        assert set_bits(0b1011) == [0, 1, 3]
+        assert set_bits(1 << 200 | 1 << 70) == [70, 200]
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_bitsets_list_each_chords_users(self, k):
+        ms, masks, index = _pair_tables(k)
+        assert len(masks) == len(ms)
+        assert len(index) == len(chord_tables(2 * k)[1])
+        for c, bitset in enumerate(index):
+            users = {i for i, mask in enumerate(masks) if mask >> c & 1}
+            assert set(set_bits(bitset)) == users
+
+    def test_cache_clear_drops_the_index(self):
+        index = _pair_tables(4)[2]
+        held = sys.getrefcount(index)
+        _pair_tables.cache_clear()
+        assert sys.getrefcount(index) == held - 1
+        assert _pair_tables(4)[2] is not index
 
 
 def _anchored_parts(p, a, hi):
