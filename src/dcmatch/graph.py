@@ -636,7 +636,7 @@ def build_almost_perfect_graph(k: int) -> AlmostPerfectGraph:
     """Variant graph on 2k+1 points, each matching skipping one point.
 
     Adjacency is the same relation: no common edge and no crossing.
-    Each row is read off a per-chord index over all (2k+1)·C(k)
+    Each row is read off a per-chord index over all (2k+1) * C(k)
     vertices, so the build is only practical for small k; the
     acceptance checks stop at k=6.
     """

@@ -283,9 +283,6 @@ class TestOracleAgreement:
             assert len(neighbors(ring)) == deg, f"k={k}"
 
 
-# -- the edge-group route the pair enumeration replaced ---------------------
-
-
 class TestChordIndex:
     def test_set_bits(self):
         assert set_bits(0) == []
@@ -307,6 +304,9 @@ class TestChordIndex:
         _pair_tables.cache_clear()
         assert sys.getrefcount(index) == held - 1
         assert _pair_tables(4)[2] is not index
+
+
+# -- the edge-group route the pair enumeration replaced ---------------------
 
 
 def _anchored_parts(p, a, hi):
