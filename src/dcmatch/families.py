@@ -24,6 +24,13 @@ Families:
   pair next to the j-th element and its twin on the opposite row; their
   leaves (``make_edbl1``, ``make_edbl2``) arise by one flip.
 
+The two grown families are kept per size as sets of Dyck words
+(``matching.words``).  Splicing the block before point 1 puts the word
+``1100`` in front of the host's word, and splicing it into the other
+gaps gives that word's rotations, walked one step at a time
+(``matching.word_rotations``).  ``generate_family`` makes their
+matchings afresh on each call; ``family_size`` counts the words.
+
 Each strip family's table, built lazily per size, holds the ``z = 1``
 members and their rotations, each mapped to its smallest parameters.
 """
@@ -34,7 +41,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError
-from .matching import Edge, Matching, insert, rotate, validate
+from .matching import (
+    Edge,
+    Matching,
+    from_partner,
+    rotate,
+    validate,
+    word_partners,
+    word_rotations,
+)
 from .compat import flip
 
 LABEL_ISOLATED = "Isolated-I"
@@ -301,33 +316,41 @@ def is_I(m: Matching) -> bool:
 # -- family generation ------------------------------------------------------
 
 
-def _insert_block_everywhere(m: Matching) -> set[Matching]:
-    # All matchings obtained by splicing a new block into any cyclic gap:
-    # before point 1, then every rotation of that.
-    grown = insert(m, BLOCK, 0)
-    return {rotate(grown, s) for s in range(grown.n_points)}
+# Seed words: the single chord for I, the size 2 and 3 rings for L.
+_SEEDS = {
+    ("I", 1): (0b10,),
+    ("L", 2): (0b1010, 0b1100),
+    ("L", 3): (0b101010, 0b110100),
+}
 
 
 @lru_cache(maxsize=None)
-def _grown_family(base: str, k: int) -> frozenset[Matching]:
-    # base "I": seed size 1; base "L": seeds are the size 2 and 3 rings.
-    if base == "I":
-        if k % 2 == 0 or k < 1:
-            raise DomainError(f"isolated matchings need odd k >= 1, got {k}")
-        if k == 1:
-            return frozenset({validate([(1, 2)])})
-    else:
-        if k < 2:
-            raise DomainError(f"degree-one matchings need k >= 2, got {k}")
-        if k == 2:
-            return frozenset(rings(2))
-        if k == 3:
-            return frozenset(rings(3))
-    smaller = _grown_family(base, k - 2)
-    out: set[Matching] = set()
-    for m in smaller:
-        out |= _insert_block_everywhere(m)
+def _grown_family(base: str, k: int) -> frozenset[int]:
+    # The Dyck words (matching.words) of the size-k members of I or L.
+    # BLOCK spliced in before point 1 puts the word 1100 in front of the
+    # host's word; every other gap is a rotation of that.  A grown word
+    # already found came with all its rotations.
+    if base == "I" and (k % 2 == 0 or k < 1):
+        raise DomainError(f"isolated matchings need odd k >= 1, got {k}")
+    if base == "L" and k < 2:
+        raise DomainError(f"degree-one matchings need k >= 2, got {k}")
+    if (base, k) in _SEEDS:
+        return frozenset(_SEEDS[base, k])
+    head = 0b1100 << (2 * k - 4)
+    out: set[int] = set()
+    for w in _grown_family(base, k - 2):
+        grown = head | w
+        if grown not in out:
+            out.update(word_rotations(grown, word_partners(grown, k)))
     return frozenset(out)
+
+
+def family_size(variant: str, k: int) -> int:
+    """Number of size-k members of one named family; the I and L members
+    are counted as words, without making their matchings."""
+    if variant in ("I", "L"):
+        return len(_grown_family(variant, k))
+    return len(generate_family(variant, k))
 
 
 @lru_cache(maxsize=None)
@@ -371,10 +394,8 @@ def _all_chi(width: int) -> list[str]:
 
 def generate_family(variant: str, k: int) -> set[Matching]:
     """All size-k members of one named family."""
-    if variant == "I":
-        return set(_grown_family("I", k))
-    if variant == "L":
-        return set(_grown_family("L", k))
+    if variant in ("I", "L"):
+        return {from_partner(word_partners(w, k)) for w in _grown_family(variant, k)}
     if variant == "Ring":
         return set(rings(k))
     if variant not in FAMILY_VARIANTS:

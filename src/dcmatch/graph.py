@@ -17,7 +17,7 @@ from array import array
 from bisect import bisect_left
 from collections import Counter, deque
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import accumulate
 from multiprocessing import get_context
@@ -46,6 +46,7 @@ from .matching import (
     from_partner,
     rank,
     unrank,
+    word_rotations,
     words,
 )
 
@@ -76,7 +77,8 @@ class DcmGraph:
     ``orbit``, ``element`` and ``images`` are the tables of
     ``orbit_tables``: orbits are numbered in order of their smallest rank.
     ``arcs[o]`` lists each neighbor x of orbit o's representative as
-    ``(orbit[x], element[x])``.
+    ``(orbit[x], element[x])``.  ``certificates`` keeps each component
+    certificate made, keyed by the component's members.
     """
 
     k: int
@@ -85,6 +87,9 @@ class DcmGraph:
     images: array
     arcs: list[tuple[tuple[int, int], ...]]
     edge_count: int
+    certificates: dict[tuple[int, ...], tuple] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     @property
     def order(self) -> int:
@@ -152,26 +157,13 @@ def orbit_tables(k: int) -> tuple[array, array, array]:
         o = len(images) // (2 * n)
         w, p = by_rank[i], unrank(k, i)
         for a, (w, p) in enumerate(((w, p), _reflected(w, p))):
-            for s, image in enumerate(_rotations(w, p)):
+            for s, image in enumerate(word_rotations(w, p)):
                 j = ranks[bisect_left(sorted_words, image)]
                 images.append(j)
                 if orbit[j] < 0:
                     orbit[j] = o
                     element[j] = a * n + s
     return orbit, element, images
-
-
-def _rotations(w: int, p: Sequence[int]) -> Iterator[int]:
-    """Words of the matching with word ``w`` and partner table ``p``
-    rotated by 0, 1, ..., n - 1 steps (point t goes to t + s)."""
-    n = len(p) - 1
-    top = 1 << (n - 1)
-    for s in range(n):
-        yield w
-        # The last point, n - s before any step, moves to the front as an
-        # opener; its partner, now at point a, moves to a + 1 and closes.
-        a = (p[n - s] + s - 1) % n + 1
-        w = (w >> 1 | top) ^ top >> a
 
 
 def _reflected(w: int, p: Sequence[int]) -> tuple[int, list[int]]:
@@ -465,9 +457,14 @@ def _canonical_form(adj: list[list[int]], colors: list[int]) -> tuple:
 
 
 def component_certificate(graph: DcmGraph, component: ComponentReport) -> tuple:
-    """Isomorphism-invariant canonical form of one component."""
-    adj = _induced_adjacency(graph, component.members)
-    return _canonical_form(adj, [0] * len(adj))
+    """Isomorphism-invariant canonical form of one component, made at
+    most once per graph."""
+    cert = graph.certificates.get(component.members)
+    if cert is None:
+        adj = _induced_adjacency(graph, component.members)
+        cert = _canonical_form(adj, [0] * len(adj))
+        graph.certificates[component.members] = cert
+    return cert
 
 
 def isomorphism_classes(
@@ -476,7 +473,9 @@ def isomorphism_classes(
     """Group components up to isomorphism.
 
     Only equal-order components are ever compared, so the canonical-form
-    cost stays with the small and medium components.
+    cost stays with the small and medium components.  A connected graph
+    on one or two vertices is K1 or K2, so those orders form one class
+    each without a certificate.
     """
     if reports is None:
         reports = components(graph)
@@ -486,8 +485,8 @@ def isomorphism_classes(
     classes: list[list[int]] = []
     for order in sorted(by_order):
         group = by_order[order]
-        if len(group) == 1:
-            classes.append([group[0].id])
+        if len(group) == 1 or order <= 2:
+            classes.append([report.id for report in group])
             continue
         by_certificate: dict[tuple, list[int]] = {}
         for report in group:
@@ -643,9 +642,10 @@ def build_almost_perfect_graph(k: int) -> AlmostPerfectGraph:
     check_size(k)
     n = 2 * k + 1
     raw: list[tuple[int, tuple[Edge, ...]]] = []
+    matchings = enumerate_matchings(k)
     for skip in range(1, n + 1):
         rest = [p for p in range(1, n + 1) if p != skip]
-        for m in enumerate_matchings(k):
+        for m in matchings:
             edges = canonical_edges(
                 (rest[a - 1], rest[b - 1]) for a, b in m.edges
             )

@@ -9,7 +9,7 @@ The canonical form used everywhere: each edge is an ``(a, b)`` tuple with
 edges with commas, e.g. ``"1-2,3-4,5-6"``.  Canonical order sorts matchings
 by their edge tuples; a matching's index in it is its rank (:func:`rank`,
 :func:`unrank`), computed from its partner table.  Its Dyck word marks
-which points open a chord (:func:`words`).
+which points open a chord (:func:`words`, :func:`word_partners`).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from bisect import bisect_right
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     CrossingError,
@@ -300,6 +300,32 @@ def words(k: int) -> array:
                 found.extend([head | rest for rest in after])
         runs.append(found)
     return runs[k]
+
+
+def word_partners(w: int, k: int) -> list[int]:
+    """Partner table of the size-k matching with Dyck word ``w``."""
+    p = [0] * (2 * k + 1)
+    opened: list[int] = []
+    for t, bit in enumerate(format(w, f"0{2 * k}b"), 1):
+        if bit == "1":
+            opened.append(t)
+        else:
+            a = opened.pop()
+            p[a], p[t] = t, a
+    return p
+
+
+def word_rotations(w: int, p: Sequence[int]) -> Iterator[int]:
+    """Words of the matching with word ``w`` and partner table ``p``
+    rotated by 0, 1, ..., n - 1 steps (point t goes to t + s)."""
+    n = len(p) - 1
+    top = 1 << (n - 1)
+    for s in range(n):
+        yield w
+        # The last point, n - s before any step, moves to the front as an
+        # opener; its partner, now at point a, moves to a + 1 and closes.
+        a = (p[n - s] + s - 1) % n + 1
+        w = (w >> 1 | top) ^ top >> a
 
 
 # -- symmetries --------------------------------------------------------------

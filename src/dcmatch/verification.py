@@ -32,6 +32,7 @@ from .dual_tree import find_antiblocks, find_blocks
 from .families import (
     BLOCK,
     classify_with_witness,
+    family_size,
     generate_family,
     rings,
 )
@@ -446,7 +447,7 @@ class _Runner:
             return "skip", "no applicable sizes in range"
         bad = []
         for variant, k, expected in jobs:
-            got = len(generate_family(variant, k))
+            got = family_size(variant, k)
             if got != expected:
                 bad.append(f"{variant} at k={k}: {got} != {expected}")
         if bad:

@@ -10,10 +10,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dcmatch import families as families_module
+from dcmatch import graph as graph_module
+from dcmatch import verification as verification_module
 from dcmatch.compat import are_disjoint_compatible, neighbors
 from dcmatch.dual_tree import find_antiblocks, find_blocks
 from dcmatch.errors import DomainError
 from dcmatch.families import (
+    BLOCK,
     LABEL_ISOLATED,
     LABEL_PAIR,
     LABEL_PATH_LEAF,
@@ -25,6 +29,7 @@ from dcmatch.families import (
     classify,
     classify_with_witness,
     db_partner,
+    family_size,
     generate_family,
     is_I,
     make_db,
@@ -37,12 +42,14 @@ from dcmatch.families import (
 )
 from dcmatch.matching import (
     enumerate_matchings,
+    insert,
     is_ring,
     parse_matching,
     reflect,
     rotate,
+    validate,
 )
-from dcmatch.verification import ISOLATED_BY_K
+from dcmatch.verification import ISOLATED_BY_K, run_checks
 
 NESTED3 = parse_matching("1-6,2-5,3-4")
 
@@ -438,6 +445,53 @@ class TestRecognizerOracles:
     def test_isolated_count_matches_pinned_table(self, k):
         found = sum(is_I(m) for m in enumerate_matchings(k))
         assert found == ISOLATED_BY_K[k]
+
+
+@lru_cache(maxsize=None)
+def reference_grown_family(base, k):
+    """Oracle: the block insertion on matchings.  Every member of size
+    k - 2 gets BLOCK spliced in before point 1, and the result is
+    rotated every way; the seeds are the single chord for I and the
+    size 2 and 3 rings for L."""
+    if base == "I" and k == 1:
+        return frozenset({validate([(1, 2)])})
+    if base == "L" and k in (2, 3):
+        return frozenset(rings(k))
+    out = set()
+    for m in reference_grown_family(base, k - 2):
+        grown = insert(m, BLOCK, 0)
+        out |= {rotate(grown, s) for s in range(grown.n_points)}
+    return frozenset(out)
+
+
+class TestWordGrowth:
+    """The I and L families grown as Dyck words, against the block
+    insertion on matchings."""
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 7, 9, 11])
+    def test_isolated_matches_insertion(self, k):
+        assert generate_family("I", k) == reference_grown_family("I", k)
+
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_degree_one_matches_insertion(self, k):
+        assert generate_family("L", k) == reference_grown_family("L", k)
+
+    @pytest.mark.parametrize("variant, k", [("I", 9), ("L", 8), ("DB", 6)])
+    def test_size_counts_the_members(self, variant, k):
+        assert family_size(variant, k) == len(generate_family(variant, k))
+
+    def test_family_counts_reads_no_graph(self, monkeypatch):
+        # The check grows the families from their seeds alone: neither a
+        # graph nor its orbit tables may be asked for.
+        def refuse(*args, **kwargs):
+            raise AssertionError("family-counts read the graph")
+
+        for module in (graph_module, verification_module):
+            monkeypatch.setattr(module, "build_graph", refuse)
+        monkeypatch.setattr(graph_module, "orbit_tables", refuse)
+        families_module._grown_family.cache_clear()
+        [result] = run_checks(1, 12, names=("family-counts",))
+        assert result.status == "pass", result.detail
 
 
 class TestGenerateFamily:

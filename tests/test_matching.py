@@ -35,6 +35,7 @@ from dcmatch.matching import (
     skips,
     unrank,
     validate,
+    word_partners,
     words,
 )
 
@@ -270,6 +271,11 @@ class TestWords:
         assert len(found) == CATALAN[k]
         for r, w in enumerate(found):
             assert w == word_of(unrank(k, r)), (k, r)
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_word_partners_decodes_each_rank(self, k):
+        for r, w in enumerate(words(k)):
+            assert word_partners(w, k) == unrank(k, r), (k, r)
 
     def test_canonical_order_is_not_numeric_order(self):
         found = words(4)
