@@ -412,10 +412,12 @@ def unblocked(index: list[int], count: int, blocked: int) -> list[int]:
     return set_bits(((1 << count) - 1) ^ hit)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2)
 def _pair_tables(k: int):
     # Every matching of size k, its chord mask over 2k points, and the
     # chord index over those masks; clearing the cache frees all three.
+    # Two sizes are kept: the oracle sweeps k upward, and a caller
+    # alternating between two sizes rebuilds nothing.
     eindex, cross = chord_tables(2 * k)
     ms = enumerate_matchings(k)
     masks = [edge_masks(m.edges, eindex, cross)[0] for m in ms]

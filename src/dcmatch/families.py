@@ -31,8 +31,10 @@ gaps gives that word's rotations, walked one step at a time
 (``matching.word_rotations``).  ``generate_family`` makes their
 matchings afresh on each call; ``family_size`` counts the words.
 
-Each strip family's table, built lazily per size, holds the ``z = 1``
-members and their rotations, each mapped to its smallest parameters.
+Each strip family's table, built lazily per size, maps the Dyck word of
+every member to its smallest parameters: one maker call per ``(j, chi)``
+at ``z = 1``, then that word's rotations.  Classification encodes a
+matching's partner table as a word once and looks it up in each table.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .matching import (
     Edge,
     Matching,
     from_partner,
-    rotate,
+    partner_word,
     validate,
     word_partners,
     word_rotations,
@@ -288,12 +290,11 @@ def rings(k: int) -> tuple[Matching, Matching]:
     return r1, r2
 
 
-def _block_residue(m: Matching) -> int:
+def _block_residue(p: list[int]) -> int:
     # Cancel blocks like balanced brackets: push points in order and pop
     # the top four x, y, y', x' when p[x] == x' and p[y] == y'.  A pass
     # misses blocks across its seam, so the last three survivors move to
     # the front until a pass removes nothing.  Returns the points left.
-    p = m.partner()
     residue, rotated = list(range(1, len(p))), False
     while len(residue) >= 4:
         kept: list[int] = []
@@ -307,10 +308,11 @@ def _block_residue(m: Matching) -> int:
     return len(residue)
 
 
-def is_I(m: Matching) -> bool:
-    """Whether the matching is isolated: odd size, and cancelling blocks
-    cyclically leaves a single chord (a 2-point residue)."""
-    return m.k % 2 == 1 and _block_residue(m) == 2
+def is_I(p: list[int]) -> bool:
+    """Whether the matching with partner table ``p`` is isolated: odd
+    size, and cancelling blocks cyclically leaves a single chord (a
+    2-point residue)."""
+    return len(p) // 2 % 2 == 1 and _block_residue(p) == 2
 
 
 # -- family generation ------------------------------------------------------
@@ -346,17 +348,24 @@ def _grown_family(base: str, k: int) -> frozenset[int]:
 
 
 def family_size(variant: str, k: int) -> int:
-    """Number of size-k members of one named family; the I and L members
+    """Number of size-k members of one named family; all but the rings
     are counted as words, without making their matchings."""
+    if variant == "Ring" or variant not in FAMILY_VARIANTS:
+        return len(generate_family(variant, k))
+    return len(_family_words(variant, k))
+
+
+def _family_words(variant: str, k: int) -> frozenset[int] | dict[int, tuple]:
+    # The Dyck words of the size-k members of I, L or a strip family.
     if variant in ("I", "L"):
-        return len(_grown_family(variant, k))
-    return len(generate_family(variant, k))
+        return _grown_family(variant, k)
+    return _strip_family(variant, k)
 
 
 @lru_cache(maxsize=None)
-def _strip_family(variant: str, k: int) -> dict[Matching, tuple]:
-    """All members of a strip-built family, mapped to their smallest
-    parameter tuples."""
+def _strip_family(variant: str, k: int) -> dict[int, tuple]:
+    """The Dyck words of all members of a strip-built family, mapped to
+    their smallest parameter tuples."""
     half, odd_half = k // 2, (k + 1) // 2 - 1
     makers = {
         "DB": (half, lambda chi: make_db(k, chi, 1).matching),
@@ -371,17 +380,17 @@ def _strip_family(variant: str, k: int) -> dict[Matching, tuple]:
     count, make = makers[variant]
     # Witnesses are (chi, z), or (j, chi, z) where the maker takes j; z is
     # a rotation by z - 1.  Parameters ascend, so the first one kept for a
-    # matching is its smallest.  j = 1 is always tried, so at a size
-    # without the family the maker raises its own DomainError.
+    # word is its smallest.  j = 1 is always tried, so at a size without
+    # the family the maker raises its own DomainError.
     js = [()] if variant in ("DB", "DBD") else [
         (j,) for j in range(1, max(count, 1) + 1)
     ]
-    out: dict[Matching, tuple] = {}
+    out: dict[int, tuple] = {}
     for j in js:
         for chi in _all_chi(_chi_len(count)):
-            first = make(*j, chi)
-            for z in range(1, 2 * k + 1):
-                out.setdefault(rotate(first, z - 1), (*j, chi, z))
+            p = make(*j, chi).partner()
+            for z, w in enumerate(word_rotations(partner_word(p), p), 1):
+                out.setdefault(w, (*j, chi, z))
     return out
 
 
@@ -393,16 +402,15 @@ def _all_chi(width: int) -> list[str]:
 
 
 def generate_family(variant: str, k: int) -> set[Matching]:
-    """All size-k members of one named family."""
-    if variant in ("I", "L"):
-        return {from_partner(word_partners(w, k)) for w in _grown_family(variant, k)}
+    """All size-k members of one named family, made from their words on
+    each call."""
     if variant == "Ring":
         return set(rings(k))
     if variant not in FAMILY_VARIANTS:
         raise ValueError(
             f"variant must be one of {FAMILY_VARIANTS}, got {variant!r}"
         )
-    return set(_strip_family(variant, k))
+    return {from_partner(word_partners(w, k)) for w in _family_words(variant, k)}
 
 
 # Strip tables in precedence order for even and odd k: (variant, label,
@@ -414,17 +422,38 @@ _PRECEDENCE = (
 )
 
 
+@lru_cache(maxsize=None)
+def _strip_tables(k: int) -> tuple[tuple[str, dict[int, tuple]], ...]:
+    # The size-k strip tables in precedence order, each with its label.
+    return tuple(
+        (label, _strip_family(variant, k))
+        for variant, label, smallest in _PRECEDENCE[k % 2]
+        if k >= smallest
+    )
+
+
+def _strip_witness(k: int, w: int) -> tuple[str, tuple | None]:
+    # Label and parameters from the first size-k table holding word w.
+    for label, table in _strip_tables(k):
+        witness = table.get(w)
+        if witness is not None:
+            return label, witness
+    return LABEL_REGULAR, None
+
+
+def classify_partner(p: list[int]) -> tuple[str, tuple | None]:
+    """Family label of the matching with partner table ``p``, with strip
+    parameters when known, as :func:`classify_with_witness` gives."""
+    if is_I(p):
+        return LABEL_ISOLATED, None
+    return _strip_witness(len(p) // 2, partner_word(p))
+
+
 def classify_with_witness(m: Matching) -> tuple[str, tuple | None]:
     """Family label of a matching, with strip parameters when known."""
-    k = m.k
-    if k % 2 and is_I(m):
+    if m.k % 2 and is_I(m.partner()):
         return LABEL_ISOLATED, None
-    for variant, label, smallest in _PRECEDENCE[k % 2]:
-        if k >= smallest:
-            witness = _strip_family(variant, k).get(m)
-            if witness is not None:
-                return label, witness
-    return LABEL_REGULAR, None
+    return _strip_witness(m.k, m.word())
 
 
 def classify(m: Matching) -> str:

@@ -34,7 +34,7 @@ from .errors import DomainError
 from .families import (
     LABEL_PATH_LEAF,
     LABEL_PATH_MEMBER,
-    classify,
+    classify_partner,
     classify_with_witness,
 )
 from .matching import (
@@ -42,8 +42,10 @@ from .matching import (
     Matching,
     canonical_edges,
     check_size,
+    dihedral_permutations,
     enumerate_matchings,
     from_partner,
+    permute,
     rank,
     unrank,
     word_rotations,
@@ -276,7 +278,9 @@ def components(graph: DcmGraph) -> list[ComponentReport]:
     generate H <= D x Z2.  B lifts to one component per left coset of
     H's image H_D in D, each two-colouring exactly when (id, 1) is not
     in H and holding |orbit o| / [D : H_D] members of each orbit o of B.
-    Family labels are dihedral invariants: one ``classify`` per orbit.
+    Family labels are dihedral invariants: each orbit's representative
+    is unranked once and classified, and a component's representative
+    is the orbit representative moved by its first member's symmetry.
     """
     k, group, arcs = graph.k, 4 * graph.k, graph.arcs
     _, small_order, _, medium_order = census_shape(k)
@@ -285,6 +289,10 @@ def components(graph: DcmGraph) -> list[ComponentReport]:
     inverse = [row.index(0) for row in compose]
     piece = array("i", [-1]) * len(arcs)
     potential = array("i", [0]) * len(arcs)
+    # Each orbit's representative as a partner table, one byte a point
+    # (k is far below 128 for any graph that can be built).
+    width = 2 * k + 1
+    partners = bytearray(width * len(arcs))
     parity = bytearray(len(arcs))
     lift_of: list[list[int]] = []  # per piece: the lift holding each h in D
     kinds: list[tuple[bool, dict[str, int]]] = []  # per lift: bipartite, profile
@@ -300,7 +308,9 @@ def components(graph: DcmGraph) -> list[ComponentReport]:
             p = potential[o]
             row = graph.images[group * o : group * (o + 1)]
             fixed = [s for s, j in enumerate(row) if j == row[0]]
-            weight[classify(graph.vertices[row[0]])] += group // len(fixed)
+            rep = unrank(k, row[0])
+            partners[width * o : width * (o + 1)] = bytes(rep)
+            weight[classify_partner(rep)[0]] += group // len(fixed)
             generators.update((compose[compose[p][s]][inverse[p]], 0) for s in fixed)
             for w, f in arcs[o]:
                 if piece[w] < 0:
@@ -326,17 +336,21 @@ def components(graph: DcmGraph) -> list[ComponentReport]:
     for v, (o, e) in enumerate(zip(graph.orbit, graph.element)):
         h = compose[e][inverse[potential[o]]]
         found.setdefault(lift_of[piece[o]][h], []).append(v)
+    symmetries = dihedral_permutations(2 * k)
     reports: list[ComponentReport] = []
     for lift, members in found.items():
         bipartite, profile = kinds[lift]
         assert sum(profile.values()) == len(members), "lift orders must agree"
+        v = members[0]
+        o = graph.orbit[v]
+        p = permute(partners[width * o : width * (o + 1)], symmetries[graph.element[v]])
         reports.append(
             ComponentReport(
                 id=len(reports),
                 order=len(members),
                 category=category.get(len(members), "big"),
                 profile=dict(profile),
-                representative=graph.vertices[members[0]],
+                representative=from_partner(p),
                 bipartite=bipartite,
                 members=tuple(members),
             )

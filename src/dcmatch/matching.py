@@ -9,7 +9,8 @@ The canonical form used everywhere: each edge is an ``(a, b)`` tuple with
 edges with commas, e.g. ``"1-2,3-4,5-6"``.  Canonical order sorts matchings
 by their edge tuples; a matching's index in it is its rank (:func:`rank`,
 :func:`unrank`), computed from its partner table.  Its Dyck word marks
-which points open a chord (:func:`words`, :func:`word_partners`).
+which points open a chord (:func:`words`, :func:`word_partners`,
+:func:`partner_word`).
 """
 
 from __future__ import annotations
@@ -91,6 +92,12 @@ class Matching:
             p[a] = b
             p[b] = a
         return p
+
+    def word(self) -> int:
+        """Dyck word, as :func:`words` lists it: bit t, counted from the
+        top, is set when point t opens a chord."""
+        n = 2 * len(self.edges)
+        return sum([1 << n - a for a, _ in self.edges])
 
     def to_string(self) -> str:
         return format_edges(self.edges)
@@ -313,6 +320,13 @@ def word_partners(w: int, k: int) -> list[int]:
             a = opened.pop()
             p[a], p[t] = t, a
     return p
+
+
+def partner_word(p: Sequence[int]) -> int:
+    """Dyck word of the matching with partner table ``p``; the inverse
+    of :func:`word_partners`."""
+    n = len(p) - 1
+    return sum([1 << n - t for t, q in enumerate(p) if q > t])
 
 
 def word_rotations(w: int, p: Sequence[int]) -> Iterator[int]:

@@ -298,6 +298,16 @@ class TestChordIndex:
             users = {i for i, mask in enumerate(masks) if mask >> c & 1}
             assert set(set_bits(bitset)) == users
 
+    def test_cache_keeps_the_last_two_sizes(self):
+        _pair_tables.cache_clear()
+        for k in range(1, 7):
+            neighbors_bruteforce(enumerate_matchings(k)[0])
+        assert _pair_tables.cache_info().currsize <= 2
+        hits = _pair_tables.cache_info().hits
+        _pair_tables(5)
+        _pair_tables(6)
+        assert _pair_tables.cache_info().hits == hits + 2
+
     def test_cache_clear_drops_the_index(self):
         index = _pair_tables(4)[2]
         held = sys.getrefcount(index)

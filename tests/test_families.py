@@ -45,9 +45,11 @@ from dcmatch.matching import (
     insert,
     is_ring,
     parse_matching,
+    rank,
     reflect,
     rotate,
     validate,
+    words,
 )
 from dcmatch.verification import ISOLATED_BY_K, run_checks
 
@@ -357,6 +359,28 @@ class TestStripTablesAgainstReference:
                 assert classify_with_witness(m) == expected
 
 
+class TestStripTableKeys:
+    """The strip tables hold Dyck words (``matching.words``), not
+    matchings."""
+
+    @pytest.mark.parametrize("variant", STRIP_VARIANTS)
+    def test_keys_are_the_members_words(self, variant):
+        for k in range(1, 11):
+            try:
+                reference = reference_strip_family(variant, k)
+            except DomainError:
+                reference = {}
+            if not reference:
+                continue
+            by_rank = words(k)
+            table = families_module._strip_family(variant, k)
+            assert all(type(w) is int for w in table)
+            assert table == {
+                by_rank[rank(m.partner())]: params
+                for m, params in reference.items()
+            }
+
+
 class TestMissingSizes:
     """Where a strip family does not exist, asking for it is an error."""
 
@@ -372,6 +396,8 @@ class TestMissingSizes:
     def test_raises_the_makers_error(self, variant, k, message):
         with pytest.raises(DomainError, match=message):
             generate_family(variant, k)
+        with pytest.raises(DomainError, match=message):
+            family_size(variant, k)
 
 
 class TestRings:
@@ -399,21 +425,21 @@ class TestRings:
 
 class TestRecognizers:
     def test_is_i_pinned(self):
-        assert is_I(parse_matching("1-2"))
-        assert is_I(NESTED3)
-        assert not is_I(rings(3)[0])
-        assert not is_I(rings(4)[0])
-        assert not is_I(make_db(4, "", 1).matching)
+        assert is_I(parse_matching("1-2").partner())
+        assert is_I(NESTED3.partner())
+        assert not is_I(rings(3)[0].partner())
+        assert not is_I(rings(4)[0].partner())
+        assert not is_I(make_db(4, "", 1).matching.partner())
 
     def test_degree_oracle_agreement(self):
         for k in range(1, 8):
             for m in enumerate_matchings(k):
                 degree = len(neighbors(m))
-                assert is_I(m) == (degree == 0)
+                assert is_I(m.partner()) == (degree == 0)
 
     def test_recognizer_counts(self):
         for k in (1, 3, 5, 7):
-            found = sum(is_I(m) for m in enumerate_matchings(k))
+            found = sum(is_I(m.partner()) for m in enumerate_matchings(k))
             assert found == I_SIZES[k]
 
 
@@ -423,7 +449,7 @@ class TestRecognizerOracles:
 
     @pytest.mark.parametrize("k", [1, 3, 5, 7, 9])
     def test_is_i_matches_grown_family(self, k):
-        found = {m for m in enumerate_matchings(k) if is_I(m)}
+        found = {m for m in enumerate_matchings(k) if is_I(m.partner())}
         assert found == generate_family("I", k)
 
     @pytest.mark.parametrize("k", range(2, 10))
@@ -435,15 +461,15 @@ class TestRecognizerOracles:
     @pytest.mark.parametrize("k", range(1, 9))
     def test_dihedral_invariance(self, k):
         for m in enumerate_matchings(k):
-            expected = is_I(m)
+            expected = is_I(m.partner())
             for image in [reflect(m)] + [
                 rotate(m, s) for s in range(1, 2 * k)
             ]:
-                assert is_I(image) == expected
+                assert is_I(image.partner()) == expected
 
     @pytest.mark.parametrize("k", [1, 3, 5, 7, 9, 11])
     def test_isolated_count_matches_pinned_table(self, k):
-        found = sum(is_I(m) for m in enumerate_matchings(k))
+        found = sum(is_I(m.partner()) for m in enumerate_matchings(k))
         assert found == ISOLATED_BY_K[k]
 
 
@@ -476,7 +502,11 @@ class TestWordGrowth:
     def test_degree_one_matches_insertion(self, k):
         assert generate_family("L", k) == reference_grown_family("L", k)
 
-    @pytest.mark.parametrize("variant, k", [("I", 9), ("L", 8), ("DB", 6)])
+    @pytest.mark.parametrize(
+        "variant, k",
+        [("I", 9), ("L", 8), ("DB", 6), ("DBD", 9), ("DBDL", 7), ("EDB", 8),
+         ("EDBL1", 8), ("EDBL2", 8), ("Ring", 6)],
+    )
     def test_size_counts_the_members(self, variant, k):
         assert family_size(variant, k) == len(generate_family(variant, k))
 

@@ -343,17 +343,26 @@ class TestOrbitLabels:
         assert reports_for(k) == reference_reports(k, graph_for(k).adjacent)
 
     def test_one_classify_call_per_orbit(self, monkeypatch):
-        calls = [0]
-        real = graph_module.classify
+        # One unrank and one classification per orbit; each component's
+        # representative is moved from its orbit's, not unranked again.
+        calls = Counter()
 
-        def counted(m):
-            calls[0] += 1
-            return real(m)
+        def counted(name):
+            real = getattr(graph_module, name)
+
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return call
 
         graph = build_graph(9)
-        monkeypatch.setattr(graph_module, "classify", counted)
-        components(graph)
-        assert calls[0] == max(graph.orbit) + 1 == 175
+        for name in ("classify_partner", "unrank"):
+            monkeypatch.setattr(graph_module, name, counted(name))
+        reports = components(graph)
+        assert len(reports) > 175
+        assert calls == {"classify_partner": 175, "unrank": 175}
+        assert max(graph.orbit) + 1 == 175
 
 
 # -- the quotient census against per-rank rows ------------------------------

@@ -27,6 +27,7 @@ from dcmatch.matching import (
     is_crossing,
     is_ring,
     parse_matching,
+    partner_word,
     permute,
     rank,
     reflect,
@@ -276,6 +277,17 @@ class TestWords:
     def test_word_partners_decodes_each_rank(self, k):
         for r, w in enumerate(words(k)):
             assert word_partners(w, k) == unrank(k, r), (k, r)
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_matching_word_at_each_rank(self, k):
+        for r, w in enumerate(words(k)):
+            assert from_partner(unrank(k, r)).word() == w, (k, r)
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_partner_word_inverts_word_partners(self, k):
+        for r, w in enumerate(words(k)):
+            assert partner_word(unrank(k, r)) == w, (k, r)
+            assert partner_word(word_partners(w, k)) == w, (k, r)
 
     def test_canonical_order_is_not_numeric_order(self):
         found = words(4)
