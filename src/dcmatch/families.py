@@ -34,7 +34,8 @@ matchings afresh on each call; ``family_size`` counts the words.
 Each strip family's table, built lazily per size, maps the Dyck word of
 every member to its smallest parameters: one maker call per ``(j, chi)``
 at ``z = 1``, then that word's rotations.  Classification encodes a
-matching's partner table as a word once and looks it up in each table.
+matching, or its partner table, as a word once and looks it up in the
+size's tables in precedence order.
 """
 
 from __future__ import annotations
