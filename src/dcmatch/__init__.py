@@ -2,21 +2,9 @@
 edges join disjoint compatible pairs, together with the structural census of
 that graph's components."""
 
-from .compat import (
-    are_disjoint_compatible,
-    flip,
-    flippable_partitions,
-    neighbors,
-    neighbors_bruteforce,
-)
+from .compat import flip, neighbors, neighbors_bruteforce
 from .counting import catalan, edge_series, growth_estimate, riordan
-from .dual_tree import (
-    EmbeddedTree,
-    embedding_code,
-    from_dual_tree,
-    rotationally_equivalent,
-    to_dual_tree,
-)
+from .dual_tree import EmbeddedTree, to_dual_tree
 from .families import classify, classify_with_witness, generate_family
 from .graph import (
     DcmGraph,
@@ -35,12 +23,9 @@ from .matching import (
     enumerate_matchings,
     insert,
     is_crossing,
-    is_ring,
     parse_matching,
     reflect,
-    remove,
     rotate,
-    skips,
     validate,
 )
 
@@ -50,7 +35,6 @@ __all__ = [
     "DcmGraph",
     "EmbeddedTree",
     "Matching",
-    "are_disjoint_compatible",
     "build_almost_perfect_graph",
     "build_graph",
     "catalan",
@@ -60,27 +44,20 @@ __all__ = [
     "configured_max_k",
     "degree_stats",
     "edge_series",
-    "embedding_code",
     "enumerate_matchings",
     "flip",
-    "flippable_partitions",
-    "from_dual_tree",
     "generate_family",
     "growth_estimate",
     "insert",
     "is_bipartite",
     "is_crossing",
-    "is_ring",
     "isomorphism_classes",
     "neighbors",
     "neighbors_bruteforce",
     "parse_matching",
     "reflect",
-    "remove",
     "riordan",
     "rotate",
-    "rotationally_equivalent",
-    "skips",
     "to_dot",
     "to_dual_tree",
     "validate",

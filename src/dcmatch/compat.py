@@ -4,8 +4,7 @@ Two matchings of the same point set are adjacent when they share no edge
 and no edge of one crosses an edge of the other.  Equivalently, their
 union splits into cycles that alternate between the two matchings, each
 cycle visiting its points in convex order, with the cycle supports
-mutually non-interleaved.  Both formulations are implemented and checked
-against each other.
+mutually non-interleaved.
 
 Every neighbor of M is reached by one *flip partition*: a partition of
 M's edges into groups of two or more, each group pairing up cyclically
@@ -18,15 +17,13 @@ The enumeration walks each group's chain of edges in support order and
 writes down the flipped pairs as it goes, memoised per closed run of
 points.  A chain is not extended past a run it skips or covers that has
 no partition of its own, so most dead branches end at a memo lookup.
-``neighbors`` and ``neighbor_partners`` read the pairs directly;
-``flippable_partitions`` recovers the groups from the alternating cycles.
+``neighbors`` and ``neighbor_partners`` read the pairs directly.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
 
@@ -40,63 +37,7 @@ from .matching import (
     is_crossing,
 )
 
-# -- adjacency predicate ----------------------------------------------------
-
-
-def _pairwise_compatible(m1: Matching, m2: Matching) -> bool:
-    if m1.k != m2.k:
-        return False
-    mine = set(m1.edges)
-    if any(e in mine for e in m2.edges):
-        return False
-    return all(
-        not is_crossing(e, f) for e in m1.edges for f in m2.edges
-    )
-
-
-def alternating_cycles(
-    m1: Matching, m2: Matching
-) -> list[tuple[int, ...]]:
-    """Cycles of the union of two edge-disjoint matchings.
-
-    Each cycle is reported from its smallest point, following the first
-    matching first.  Shared edges would give degenerate 2-cycles and are
-    rejected.
-    """
-    if m1.k != m2.k:
-        raise ValueError("matchings must have the same size")
-    if set(m1.edges) & set(m2.edges):
-        raise ValueError("matchings share an edge")
-    n = m1.n_points
-    p1, p2 = m1.partner(), m2.partner()
-    seen = [False] * (n + 1)
-    cycles = []
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        points = []
-        t, odd_step = start, True
-        while True:
-            points.append(t)
-            seen[t] = True
-            t = p1[t] if odd_step else p2[t]
-            odd_step = not odd_step
-            if t == start:
-                break
-        cycles.append(tuple(points))
-    return cycles
-
-
-def _is_cyclic_ordering(points: tuple[int, ...]) -> bool:
-    # True when the visiting order is a rotation of the sorted circular
-    # order, in either direction.
-    srt = sorted(points)
-    m = len(points)
-    for cand in (list(points), list(reversed(points))):
-        i = cand.index(srt[0])
-        if cand[i:] + cand[:i] == srt:
-            return True
-    return False
+# -- flips ------------------------------------------------------------------
 
 
 def _gap_index(support: list[int], t: int) -> int:
@@ -108,60 +49,6 @@ def _gap_index(support: list[int], t: int) -> int:
 def _single_gap(support: list[int], points: tuple[int, ...]) -> bool:
     gaps = {_gap_index(support, t) for t in points}
     return len(gaps) == 1
-
-
-def _cycle_compatible(m1: Matching, m2: Matching) -> bool:
-    if m1.k != m2.k:
-        return False
-    if set(m1.edges) & set(m2.edges):
-        return False
-    cycles = alternating_cycles(m1, m2)
-    if any(not _is_cyclic_ordering(c) for c in cycles):
-        return False
-    for a, b in combinations(cycles, 2):
-        if not _single_gap(sorted(a), b):
-            return False
-    return True
-
-
-def are_disjoint_compatible(m1: Matching, m2: Matching) -> bool:
-    """Whether the two matchings are adjacent.
-
-    Evaluated by the edge-pair test and by the alternating-cycle
-    characterization; a disagreement would be a bug and raises.
-    """
-    direct = _pairwise_compatible(m1, m2)
-    via_cycles = _cycle_compatible(m1, m2)
-    if direct != via_cycles:
-        raise AssertionError(
-            f"compatibility routes disagree on {m1} vs {m2}: "
-            f"pairwise={direct} cycles={via_cycles}"
-        )
-    return direct
-
-
-# -- flips ------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FlippableSet:
-    """A group of matching edges pairing consecutive support points."""
-
-    edges: tuple[Edge, ...]
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(chain.from_iterable(self.edges)))
-
-
-@dataclass(frozen=True)
-class FlippablePartition:
-    """All edges of a matching, grouped into simultaneously flippable sets."""
-
-    parts: tuple[FlippableSet, ...]
-
-    def __iter__(self):
-        return iter(self.parts)
 
 
 def _check_flippable(m: Matching, edges: tuple[Edge, ...]) -> str | None:
@@ -200,12 +87,13 @@ def _flip_edges(edges: tuple[Edge, ...]) -> list[Edge]:
     return out
 
 
-def flip(m: Matching, partition: FlippablePartition | list) -> Matching:
-    """Apply a full flip partition to ``m``, yielding one neighbor."""
-    parts = [
-        tuple(p.edges) if isinstance(p, FlippableSet) else canonical_edges(p)
-        for p in partition
-    ]
+def flip(m: Matching, groups: list[list[Edge]]) -> Matching:
+    """Apply a full flip partition to ``m``, yielding one neighbor.
+
+    ``groups`` lists the partition's edge groups; together they must hold
+    every edge of ``m`` once.
+    """
+    parts = [canonical_edges(g) for g in groups]
     claimed = [e for part in parts for e in part]
     if len(claimed) != len(set(claimed)):
         raise FlipError("flip groups overlap")
@@ -302,26 +190,6 @@ def _walk(p, memo, found, c, limit, prev, close, pairs, pieces, after) -> None:
 def _flips(p: list[int]) -> list[tuple]:
     # Flipped pairs of every flip partition of the matching p.
     return _interval(p, {}, 1, len(p) - 1)
-
-
-def flippable_partitions(m: Matching) -> list[FlippablePartition]:
-    """Every flip partition of ``m``, in support order.
-
-    The list is empty exactly when ``m`` is isolated; its length is the
-    degree of ``m`` in the compatibility graph.  Each partition is read
-    off the neighbor it flips to: a group is the edges of ``m`` on one
-    alternating cycle of the two matchings.
-    """
-    found = []
-    for pairs in _flips(m.partner()):
-        cycles = alternating_cycles(m, Matching(tuple(sorted(pairs))))
-        parts = sorted(
-            (FlippableSet(canonical_edges(zip(c[::2], c[1::2]))) for c in cycles),
-            key=lambda f: f.support,
-        )
-        found.append(FlippablePartition(tuple(parts)))
-    found.sort(key=lambda P: tuple(f.support for f in P.parts))
-    return found
 
 
 def neighbor_partners(p: list[int]) -> Iterator[list[int]]:

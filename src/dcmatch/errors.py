@@ -28,10 +28,6 @@ class FlipError(ValueError):
     """A proposed flip set or flip partition is not valid for the matching."""
 
 
-class TreeError(ValueError):
-    """An embedded tree object is malformed or inconsistent."""
-
-
 class DomainError(ValueError):
     """A counting formula was evaluated outside its range of validity."""
 

@@ -383,41 +383,6 @@ def reflect(m: Matching) -> Matching:
     return from_partner(permute(m.partner(), dihedral_permutations(n)[n]))
 
 
-def edge_kind(m: Matching, edge: Iterable[int]) -> str:
-    """Classify an edge of ``m`` as ``"boundary"`` or ``"diagonal"``.
-
-    Boundary edges join cyclically consecutive points, including (2k, 1).
-    """
-    a, b = sorted(edge)
-    if (a, b) not in m.edges:
-        raise LabelError(f"edge ({a}, {b}) is not in the matching")
-    n = m.n_points
-    if b - a == 1 or (a == 1 and b == n):
-        return "boundary"
-    return "diagonal"
-
-
-def skips(m: Matching) -> list[tuple[int, int]]:
-    """Cyclically consecutive point pairs not joined by an edge of ``m``."""
-    n = m.n_points
-    p = m.partner()
-    out = []
-    for i in range(1, n + 1):
-        nxt = i % n + 1
-        if p[i] != nxt:
-            out.append((i, nxt))
-    return out
-
-
-def is_ring(m: Matching) -> bool:
-    """Whether every edge is a boundary edge.
-
-    For each k >= 2 exactly two matchings qualify; for k = 1 the single
-    matching does.
-    """
-    return all(edge_kind(m, e) == "boundary" for e in m.edges)
-
-
 def insert(host: Matching, inner: Matching, gap: int) -> Matching:
     """Splice ``inner`` into ``host`` after the host point ``gap``.
 
@@ -436,33 +401,3 @@ def insert(host: Matching, inner: Matching, gap: int) -> Matching:
     ]
     placed = [(a + gap, b + gap) for a, b in inner.edges]
     return Matching(canonical_edges(shifted + placed))
-
-
-def remove(m: Matching, gap: int, size: int) -> tuple[Matching, Matching]:
-    """Undo :func:`insert`: split off the run of ``2*size`` points after ``gap``.
-
-    Returns ``(host, inner)`` with labels renumbered so that
-    ``insert(host, inner, gap)`` reproduces ``m``.  Raises
-    :class:`LabelError` if the window is not matched entirely within itself.
-    """
-    n = m.n_points
-    s2 = 2 * size
-    if size < 1 or gap < 0 or gap + s2 > n or n - s2 < 2:
-        raise ValueError(f"invalid window: gap={gap} size={size} for 2k={n}")
-    lo, hi = gap + 1, gap + s2
-    inner_edges = []
-    host_edges = []
-    for a, b in m.edges:
-        a_in = lo <= a <= hi
-        b_in = lo <= b <= hi
-        if a_in != b_in:
-            raise LabelError(f"edge ({a}, {b}) leaves the window {lo}..{hi}")
-        if a_in:
-            inner_edges.append((a - gap, b - gap))
-        else:
-            host_edges.append(
-                (a if a < lo else a - s2, b if b < lo else b - s2)
-            )
-    return Matching(canonical_edges(host_edges)), Matching(
-        canonical_edges(inner_edges)
-    )

@@ -1,4 +1,4 @@
-"""Adjacency predicate, flips, and flip-partition enumeration."""
+"""Adjacency, flips, and flip-partition enumeration."""
 
 from __future__ import annotations
 
@@ -9,16 +9,11 @@ from itertools import chain, combinations, product
 import pytest
 
 from dcmatch.compat import (
-    FlippablePartition,
-    FlippableSet,
     _check_flippable,
     _flip_edges,
     _pair_tables,
-    alternating_cycles,
-    are_disjoint_compatible,
     chord_tables,
     flip,
-    flippable_partitions,
     neighbor_partners,
     neighbors,
     neighbors_bruteforce,
@@ -46,26 +41,57 @@ RING4 = parse_matching("1-2,3-4,5-6,7-8")
 WIDE = parse_matching("1-2,3-8,4-5,6-7,9-10,11-12,13-16,14-15")
 
 
+def adjacent(a, b):
+    # Adjacency by the flip route, which the oracle tests check in full.
+    return b in neighbors(a)
+
+
+def alternating_cycles(m1, m2):
+    """Cycles of the union of two edge-disjoint matchings, each from its
+    smallest point, following the first matching first."""
+    p1, p2 = m1.partner(), m2.partner()
+    seen, cycles = set(), []
+    for start in range(1, len(p1)):
+        if start not in seen:
+            cycle, t = [], start
+            while not cycle or t != start:
+                cycle += [t, p1[t]]
+                t = p2[p1[t]]
+            seen.update(cycle)
+            cycles.append(tuple(cycle))
+    return cycles
+
+
+def flip_groups(m, x):
+    """The edges of ``m`` on each alternating cycle of ``m`` and ``x``,
+    sorted: the flip partition that takes ``m`` to ``x``."""
+    return sorted(
+        canonical_edges(zip(c[::2], c[1::2])) for c in alternating_cycles(m, x)
+    )
+
+
 class TestPredicate:
+    """Adjacency examples, read off the flip route."""
+
     def test_simple_pairs(self):
         a = parse_matching("1-2,3-4")
         b = parse_matching("1-4,2-3")
-        assert are_disjoint_compatible(a, b)
-        assert are_disjoint_compatible(b, a)
+        assert adjacent(a, b)
+        assert adjacent(b, a)
 
     def test_shared_edge_blocks(self):
         a = parse_matching("1-2,3-4,5-6")
         b = parse_matching("1-2,3-6,4-5")
-        assert not are_disjoint_compatible(a, b)
+        assert not adjacent(a, b)
 
     def test_self_incompatible(self):
-        assert not are_disjoint_compatible(RING4, RING4)
+        assert not adjacent(RING4, RING4)
 
     def test_crossing_blocks(self):
         a = parse_matching("1-2,3-6,4-5")
         b = parse_matching("1-6,2-5,3-4")
         # 3-6 and 2-5 cross
-        assert not are_disjoint_compatible(a, b)
+        assert not adjacent(a, b)
 
     def test_rings_are_adjacent(self):
         for k in (2, 3, 4, 5):
@@ -81,20 +107,13 @@ class TestPredicate:
                        for a, b in m.edges)
             ]
             assert len(r2) == 1
-            assert are_disjoint_compatible(r1, r2[0])
-
-    def test_size_mismatch(self):
-        assert not are_disjoint_compatible(
-            parse_matching("1-2"), parse_matching("1-2,3-4")
-        )
+            assert adjacent(r1, r2[0])
 
     @pytest.mark.parametrize("k", range(1, 5))
     def test_symmetry(self, k):
         ms = enumerate_matchings(k)
         for a, b in combinations(ms, 2):
-            assert are_disjoint_compatible(a, b) == are_disjoint_compatible(
-                b, a
-            )
+            assert adjacent(a, b) == adjacent(b, a)
 
 
 class TestCycles:
@@ -107,10 +126,6 @@ class TestCycles:
         a = RING4
         b = parse_matching("1-4,2-3,5-8,6-7")
         assert alternating_cycles(a, b) == [(1, 2, 3, 4), (5, 6, 7, 8)]
-
-    def test_shared_edges_rejected(self):
-        with pytest.raises(ValueError):
-            alternating_cycles(RING4, RING4)
 
     def test_cycle_points_partition_the_circle(self):
         a = parse_matching("1-2,3-6,4-5")
@@ -131,8 +146,8 @@ class TestFlippableSets:
 
     def test_far_pair_is_flippable_but_unextendable(self):
         assert is_flippable_set(RING4, [(1, 2), (5, 6)])
-        for part in (p for P in flippable_partitions(RING4) for p in P):
-            assert set(part.edges) != {(1, 2), (5, 6)}
+        for x in neighbors(RING4):
+            assert ((1, 2), (5, 6)) not in flip_groups(RING4, x)
 
     def test_singleton_rejected(self):
         assert not is_flippable_set(RING4, [(1, 2)])
@@ -144,11 +159,10 @@ class TestFlippableSets:
         assert not is_flippable_set(m, [(1, 6), (3, 4)])
 
     def test_wide_example(self):
-        group = [(1, 2), (3, 8), (13, 16)]
+        group = ((1, 2), (3, 8), (13, 16))
         assert is_flippable_set(WIDE, group)
-        for P in flippable_partitions(WIDE):
-            for part in P:
-                assert set(part.edges) != set(group)
+        for x in neighbors(WIDE):
+            assert group not in flip_groups(WIDE, x)
 
 
 class TestFlip:
@@ -178,18 +192,15 @@ class TestFlip:
 
     def test_flip_gives_a_neighbor(self):
         for m in enumerate_matchings(4):
-            for P in flippable_partitions(m):
-                out = flip(m, P)
+            for x in neighbors(m):
+                out = flip(m, flip_groups(m, x))
                 validate(out.edges)
-                assert are_disjoint_compatible(m, out)
+                assert out in neighbors_bruteforce(m)
 
 
 class TestPartitions:
     def test_ring4_partitions(self):
-        Ps = flippable_partitions(RING4)
-        shapes = [
-            tuple(tuple(part.edges) for part in P) for P in Ps
-        ]
+        shapes = sorted(tuple(flip_groups(RING4, x)) for x in neighbors(RING4))
         assert shapes == [
             (((1, 2), (3, 4)), ((5, 6), (7, 8))),
             (((1, 2), (3, 4), (5, 6), (7, 8)),),
@@ -198,40 +209,26 @@ class TestPartitions:
 
     def test_unique_neighbor_example(self):
         m = parse_matching("1-8,2-3,4-7,5-6")
-        Ps = flippable_partitions(m)
-        assert len(Ps) == 1
-        assert str(flip(m, Ps[0])) == "1-2,3-8,4-5,6-7"
-        assert neighbors(m) == {parse_matching("1-2,3-8,4-5,6-7")}
+        x = parse_matching("1-2,3-8,4-5,6-7")
+        assert neighbors(m) == {x}
+        assert flip(m, flip_groups(m, x)) == x
 
     def test_isolated_matchings(self):
-        assert flippable_partitions(parse_matching("1-2")) == []
-        assert flippable_partitions(parse_matching("1-6,2-5,3-4")) == []
+        assert neighbors(parse_matching("1-2")) == set()
         assert neighbors(parse_matching("1-6,2-5,3-4")) == set()
 
     def test_partition_count_equals_neighbor_count(self):
-        # Distinct partitions flip to distinct neighbors, and to all of
-        # them.  flip re-checks each group on its own and the groups'
-        # hulls pairwise; the brute-force scan shares no code with the
-        # enumeration.
+        # Every brute-force neighbor is the flip of the edges of m on its
+        # alternating cycles, one group per cycle, and there are as many
+        # as flip partitions.  flip re-checks each group on its own and
+        # the groups' hulls pairwise; the brute-force scan shares no code
+        # with the enumeration.
         for k in range(1, 7):
             for m in enumerate_matchings(k):
-                Ps = flippable_partitions(m)
-                flipped = [flip(m, P) for P in Ps]
-                assert len(set(flipped)) == len(Ps)
-                assert set(flipped) == neighbors_bruteforce(m)
-                for P, x in zip(Ps, flipped):
-                    # Each group is the edges of m on one alternating cycle.
-                    on_cycles = sorted(
-                        tuple(e for e in m.edges if e[0] in set(c))
-                        for c in alternating_cycles(m, x)
-                    )
-                    assert sorted(part.edges for part in P) == on_cycles
-
-    def test_structured_types(self):
-        P = flippable_partitions(RING4)[0]
-        assert isinstance(P, FlippablePartition)
-        assert all(isinstance(part, FlippableSet) for part in P)
-        assert P.parts[0].support == (1, 2, 3, 4)
+                around = neighbors_bruteforce(m)
+                assert len(around) == len(neighbors(m))
+                for x in around:
+                    assert flip(m, flip_groups(m, x)) == x
 
 
 class TestOracleAgreement:
@@ -239,14 +236,6 @@ class TestOracleAgreement:
     def test_neighbors_match_bruteforce(self, k):
         for m in enumerate_matchings(k):
             assert neighbors(m) == neighbors_bruteforce(m)
-
-    def test_bruteforce_matches_predicate(self):
-        ms = enumerate_matchings(4)
-        for m in ms:
-            expected = {
-                m2 for m2 in ms if are_disjoint_compatible(m, m2)
-            }
-            assert neighbors_bruteforce(m) == expected
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_bruteforce_matches_edge_predicate(self, k):

@@ -6,20 +6,43 @@ import pytest
 
 from dcmatch.dual_tree import (
     EmbeddedTree,
-    embedding_code,
     find_antiblocks,
     find_blocks,
-    from_dual_tree,
-    rotationally_equivalent,
     to_dual_tree,
 )
-from dcmatch.errors import TreeError
 from dcmatch.matching import (
-    edge_kind,
     enumerate_matchings,
     parse_matching,
     rotate,
+    validate,
 )
+
+
+def traverse(tree):
+    """Chord sides in double-traversal order: cross the marked chord, then
+    always the chord after the one just crossed in the entered face."""
+    faces = tree.edge_faces()
+    succ = {
+        (e, v): ring[(i + 1) % len(ring)]
+        for v, ring in tree.phi.items()
+        for i, e in enumerate(ring)
+    }
+    sides = [tree.marked]
+    while len(sides) < 2 * tree.k:
+        edge, face = sides[-1]
+        edge = succ[edge, face]
+        a, b = faces[edge]
+        sides.append((edge, b if a == face else a))
+    return sides
+
+
+def from_dual_tree(tree):
+    """Number the sides 1..2k in traversal order; each chord's two
+    numbers are its endpoints."""
+    ends = {}
+    for t, (e, _) in enumerate(traverse(tree), 1):
+        ends.setdefault(e, []).append(t)
+    return validate(ends.values())
 
 
 class TestToDualTree:
@@ -62,7 +85,7 @@ class TestToDualTree:
         for k in (2, 3, 4, 5):
             for m in enumerate_matchings(k):
                 boundary = sum(
-                    1 for e in m.edges if edge_kind(m, e) == "boundary"
+                    b - a == 1 or (a, b) == (1, 2 * k) for a, b in m.edges
                 )
                 assert len(to_dual_tree(m).leaves()) == boundary
 
@@ -71,7 +94,10 @@ class TestFromDualTree:
     @pytest.mark.parametrize("k", range(1, 7))
     def test_round_trip(self, k):
         for m in enumerate_matchings(k):
-            assert from_dual_tree(to_dual_tree(m)) == m
+            t = to_dual_tree(m)
+            assert from_dual_tree(t) == m
+            numbered = {side: i for i, side in enumerate(traverse(t), 1)}
+            assert t.side_labels == numbered
 
     def test_remarking_rotates_the_matching(self):
         # Moving the mark to the side labeled s yields the matching with
@@ -82,77 +108,6 @@ class TestFromDualTree:
             for s in range(1, 7):
                 remarked = EmbeddedTree(t.k, t.vertices, t.phi, {}, by_label[s])
                 assert from_dual_tree(remarked) == rotate(m, 1 - s)
-
-    def test_missing_mark_rejected(self):
-        t = to_dual_tree(parse_matching("1-2,3-4"))
-        bare = EmbeddedTree(t.k, t.vertices, t.phi, {}, None)
-        with pytest.raises(TreeError):
-            from_dual_tree(bare)
-
-    def test_inconsistent_side_labels_rejected(self):
-        t = to_dual_tree(parse_matching("1-2,3-4"))
-        swapped = dict(t.side_labels)
-        ((e1, f1), (e2, f2)) = list(swapped)[:2]
-        swapped[(e1, f1)], swapped[(e2, f2)] = (
-            swapped[(e2, f2)],
-            swapped[(e1, f1)],
-        )
-        bad = EmbeddedTree(t.k, t.vertices, t.phi, swapped, t.marked)
-        with pytest.raises(TreeError):
-            from_dual_tree(bad)
-
-
-class TestTreeChecks:
-    """Structure checks that ``from_dual_tree`` runs before it walks."""
-
-    MARK = ((1, 2), 1)
-
-    def test_malformed_rejected(self):
-        t = to_dual_tree(parse_matching("1-2,3-4"))
-        short = EmbeddedTree(t.k, (1, 2), t.phi, {}, self.MARK)
-        with pytest.raises(TreeError, match="phi keys"):
-            from_dual_tree(short)
-
-    def test_disconnected_phi_rejected(self):
-        # Two chords borrowing the same face pair would make a cycle.
-        phi = {1: ((1, 2), (3, 4)), 2: ((1, 2), (3, 4)), 3: ()}
-        bad = EmbeddedTree(2, (1, 2, 3), phi, {}, self.MARK)
-        with pytest.raises(TreeError, match="not connected"):
-            from_dual_tree(bad)
-
-
-class TestEmbeddingCode:
-    def test_rotations_share_a_code(self):
-        m = parse_matching("1-2,3-6,4-5")
-        codes = {
-            embedding_code(to_dual_tree(rotate(m, s))) for s in range(6)
-        }
-        assert len(codes) == 1
-
-    def test_code_count_equals_rotation_orbit_count(self):
-        for k in range(1, 6):
-            ms = enumerate_matchings(k)
-            orbits = {
-                frozenset(rotate(m, s) for s in range(2 * k)) for m in ms
-            }
-            codes = {embedding_code(to_dual_tree(m)) for m in ms}
-            assert len(codes) == len(orbits), f"k={k}"
-        # k = 5: the two rings form one orbit of size 2, the remaining 40
-        # matchings fall into four orbits of size 10.
-        assert len(orbits) == 6
-
-    @pytest.mark.parametrize("k", range(1, 5))
-    def test_equivalence_routes_agree(self, k):
-        ms = enumerate_matchings(k)
-        for m1 in ms:
-            for m2 in ms:
-                expected = any(rotate(m1, s) == m2 for s in range(2 * k))
-                assert rotationally_equivalent(m1, m2) == expected
-
-    def test_different_sizes(self):
-        assert not rotationally_equivalent(
-            parse_matching("1-2"), parse_matching("1-2,3-4")
-        )
 
 
 class TestBlocksAndAntiblocks:

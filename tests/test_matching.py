@@ -20,20 +20,16 @@ from dcmatch.matching import (
     Matching,
     canonical_edges,
     dihedral_permutations,
-    edge_kind,
     enumerate_matchings,
     from_partner,
     insert,
     is_crossing,
-    is_ring,
     parse_matching,
     partner_word,
     permute,
     rank,
     reflect,
-    remove,
     rotate,
-    skips,
     unrank,
     validate,
     word_partners,
@@ -323,43 +319,6 @@ class TestSymmetries:
                 assert image == rotate(reflect(m), s) == self.expected(m, s, True)
 
 
-class TestEdgeKinds:
-    def test_boundary_and_diagonal(self):
-        m = parse_matching("1-8,2-3,4-7,5-6")
-        assert edge_kind(m, (2, 3)) == "boundary"
-        assert edge_kind(m, (5, 6)) == "boundary"
-        assert edge_kind(m, (1, 8)) == "boundary"
-        assert edge_kind(m, (4, 7)) == "diagonal"
-
-    def test_wrap_edge_is_boundary(self):
-        m = parse_matching("1-6,2-3,4-5")
-        assert edge_kind(m, (1, 6)) == "boundary"
-
-    def test_missing_edge_rejected(self):
-        m = parse_matching("1-2,3-4")
-        with pytest.raises(LabelError):
-            edge_kind(m, (1, 4))
-
-    def test_skips_of_ring(self):
-        m = parse_matching("1-2,3-4,5-6,7-8")
-        assert skips(m) == [(2, 3), (4, 5), (6, 7), (8, 1)]
-
-    def test_skips_count(self):
-        # Every boundary edge removes exactly one consecutive pair, so
-        # #skips = 2k - #boundary edges, minimized exactly by the rings.
-        for m in enumerate_matchings(4):
-            boundary = sum(1 for e in m.edges if edge_kind(m, e) == "boundary")
-            assert len(skips(m)) == 8 - boundary
-            assert (len(skips(m)) == 4) == is_ring(m)
-
-    def test_rings(self):
-        assert is_ring(parse_matching("1-2,3-4,5-6"))
-        assert is_ring(parse_matching("1-6,2-3,4-5"))
-        assert not is_ring(parse_matching("1-6,2-5,3-4"))
-        rings = [m for m in enumerate_matchings(4) if is_ring(m)]
-        assert [str(m) for m in rings] == ["1-2,3-4,5-6,7-8", "1-8,2-3,4-5,6-7"]
-
-
 class TestInsertRemove:
     def test_insert_examples(self):
         host = parse_matching("1-2")
@@ -380,21 +339,18 @@ class TestInsertRemove:
             insert(host, inner, -1)
 
     def test_remove_inverts_insert(self):
+        # The window gap+1..gap+4 is matched within itself and holds
+        # inner shifted by gap; the points outside it, renumbered in
+        # order, hold the host.
         for host in enumerate_matchings(3):
             for inner in enumerate_matchings(2):
                 for gap in range(0, 7):
-                    whole = insert(host, inner, gap)
-                    back_host, back_inner = remove(whole, gap, 2)
-                    assert back_host == host
-                    assert back_inner == inner
-
-    def test_remove_rejects_cut_edges(self):
-        m = parse_matching("1-6,2-5,3-4")
-        with pytest.raises(LabelError):
-            remove(m, 1, 1)
-        host, inner = remove(m, 2, 1)
-        assert str(host) == "1-4,2-3"
-        assert str(inner) == "1-2"
+                    p = insert(host, inner, gap).partner()
+                    window = range(gap + 1, gap + 5)
+                    assert [p[t] - gap for t in window] == inner.partner()[1:]
+                    outside = [t for t in range(1, 11) if t not in window]
+                    at = {t: i for i, t in enumerate(outside, 1)}
+                    assert [at[p[t]] for t in outside] == host.partner()[1:]
 
     @given(matchings_strategy(4), matchings_strategy(3), st.integers(0, 8))
     def test_insert_always_valid(self, host, inner, gap):
