@@ -34,6 +34,7 @@ from .matching import (
     canonical_edges,
     check_size,
     enumerate_matchings,
+    from_partner,
     is_crossing,
 )
 
@@ -76,15 +77,18 @@ def _check_flippable(m: Matching, edges: tuple[Edge, ...]) -> str | None:
     return None
 
 
-def _flip_edges(edges: tuple[Edge, ...]) -> list[Edge]:
-    # Shift the pairing of consecutive support points to the other one.
-    s = sorted(chain.from_iterable(edges))
-    if (s[0], s[1]) in set(edges):
-        out = [(s[i], s[i + 1]) for i in range(1, len(s) - 1, 2)]
-        out.append((s[0], s[-1]))
-    else:
-        out = [(s[i], s[i + 1]) for i in range(0, len(s), 2)]
-    return out
+def flip_group(p: list[int], support: list[int]) -> None:
+    """Flip one flippable group of the matching ``p`` in place.
+
+    ``support`` lists the group's points in ascending order.  The group
+    pairs consecutive support points one way round the circle; the flip
+    pairs them the other way.
+    """
+    s = support
+    if p[s[0]] == s[1]:
+        s = s[1:] + s[:1]
+    for a, b in zip(s[::2], s[1::2]):
+        p[a], p[b] = b, a
 
 
 def flip(m: Matching, groups: list[list[Edge]]) -> Matching:
@@ -112,8 +116,10 @@ def flip(m: Matching, groups: list[list[Edge]]) -> Matching:
             raise FlipError(
                 f"group hulls interleave: supports {sa} and {sb}"
             )
-    flipped = [e for part in parts for e in _flip_edges(part)]
-    return Matching(canonical_edges(flipped))
+    p = m.partner()
+    for support in supports:
+        flip_group(p, support)
+    return from_partner(p)
 
 
 # -- partition enumeration --------------------------------------------------

@@ -8,6 +8,9 @@ followed by a horizontal edge (two points on one row, recorded as ``+``
 for upper and ``-`` for lower).  The first element is ``+``, the last
 ``-``, and the free middle signs form the family parameter ``chi``.
 The start label ``z`` only rotates the drawing, by ``z - 1`` steps.
+A drawing lists integer edge ids on each row: element i has the vertical
+id 2i and the horizontal id 2i + 1, and ids past the elements are the
+extra edges of a family.  Labelling its points gives a partner table.
 
 Families:
 
@@ -23,6 +26,9 @@ Families:
 * even path members (``make_edb``): elements plus an extra horizontal
   pair next to the j-th element and its twin on the opposite row; their
   leaves (``make_edbl1``, ``make_edbl2``) arise by one flip.
+
+A leaf maker flips its center's partner table in place, one group of
+ids at a time (``compat.flip_group``).
 
 The two grown families are kept per size as sets of Dyck words
 (``matching.words``).  Splicing the block before point 1 puts the word
@@ -40,12 +46,10 @@ size's tables in precedence order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError
 from .matching import (
-    Edge,
     Matching,
     from_partner,
     partner_word,
@@ -53,7 +57,7 @@ from .matching import (
     word_partners,
     word_rotations,
 )
-from .compat import flip
+from .compat import flip_group
 
 LABEL_ISOLATED = "Isolated-I"
 LABEL_PAIR = "Pair-DB"
@@ -86,28 +90,7 @@ def chi_conjugate(chi: str) -> str:
     return "".join("+" if c == "-" else "-" for c in reversed(chi))
 
 
-# -- strip layouts ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StripLayout:
-    """A matching built on the two-row strip, with its edges by role."""
-
-    matching: Matching
-    d: tuple[Edge, ...]
-    b: tuple[Edge, ...]
-    e: Edge | None = None
-    e2: Edge | None = None
-
-
-def _element_signs(count: int, chi: str) -> list[str]:
-    # First element +, last element -, chi fills the middle; with a single
-    # element the trailing - wins.
-    signs = ["+"] * count
-    signs[-1] = "-"
-    for i, c in enumerate(chi):
-        signs[1 + i] = c
-    return signs
+# -- strip drawings ---------------------------------------------------------
 
 
 def _chi_len(elements: int) -> int:
@@ -119,48 +102,53 @@ def _check_z(z: int, n: int) -> None:
         raise ValueError(f"start label must be in 1..{n}, got {z}")
 
 
-class _Strip:
-    """Accumulates rows of point keys, then labels them clockwise."""
-
-    def __init__(self) -> None:
-        self.upper: list[str] = []
-        self.lower: list[str] = []
-
-    def row(self, sign: str) -> list[str]:
-        return self.upper if sign == "+" else self.lower
-
-    def labels(self, z: int) -> dict[str, int]:
-        n = len(self.upper) + len(self.lower)
-        _check_z(z, n)
-        out = {}
-        cur = z
-        for key in self.upper + list(reversed(self.lower)):
-            out[key] = cur
-            cur = cur % n + 1
-        return out
+def _rows(count: int, chi: str) -> tuple[list[int], list[int]]:
+    # The upper and lower rows of the elements, left to right: each
+    # vertical id once per row, each horizontal id twice on its sign's row.
+    # The first element is +, the last -, and chi fills the middle; a
+    # single element is -.
+    _check_chi(chi, _chi_len(count))
+    upper: list[int] = []
+    lower: list[int] = []
+    for i, sign in enumerate(("+" + chi + "-")[-count:]):
+        upper.append(2 * i)
+        lower.append(2 * i)
+        (upper if sign == "+" else lower).extend((2 * i + 1, 2 * i + 1))
+    return upper, lower
 
 
-def _edge(labels: dict[str, int], a: str, b: str) -> Edge:
-    x, y = labels[a], labels[b]
-    return (x, y) if x < y else (y, x)
+def _draw(
+    upper: list[int], lower: list[int], z: int
+) -> tuple[list[int], list[list[int]]]:
+    """Partner table of a strip drawing, and the two points of each id.
+
+    Points are labelled clockwise from ``z``: the upper row left to
+    right, then the lower row right to left.
+    """
+    order = upper + lower[::-1]
+    n = len(order)
+    _check_z(z, n)
+    ends: list[list[int]] = [[] for _ in range(n // 2)]
+    for t, e in enumerate(order, z - 1):
+        ends[e].append(t % n + 1)
+    p = [0] * (n + 1)
+    for a, b in ends:
+        p[a], p[b] = b, a
+    return p, ends
 
 
-def make_db(k: int, chi: str, z: int) -> StripLayout:
+def _leaf(p: list[int], ends: list[list[int]], groups: list[tuple]) -> Matching:
+    # Flip each group of ids of the drawing in place.
+    for group in groups:
+        flip_group(p, sorted(t for e in group for t in ends[e]))
+    return validate(from_partner(p).edges)
+
+
+def make_db(k: int, chi: str, z: int) -> Matching:
     """Element-only strip matching on 2k points (k even)."""
     if k < 2 or k % 2:
         raise DomainError(f"paired strip matchings need even k >= 2, got {k}")
-    count = k // 2
-    _check_chi(chi, _chi_len(count))
-    signs = _element_signs(count, chi)
-    strip = _Strip()
-    for i, sign in enumerate(signs, start=1):
-        strip.upper.append(f"d{i}u")
-        strip.lower.append(f"d{i}l")
-        strip.row(sign).extend([f"b{i}a", f"b{i}b"])
-    labels = strip.labels(z)
-    d = tuple(_edge(labels, f"d{i}u", f"d{i}l") for i in range(1, count + 1))
-    b = tuple(_edge(labels, f"b{i}a", f"b{i}b") for i in range(1, count + 1))
-    return StripLayout(validate(d + b), d, b)
+    return validate(_draw(*_rows(k // 2, chi), z)[1])
 
 
 def db_partner(k: int, chi: str, z: int) -> tuple[str, int]:
@@ -173,108 +161,89 @@ def db_partner(k: int, chi: str, z: int) -> tuple[str, int]:
     """
     if k < 2 or k % 2:
         raise DomainError(f"paired strip matchings need even k >= 2, got {k}")
-    _check_chi(chi, _chi_len(k // 2))
+    upper, lower = _rows(k // 2, chi)
     _check_z(z, 2 * k)
-    signs = _element_signs(k // 2, chi)
-    delta = signs.count("+") - signs.count("-")
+    delta = (len(upper) - len(lower)) // 2
     z2 = (z + k + delta - 1) % (2 * k) + 1
     return chi_conjugate(chi), z2
 
 
-def make_dbd(k: int, chi: str, z: int) -> StripLayout:
+def _dbd(k: int, chi: str, z: int) -> tuple[list[int], list[list[int]]]:
+    # The elements, then a trailing vertical edge.
+    if k < 3 or k % 2 == 0:
+        raise DomainError(f"odd star centers need odd k >= 3, got {k}")
+    count = (k - 1) // 2
+    upper, lower = _rows(count, chi)
+    return _draw(upper + [2 * count], lower + [2 * count], z)
+
+
+def make_dbd(k: int, chi: str, z: int) -> Matching:
     """Strip matching with a trailing vertical edge, on 2k points (k odd).
 
     For k >= 5 each such matching arises from exactly two parameter
     choices, linked the same way as paired matchings.
     """
-    if k < 3 or k % 2 == 0:
-        raise DomainError(f"odd star centers need odd k >= 3, got {k}")
-    count = (k + 1) // 2 - 1
-    _check_chi(chi, _chi_len(count))
-    signs = _element_signs(count, chi)
-    strip = _Strip()
-    for i, sign in enumerate(signs, start=1):
-        strip.upper.append(f"d{i}u")
-        strip.lower.append(f"d{i}l")
-        strip.row(sign).extend([f"b{i}a", f"b{i}b"])
-    last = count + 1
-    strip.upper.append(f"d{last}u")
-    strip.lower.append(f"d{last}l")
-    labels = strip.labels(z)
-    d = tuple(_edge(labels, f"d{i}u", f"d{i}l") for i in range(1, last + 1))
-    b = tuple(_edge(labels, f"b{i}a", f"b{i}b") for i in range(1, count + 1))
-    return StripLayout(validate(d + b), d, b)
+    return validate(_dbd(k, chi, z)[1])
 
 
-def make_edb(k: int, j: int, chi: str, z: int) -> StripLayout:
+def _edb(k: int, j: int, chi: str, z: int) -> tuple[list[int], list[list[int]]]:
+    # The elements, with the extra pair e (id 2 * count) and its twin e2
+    # (the next id) after the j-th vertical edge, e on the j-th element's row.
+    if k < 4 or k % 2:
+        raise DomainError(f"even path members need even k >= 4, got {k}")
+    count = k // 2 - 1
+    if not 1 <= j <= count:
+        raise DomainError(f"j must be in 1..{count}, got {j}")
+    upper, lower = _rows(count, chi)
+    twins = (upper, lower) if 2 * j - 1 in upper else (lower, upper)
+    for row, extra in zip(twins, (2 * count, 2 * count + 1)):
+        at = row.index(2 * j - 2) + 1
+        row[at:at] = (extra, extra)
+    return _draw(upper, lower, z)
+
+
+def make_edb(k: int, j: int, chi: str, z: int) -> Matching:
     """Strip matching with an extra horizontal pair at element j (k even).
 
     The extra pair ``e`` sits immediately left of the j-th horizontal
     edge on its row; its twin ``e2`` sits on the other row immediately
     right of the j-th vertical edge.
     """
-    if k < 4 or k % 2:
-        raise DomainError(f"even path members need even k >= 4, got {k}")
-    count = k // 2 - 1
-    if not 1 <= j <= count:
-        raise DomainError(f"j must be in 1..{count}, got {j}")
-    _check_chi(chi, _chi_len(count))
-    signs = _element_signs(count, chi)
-    strip = _Strip()
-    opposite = {"+": "-", "-": "+"}
-    for i, sign in enumerate(signs, start=1):
-        strip.upper.append(f"d{i}u")
-        strip.lower.append(f"d{i}l")
-        if i == j:
-            strip.row(opposite[sign]).extend(["e2a", "e2b"])
-            strip.row(sign).extend(["ea", "eb"])
-        strip.row(sign).extend([f"b{i}a", f"b{i}b"])
-    labels = strip.labels(z)
-    d = tuple(_edge(labels, f"d{i}u", f"d{i}l") for i in range(1, count + 1))
-    b = tuple(_edge(labels, f"b{i}a", f"b{i}b") for i in range(1, count + 1))
-    e = _edge(labels, "ea", "eb")
-    e2 = _edge(labels, "e2a", "e2b")
-    return StripLayout(validate(d + b + (e, e2)), d, b, e, e2)
+    return validate(_edb(k, j, chi, z)[1])
 
 
 def make_dbdl(k: int, j: int, chi: str, z: int) -> Matching:
     """Leaf attached to the odd star center: one flip of ``make_dbd``."""
-    layout = make_dbd(k, chi, z)
-    count = len(layout.b)
+    p, ends = _dbd(k, chi, z)
+    count = len(ends) // 2
     if not 1 <= j <= count:
         raise DomainError(f"j must be in 1..{count}, got {j}")
-    parts = [[layout.d[i], layout.b[i]] for i in range(j - 1)]
-    parts.append([layout.d[j - 1], layout.b[j - 1], layout.d[j]])
-    parts.extend(
-        [layout.b[i], layout.d[i + 1]] for i in range(j, count)
-    )
-    return flip(layout.matching, parts)
+    # Elements before the j-th flip with their own vertical edge, the j-th
+    # with both of its neighbours, later ones with the vertical on the right.
+    groups = [(2 * i, 2 * i + 1) for i in range(j - 1)]
+    groups.append((2 * j - 2, 2 * j - 1, 2 * j))
+    groups += [(2 * i + 1, 2 * i + 2) for i in range(j, count)]
+    return _leaf(p, ends, groups)
+
+
+def _edb_leaf(k: int, j: int, chi: str, z: int, twin: int) -> Matching:
+    # Elements other than the j-th flip with their own vertical edge; the
+    # j-th element's two edges each flip with one of e and e2.
+    p, ends = _edb(k, j, chi, z)
+    e = len(ends) - 2
+    groups = [(2 * i, 2 * i + 1) for i in range(e // 2) if i != j - 1]
+    groups += [(2 * j - 2, e + twin), (2 * j - 1, e + 1 - twin)]
+    return _leaf(p, ends, groups)
 
 
 def make_edbl1(k: int, j: int, chi: str, z: int) -> Matching:
     """First leaf hanging off ``make_edb(k, j, chi, z)``."""
-    layout = make_edb(k, j, chi, z)
-    parts = [
-        [layout.d[i], layout.b[i]]
-        for i in range(len(layout.d))
-        if i != j - 1
-    ]
-    parts.append([layout.d[j - 1], layout.e2])
-    parts.append([layout.b[j - 1], layout.e])
-    return flip(layout.matching, parts)
+    return _edb_leaf(k, j, chi, z, 1)
 
 
 def make_edbl2(k: int, j: int, chi: str, z: int) -> Matching:
     """Second leaf hanging off ``make_edb(k, j, chi, z)``."""
-    layout = make_edb(k, j, chi, z)
-    parts = [
-        [layout.d[i], layout.b[i]]
-        for i in range(len(layout.d))
-        if i != j - 1
-    ]
-    parts.append([layout.d[j - 1], layout.e])
-    parts.append([layout.b[j - 1], layout.e2])
-    return flip(layout.matching, parts)
+    return _edb_leaf(k, j, chi, z, 0)
 
 
 # -- rings and recursively detected families --------------------------------
@@ -367,18 +336,16 @@ def _family_words(variant: str, k: int) -> frozenset[int] | dict[int, tuple]:
 def _strip_family(variant: str, k: int) -> dict[int, tuple]:
     """The Dyck words of all members of a strip-built family, mapped to
     their smallest parameter tuples."""
-    half, odd_half = k // 2, (k + 1) // 2 - 1
     makers = {
-        "DB": (half, lambda chi: make_db(k, chi, 1).matching),
-        "DBD": (odd_half, lambda chi: make_dbd(k, chi, 1).matching),
-        "DBDL": (odd_half, lambda j, chi: make_dbdl(k, j, chi, 1)),
-        "EDB": (half - 1, lambda j, chi: make_edb(k, j, chi, 1).matching),
-        "EDBL1": (half - 1, lambda j, chi: make_edbl1(k, j, chi, 1)),
-        "EDBL2": (half - 1, lambda j, chi: make_edbl2(k, j, chi, 1)),
+        "DB": make_db, "DBD": make_dbd, "DBDL": make_dbdl,
+        "EDB": make_edb, "EDBL1": make_edbl1, "EDBL2": make_edbl2,
     }
     if variant not in makers:
         raise ValueError(f"unknown strip family {variant!r}")
-    count, make = makers[variant]
+    make = makers[variant]
+    # Path members have one element fewer than pairs and odd stars; at a
+    # size without the family the maker raises before the count matters.
+    count = k // 2 - 1 if variant.startswith("E") else k // 2
     # Witnesses are (chi, z), or (j, chi, z) where the maker takes j; z is
     # a rotation by z - 1.  Parameters ascend, so the first one kept for a
     # word is its smallest.  j = 1 is always tried, so at a size without
@@ -389,7 +356,7 @@ def _strip_family(variant: str, k: int) -> dict[int, tuple]:
     out: dict[int, tuple] = {}
     for j in js:
         for chi in _all_chi(_chi_len(count)):
-            p = make(*j, chi).partner()
+            p = make(k, *j, chi, 1).partner()
             for z, w in enumerate(word_rotations(partner_word(p), p), 1):
                 out.setdefault(w, (*j, chi, z))
     return out
@@ -433,28 +400,23 @@ def _strip_tables(k: int) -> tuple[tuple[str, dict[int, tuple]], ...]:
     )
 
 
-def _strip_witness(k: int, w: int) -> tuple[str, tuple | None]:
-    # Label and parameters from the first size-k table holding word w.
-    for label, table in _strip_tables(k):
+def classify_partner(p: list[int]) -> tuple[str, tuple | None]:
+    """Family label of the matching with partner table ``p``, with strip
+    parameters when known: the first size-k table, in precedence order,
+    that holds its Dyck word."""
+    if is_I(p):
+        return LABEL_ISOLATED, None
+    w = partner_word(p)
+    for label, table in _strip_tables(len(p) // 2):
         witness = table.get(w)
         if witness is not None:
             return label, witness
     return LABEL_REGULAR, None
 
 
-def classify_partner(p: list[int]) -> tuple[str, tuple | None]:
-    """Family label of the matching with partner table ``p``, with strip
-    parameters when known, as :func:`classify_with_witness` gives."""
-    if is_I(p):
-        return LABEL_ISOLATED, None
-    return _strip_witness(len(p) // 2, partner_word(p))
-
-
 def classify_with_witness(m: Matching) -> tuple[str, tuple | None]:
     """Family label of a matching, with strip parameters when known."""
-    if m.k % 2 and is_I(m.partner()):
-        return LABEL_ISOLATED, None
-    return _strip_witness(m.k, m.word())
+    return classify_partner(m.partner())
 
 
 def classify(m: Matching) -> str:

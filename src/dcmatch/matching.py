@@ -93,12 +93,6 @@ class Matching:
             p[b] = a
         return p
 
-    def word(self) -> int:
-        """Dyck word, as :func:`words` lists it: bit t, counted from the
-        top, is set when point t opens a chord."""
-        n = 2 * len(self.edges)
-        return sum([1 << n - a for a, _ in self.edges])
-
     def to_string(self) -> str:
         return format_edges(self.edges)
 

@@ -189,6 +189,23 @@ class TestClassify:
         assert code == 0
         assert json.loads(out)["witness"] == [1, "", 2]
 
+    @pytest.mark.parametrize(
+        "k, matching, line",
+        [
+            ("7", "1-14,2-5,3-4,6-7,8-9,10-13,11-12",
+             'Medium-DBDL j=2 chi="+" z=3'),
+            ("8", "1-2,3-16,4-13,5-10,6-9,7-8,11-12,14-15",
+             'Medium-EDBL j=3 chi="-" z=1'),
+            ("6", "1-4,2-3,5-8,6-7,9-10,11-12", 'Medium-EDBL j=1 chi="" z=4'),
+        ],
+    )
+    def test_leaf_witness(self, capsys, k, matching, line):
+        code, out, _ = run(
+            "classify", "--k", k, "--matching", matching, capsys=capsys
+        )
+        assert code == 0
+        assert out == line + "\n"
+
     def test_json_witness_null_for_regular(self, capsys):
         code, out, _ = run(
             "classify", "--k", "5", "--matching", "1-2,3-4,5-6,7-8,9-10",

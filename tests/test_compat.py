@@ -10,10 +10,10 @@ import pytest
 
 from dcmatch.compat import (
     _check_flippable,
-    _flip_edges,
     _pair_tables,
     chord_tables,
     flip,
+    flip_group,
     neighbor_partners,
     neighbors,
     neighbors_bruteforce,
@@ -363,11 +363,9 @@ def reference_partners(p):
     n = len(p) - 1
     found = set()
     for raw in interval(1, n):
-        q = [0] * (n + 1)
+        q = list(p)
         for group in raw:
-            for a, b in _flip_edges(group):
-                q[a] = b
-                q[b] = a
+            flip_group(q, sorted(chain.from_iterable(group)))
         found.add(tuple(q))
     return found
 

@@ -93,10 +93,10 @@ def reference_strip_family(variant, k):
     """Every member of a strip family, from one maker call per start
     label and parameters, mapped to its smallest parameter tuple."""
     makers = {
-        "DB": (k // 2, lambda chi, z: make_db(k, chi, z).matching),
-        "DBD": ((k - 1) // 2, lambda chi, z: make_dbd(k, chi, z).matching),
+        "DB": (k // 2, lambda chi, z: make_db(k, chi, z)),
+        "DBD": ((k - 1) // 2, lambda chi, z: make_dbd(k, chi, z)),
         "DBDL": ((k - 1) // 2, lambda j, chi, z: make_dbdl(k, j, chi, z)),
-        "EDB": (k // 2 - 1, lambda j, chi, z: make_edb(k, j, chi, z).matching),
+        "EDB": (k // 2 - 1, lambda j, chi, z: make_edb(k, j, chi, z)),
         "EDBL1": (k // 2 - 1, lambda j, chi, z: make_edbl1(k, j, chi, z)),
         "EDBL2": (k // 2 - 1, lambda j, chi, z: make_edbl2(k, j, chi, z)),
     }
@@ -131,22 +131,15 @@ class TestChiOps:
 
 class TestMakeDb:
     def test_pinned_k4(self):
-        assert str(make_db(4, "", 1).matching) == "1-8,2-3,4-7,5-6"
+        assert str(make_db(4, "", 1)) == "1-8,2-3,4-7,5-6"
 
     def test_pinned_k4_shifted(self):
-        assert str(make_db(4, "", 5).matching) == "1-2,3-8,4-5,6-7"
+        assert str(make_db(4, "", 5)) == "1-2,3-8,4-5,6-7"
 
     def test_smallest_host(self):
         # One element only; its horizontal edge sits on the lower row.
-        assert str(make_db(2, "", 1).matching) == "1-4,2-3"
-        assert str(make_db(2, "", 2).matching) == "1-2,3-4"
-
-    def test_layout_roles(self):
-        layout = make_db(6, "+", 1)
-        assert len(layout.d) == 3
-        assert len(layout.b) == 3
-        assert layout.e is None and layout.e2 is None
-        assert set(layout.d) | set(layout.b) == set(layout.matching.edges)
+        assert str(make_db(2, "", 1)) == "1-4,2-3"
+        assert str(make_db(2, "", 2)) == "1-2,3-4"
 
     def test_family_sizes(self):
         for k, size in DB_SIZES.items():
@@ -178,8 +171,8 @@ class TestDbPartner:
     def test_partner_is_the_unique_neighbor(self):
         for k in (2, 4, 6, 8):
             for chi, z in db_params(k):
-                m = make_db(k, chi, z).matching
-                mate = make_db(k, *db_partner(k, chi, z)).matching
+                m = make_db(k, chi, z)
+                mate = make_db(k, *db_partner(k, chi, z))
                 assert neighbors(m) == {mate}
 
     def test_parameter_involution(self):
@@ -200,13 +193,13 @@ class TestDbPartner:
         # on matchings but not on raw parameters.
         for chi, z in db_params(2):
             back = make_db(2, *db_partner(2, *db_partner(2, chi, z)))
-            assert back.matching == make_db(2, chi, z).matching
+            assert back == make_db(2, chi, z)
         assert db_partner(2, "", 1) == ("", 2)
 
 
 class TestMakeDbd:
     def test_degenerates_to_rings(self):
-        got = {make_dbd(3, "", z).matching for z in range(1, 7)}
+        got = {make_dbd(3, "", z) for z in range(1, 7)}
         assert got == set(rings(3))
 
     def test_family_sizes(self):
@@ -227,15 +220,15 @@ class TestMakeDbd:
                 for z in range(1, 2 * k + 1):
                     z2 = (z + k + delta - 1) % (2 * k) + 1
                     assert (
-                        make_dbd(k, chi, z).matching
-                        == make_dbd(k, chi_conjugate(chi), z2).matching
+                        make_dbd(k, chi, z)
+                        == make_dbd(k, chi_conjugate(chi), z2)
                     )
 
     def test_center_degree(self):
         for k in (3, 5, 7, 9):
             width = max((k + 1) // 2 - 3, 0)
             for chi in all_chi(width):
-                m = make_dbd(k, chi, 1).matching
+                m = make_dbd(k, chi, 1)
                 assert len(neighbors(m)) == (k + 1) // 2 - 1
 
     def test_domain_errors(self):
@@ -250,7 +243,7 @@ class TestDbdl:
         for k in (5, 7):
             count = (k + 1) // 2 - 1
             for chi in all_chi(max(count - 2, 0)):
-                center = make_dbd(k, chi, 1).matching
+                center = make_dbd(k, chi, 1)
                 for j in range(1, count + 1):
                     leaf = make_dbdl(k, j, chi, 1)
                     assert leaf in neighbors(center)
@@ -262,7 +255,7 @@ class TestDbdl:
 
     def test_degenerates_to_other_ring(self):
         for z in range(1, 7):
-            center = make_dbd(3, "", z).matching
+            center = make_dbd(3, "", z)
             leaf = make_dbdl(3, 1, "", z)
             assert {center, leaf} == set(rings(3))
 
@@ -273,30 +266,24 @@ class TestDbdl:
 
 class TestMakeEdb:
     def test_degenerates_to_rings(self):
-        got = {make_edb(4, 1, "", z).matching for z in range(1, 9)}
+        got = {make_edb(4, 1, "", z) for z in range(1, 9)}
         assert got == set(rings(4))
 
     def test_family_sizes(self):
         for k, size in EDB_SIZES.items():
             assert len(generate_family("EDB", k)) == size
 
-    def test_layout_roles(self):
-        layout = make_edb(8, 2, "-", 3)
-        assert len(layout.d) == 3 and len(layout.b) == 3
-        assert layout.e is not None and layout.e2 is not None
-        assert layout.matching.k == 8
-
     def test_degree_is_j_plus_two(self):
         for k in (6, 8):
             count = k // 2 - 1
             for chi in all_chi(max(count - 2, 0)):
                 for j in range(1, count + 1):
-                    m = make_edb(k, j, chi, 1).matching
+                    m = make_edb(k, j, chi, 1)
                     assert len(neighbors(m)) == j + 2
 
     def test_degree_spot_check_wider(self):
         for j in (1, 4):
-            m = make_edb(10, j, "++", 1).matching
+            m = make_edb(10, j, "++", 1)
             assert len(neighbors(m)) == j + 2
 
     def test_domain_errors(self):
@@ -311,7 +298,7 @@ class TestMakeEdb:
 class TestEdbl:
     def test_leaves_hang_off_their_member(self):
         for k, j, chi in ((6, 1, ""), (6, 2, ""), (8, 2, "+"), (8, 3, "-")):
-            host = make_edb(k, j, chi, 1).matching
+            host = make_edb(k, j, chi, 1)
             for leaf in (make_edbl1(k, j, chi, 1), make_edbl2(k, j, chi, 1)):
                 assert leaf in neighbors(host)
                 assert len(neighbors(leaf)) == 1
@@ -331,6 +318,30 @@ class TestEdbl:
     def test_degenerate_leaves_coincide(self):
         # With a single element both flips give the same set of matchings.
         assert generate_family("EDBL1", 4) == generate_family("EDBL2", 4)
+
+
+class TestLeafOracle:
+    """Each center's leaves, made by flipping its drawing in place, are
+    exactly its degree-one neighbors under the flip route."""
+
+    @pytest.mark.parametrize("k", [3, 5, 7, 9])
+    def test_star_leaves_are_the_centers_neighbors(self, k):
+        count = (k - 1) // 2
+        for chi in all_chi(max(count - 2, 0)):
+            for z in range(1, 2 * k + 1):
+                leaves = {make_dbdl(k, j, chi, z) for j in range(1, count + 1)}
+                assert leaves == neighbors(make_dbd(k, chi, z)), (chi, z)
+
+    @pytest.mark.parametrize("k", [4, 6, 8, 10])
+    def test_path_leaves_are_the_degree_one_neighbors(self, k):
+        count = k // 2 - 1
+        for j, chi, z in product(
+            range(1, count + 1), all_chi(max(count - 2, 0)), range(1, 2 * k + 1)
+        ):
+            around = neighbors(make_edb(k, j, chi, z))
+            ones = {x for x in around if len(neighbors(x)) == 1}
+            leaves = {make_edbl1(k, j, chi, z), make_edbl2(k, j, chi, z)}
+            assert leaves == ones, (j, chi, z)
 
 
 class TestStripTablesAgainstReference:
@@ -429,7 +440,7 @@ class TestRecognizers:
         assert is_I(NESTED3.partner())
         assert not is_I(rings(3)[0].partner())
         assert not is_I(rings(4)[0].partner())
-        assert not is_I(make_db(4, "", 1).matching.partner())
+        assert not is_I(make_db(4, "", 1).partner())
 
     def test_degree_oracle_agreement(self):
         for k in range(1, 8):
@@ -568,21 +579,21 @@ class TestClassify:
         assert classify(rings(3)[0]) == LABEL_STAR_CENTER
         assert classify(rings(4)[0]) == LABEL_PATH_MEMBER
         assert classify(rings(5)[0]) == LABEL_REGULAR
-        assert classify(make_db(6, "+", 1).matching) == LABEL_PAIR
-        assert classify(make_edb(8, 2, "+", 1).matching) == LABEL_PATH_MEMBER
+        assert classify(make_db(6, "+", 1)) == LABEL_PAIR
+        assert classify(make_edb(8, 2, "+", 1)) == LABEL_PATH_MEMBER
         assert classify(make_dbdl(7, 2, "+", 3)) == LABEL_STAR_LEAF
         assert classify(make_edbl1(6, 1, "", 4)) == LABEL_PATH_LEAF
         assert classify(make_edbl2(8, 3, "-", 1)) == LABEL_PATH_LEAF
 
     def test_witness_rebuilds_the_matching(self):
-        m = make_db(6, "-", 7).matching
+        m = make_db(6, "-", 7)
         assert classify_with_witness(m) == (LABEL_PAIR, ("-", 7))
-        m = make_edb(6, 1, "", 2).matching
+        m = make_edb(6, 1, "", 2)
         assert classify_with_witness(m) == (LABEL_PATH_MEMBER, (1, "", 2))
-        m = make_dbd(5, "", 4).matching
+        m = make_dbd(5, "", 4)
         label, witness = classify_with_witness(m)
         assert label == LABEL_STAR_CENTER
-        assert make_dbd(5, *witness).matching == m
+        assert make_dbd(5, *witness) == m
 
     def test_no_witness_for_unparametrized_labels(self):
         assert classify_with_witness(NESTED3) == (LABEL_ISOLATED, None)

@@ -277,7 +277,8 @@ class TestWords:
     @pytest.mark.parametrize("k", range(1, 10))
     def test_matching_word_at_each_rank(self, k):
         for r, w in enumerate(words(k)):
-            assert from_partner(unrank(k, r)).word() == w, (k, r)
+            m = from_partner(unrank(k, r))
+            assert partner_word(m.partner()) == w, (k, r)
 
     @pytest.mark.parametrize("k", range(1, 10))
     def test_partner_word_inverts_word_partners(self, k):

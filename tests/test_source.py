@@ -10,8 +10,8 @@ import dcmatch
 
 SOURCE = Path(dcmatch.__file__).parent
 
-# Public functions kept without a caller in the package, each with its
-# reason.  An export in __all__ is not a caller.
+# Public functions and classes kept without a caller in the package, each
+# with its reason.  An export in __all__ is not a caller.
 UNCALLED_ON_PURPOSE = {
     # The paper's formula for the big component's order;
     # tests/test_graph.py checks it against the census.
@@ -26,6 +26,9 @@ UNCALLED_ON_PURPOSE = {
     # against them.
     "rotate",
     "reflect",
+    # The public flip move, and the tests' reference for alternating-cycle
+    # groups.
+    "flip",
 }
 
 
@@ -45,9 +48,9 @@ def test_every_public_function_has_a_caller():
         node.name
         for tree in trees
         for node in tree.body
-        if isinstance(node, ast.FunctionDef)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and not node.name.startswith("_")
-        # A function that only calls itself is still uncalled.
+        # A definition that only uses itself is still uncalled.
         and used[node.name] == _names(node)[node.name]
         and node.name not in UNCALLED_ON_PURPOSE
     ]
