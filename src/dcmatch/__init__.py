@@ -2,7 +2,7 @@
 edges join disjoint compatible pairs, together with the structural census of
 that graph's components."""
 
-from .compat import flip, neighbors, neighbors_bruteforce
+from .compat import neighbors, neighbors_bruteforce
 from .counting import catalan, edge_series, growth_estimate, riordan
 from .dual_tree import EmbeddedTree, to_dual_tree
 from .families import classify, classify_with_witness, generate_family
@@ -45,7 +45,6 @@ __all__ = [
     "degree_stats",
     "edge_series",
     "enumerate_matchings",
-    "flip",
     "generate_family",
     "growth_estimate",
     "insert",

@@ -99,7 +99,10 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _matching_argument(args) -> Matching:
-    m = parse_matching(args.matching)
+    try:
+        m = parse_matching(args.matching)
+    except MatchingError as exc:
+        raise _UsageError(str(exc)) from exc
     if m.k != args.k:
         raise _UsageError(
             f"matching has size {m.k}, but --k is {args.k}"
@@ -209,16 +212,16 @@ def _cmd_series(args) -> tuple[str, int]:
         raise _UsageError("choose a series with --edges")
     if args.terms < 0:
         raise _UsageError(f"--terms must be >= 0, got {args.terms}")
-    table = edge_series(args.terms)
-    rows = list(enumerate(table.coefficients))
+    coefficients = edge_series(args.terms)
+    rows = list(enumerate(coefficients))
     if args.format == "csv":
         body = "".join(f"{k},{d}\n" for k, d in rows)
         return "k,d_k\n" + body, EXIT_OK
     if args.format == "json":
         payload = {
-            "series": table.name,
+            "series": "edge counts",
             "terms": args.terms,
-            "coefficients": list(table.coefficients),
+            "coefficients": list(coefficients),
         }
         return _json(payload), EXIT_OK
     return "".join(f"d_{k} = {d}\n" for k, d in rows), EXIT_OK
@@ -373,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command is None:
             raise _UsageError("a subcommand is required")
         text, code = _HANDLERS[args.command](args)
-    except (_UsageError, MatchingError) as exc:
+    except _UsageError as exc:
         _fail("ERR_USAGE", str(exc))
         return EXIT_USAGE
     except ResourceLimitError as exc:

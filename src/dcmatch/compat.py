@@ -22,59 +22,18 @@ no partition of its own, so most dead branches end at a memo lookup.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Iterator
 from functools import lru_cache
-from itertools import chain, combinations
 
-from .errors import FlipError
 from .matching import (
     Edge,
     Matching,
-    canonical_edges,
     check_size,
     enumerate_matchings,
-    from_partner,
     is_crossing,
 )
 
 # -- flips ------------------------------------------------------------------
-
-
-def _gap_index(support: list[int], t: int) -> int:
-    # Which open interval between consecutive support points holds t; the
-    # two unbounded ends belong to the same wrap-around gap.
-    return bisect_left(support, t) % len(support)
-
-
-def _single_gap(support: list[int], points: tuple[int, ...]) -> bool:
-    gaps = {_gap_index(support, t) for t in points}
-    return len(gaps) == 1
-
-
-def _check_flippable(m: Matching, edges: tuple[Edge, ...]) -> str | None:
-    """None if the edge group is flippable within m, else the reason."""
-    group = set(edges)
-    if len(group) < 2:
-        return "a flippable group needs at least two edges"
-    if not group <= set(m.edges):
-        return "group contains edges not in the matching"
-    support = sorted(chain.from_iterable(edges))
-    s = support
-    even = all(
-        (s[i], s[i + 1]) in group for i in range(0, len(s), 2)
-    )
-    odd = all(
-        (s[i], s[i + 1]) in group for i in range(1, len(s) - 1, 2)
-    ) and (s[0], s[-1]) in group
-    if not (even or odd):
-        return "group does not pair consecutive support points"
-    for e in m.edges:
-        if e in group:
-            continue
-        if _gap_index(support, e[0]) != _gap_index(support, e[1]):
-            return f"edge {e} enters the support hull"
-    return None
 
 
 def flip_group(p: list[int], support: list[int]) -> None:
@@ -89,37 +48,6 @@ def flip_group(p: list[int], support: list[int]) -> None:
         s = s[1:] + s[:1]
     for a, b in zip(s[::2], s[1::2]):
         p[a], p[b] = b, a
-
-
-def flip(m: Matching, groups: list[list[Edge]]) -> Matching:
-    """Apply a full flip partition to ``m``, yielding one neighbor.
-
-    ``groups`` lists the partition's edge groups; together they must hold
-    every edge of ``m`` once.
-    """
-    parts = [canonical_edges(g) for g in groups]
-    claimed = [e for part in parts for e in part]
-    if len(claimed) != len(set(claimed)):
-        raise FlipError("flip groups overlap")
-    if set(claimed) != set(m.edges):
-        raise FlipError("flip groups must cover the matching exactly")
-    for part in parts:
-        reason = _check_flippable(m, part)
-        if reason is not None:
-            raise FlipError(reason)
-    # Groups may be flippable one by one yet have interleaving hulls, e.g.
-    # {1-2,5-6} and {3-4,7-8} in the 8-ring; each must sit inside a single
-    # gap of every other.
-    supports = [sorted(chain.from_iterable(part)) for part in parts]
-    for sa, sb in combinations(supports, 2):
-        if not _single_gap(sa, tuple(sb)):
-            raise FlipError(
-                f"group hulls interleave: supports {sa} and {sb}"
-            )
-    p = m.partner()
-    for support in supports:
-        flip_group(p, support)
-    return from_partner(p)
 
 
 # -- partition enumeration --------------------------------------------------

@@ -12,25 +12,10 @@ combines them into the component census of size k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .errors import DomainError
-
-
-@dataclass(frozen=True)
-class SeriesTable:
-    """Named prefix of an integer power series, indexed from 0."""
-
-    name: str
-    coefficients: tuple[int, ...]
-
-    def __getitem__(self, i: int) -> int:
-        return self.coefficients[i]
-
-    def __len__(self) -> int:
-        return len(self.coefficients)
 
 
 def _exact_div(num: int, den: int, what: str) -> int:
@@ -152,7 +137,7 @@ def _inverse(f: list[int], n: int) -> list[int]:
     return out
 
 
-def edge_series(n: int) -> SeriesTable:
+def edge_series(n: int) -> tuple[int, ...]:
     """Edge counts d_0..d_n of the graphs of sizes 0..n.
 
     The doubled-and-shifted series Z = 2z - 1 satisfies
@@ -181,7 +166,7 @@ def edge_series(n: int) -> SeriesTable:
         num = c + 1 if i == 0 else c
         assert num % 2 == 0, f"coefficient {i} of the doubled series is odd"
         halved.append(num // 2)
-    return SeriesTable("edge counts", tuple(halved))
+    return tuple(halved)
 
 
 def growth_estimate(n: int) -> Fraction:
@@ -193,7 +178,7 @@ def growth_estimate(n: int) -> Fraction:
     """
     if n < 3:
         raise DomainError(f"growth ratios need n >= 3, got {n}")
-    d = edge_series(n).coefficients
+    d = edge_series(n)
     return Fraction(d[n], d[n - 1])
 
 

@@ -43,28 +43,6 @@ class EmbeddedTree:
     side_labels: dict[Side, int]
     marked: Side
 
-    def degree(self, v: int) -> int:
-        return len(self.phi[v])
-
-    def edge_faces(self) -> dict[Edge, tuple[int, ...]]:
-        """The two faces bordering each chord, in face-id order."""
-        out: dict[Edge, list[int]] = {}
-        for v, ring in self.phi.items():
-            for e in ring:
-                out.setdefault(e, []).append(v)
-        return {e: tuple(sorted(fs)) for e, fs in out.items()}
-
-    def neighbors(self, v: int) -> list[int]:
-        faces = self.edge_faces()
-        out = []
-        for e in self.phi[v]:
-            a, b = faces[e]
-            out.append(b if a == v else a)
-        return out
-
-    def leaves(self) -> list[int]:
-        return [v for v in self.vertices if self.degree(v) == 1]
-
     def to_json_dict(self) -> dict:
         return {
             "k": self.k,

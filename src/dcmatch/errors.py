@@ -24,10 +24,6 @@ class CrossingError(MatchingError):
         super().__init__(f"edges {first} and {second} cross")
 
 
-class FlipError(ValueError):
-    """A proposed flip set or flip partition is not valid for the matching."""
-
-
 class DomainError(ValueError):
     """A counting formula was evaluated outside its range of validity."""
 

@@ -93,18 +93,8 @@ class Matching:
             p[b] = a
         return p
 
-    def to_string(self) -> str:
-        return format_edges(self.edges)
-
-    def to_json_dict(self) -> dict:
-        return {"k": self.k, "edges": [[a, b] for a, b in self.edges]}
-
     def __str__(self) -> str:
-        return self.to_string()
-
-
-def format_edges(edges: Iterable[Edge]) -> str:
-    return ",".join(f"{a}-{b}" for a, b in edges)
+        return ",".join(f"{a}-{b}" for a, b in self.edges)
 
 
 def canonical_edges(edges: Iterable[Iterable[int]]) -> tuple[Edge, ...]:

@@ -237,8 +237,10 @@ class _Runner:
         for k in ks:
             g = self.cache.graph(k)
             ring_id = g.index_of(rings(k)[0])
+            # The ring has rank 0, so its component is reported first and the
+            # scan of its members stops at their first.
             home = next(
-                r for r in self.cache.reports(k) if ring_id in set(r.members)
+                r for r in self.cache.reports(k) if ring_id in r.members
             )
             flag, witness = is_bipartite(g, home)
             if flag != home.bipartite:

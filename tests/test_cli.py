@@ -13,6 +13,7 @@ import pytest
 
 from dcmatch import cli
 from dcmatch.cli import main
+from dcmatch.errors import CrossingError
 from dcmatch.matching import Matching
 from dcmatch.verification import CHECK_NAMES, run_checks
 
@@ -476,6 +477,21 @@ class TestTopLevel:
         assert err.startswith("dcmatch: ERR_INTERNAL: ValueError at test_cli")
         assert err.endswith(": internal invariant broken\n")
         assert err.count("\n") == 1
+
+    def test_internal_matching_error_is_not_a_usage_error(
+        self, capsys, monkeypatch
+    ):
+        def broken(args):
+            raise CrossingError((1, 3), (2, 4))
+
+        monkeypatch.setitem(cli._HANDLERS, "classify", broken)
+        code, out, err = run(
+            "classify", "--k", "2", "--matching", "1-2,3-4", capsys=capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("dcmatch: ERR_INTERNAL: CrossingError at test_cli")
+        assert err.endswith(": edges (1, 3) and (2, 4) cross\n")
 
     def test_malformed_max_k_is_a_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("DCM_MAX_K", "twelve")

@@ -4,15 +4,14 @@ from __future__ import annotations
 
 import random
 import sys
+from bisect import bisect_left
 from itertools import chain, combinations, product
 
 import pytest
 
 from dcmatch.compat import (
-    _check_flippable,
     _pair_tables,
     chord_tables,
-    flip,
     flip_group,
     neighbor_partners,
     neighbors,
@@ -20,7 +19,6 @@ from dcmatch.compat import (
     set_bits,
 )
 from dcmatch.counting import catalan
-from dcmatch.errors import FlipError
 from dcmatch.matching import (
     canonical_edges,
     enumerate_matchings,
@@ -132,6 +130,79 @@ class TestCycles:
         b = parse_matching("1-6,2-5,3-4")
         cycles = alternating_cycles(a, b)
         assert sorted(t for c in cycles for t in c) == list(range(1, 7))
+
+
+class FlipError(ValueError):
+    """A proposed flip group or flip partition is not valid for the matching."""
+
+
+def _gap_index(support, t):
+    # Which open interval between consecutive support points holds t; the
+    # two unbounded ends belong to the same wrap-around gap.
+    return bisect_left(support, t) % len(support)
+
+
+def _single_gap(support, points):
+    gaps = {_gap_index(support, t) for t in points}
+    return len(gaps) == 1
+
+
+def _check_flippable(m, edges):
+    """None if the edge group is flippable within m, else the reason."""
+    group = set(edges)
+    if len(group) < 2:
+        return "a flippable group needs at least two edges"
+    if not group <= set(m.edges):
+        return "group contains edges not in the matching"
+    support = sorted(chain.from_iterable(edges))
+    s = support
+    even = all(
+        (s[i], s[i + 1]) in group for i in range(0, len(s), 2)
+    )
+    odd = all(
+        (s[i], s[i + 1]) in group for i in range(1, len(s) - 1, 2)
+    ) and (s[0], s[-1]) in group
+    if not (even or odd):
+        return "group does not pair consecutive support points"
+    for e in m.edges:
+        if e in group:
+            continue
+        if _gap_index(support, e[0]) != _gap_index(support, e[1]):
+            return f"edge {e} enters the support hull"
+    return None
+
+
+def flip(m, groups):
+    """Apply a full flip partition to ``m``, checking every group and every
+    pair of groups first: the reference the partition enumeration is
+    checked against.
+
+    ``groups`` lists the partition's edge groups; together they must hold
+    every edge of ``m`` once.
+    """
+    parts = [canonical_edges(g) for g in groups]
+    claimed = [e for part in parts for e in part]
+    if len(claimed) != len(set(claimed)):
+        raise FlipError("flip groups overlap")
+    if set(claimed) != set(m.edges):
+        raise FlipError("flip groups must cover the matching exactly")
+    for part in parts:
+        reason = _check_flippable(m, part)
+        if reason is not None:
+            raise FlipError(reason)
+    # Groups may be flippable one by one yet have interleaving hulls, e.g.
+    # {1-2,5-6} and {3-4,7-8} in the 8-ring; each must sit inside a single
+    # gap of every other.
+    supports = [sorted(chain.from_iterable(part)) for part in parts]
+    for sa, sb in combinations(supports, 2):
+        if not _single_gap(sa, tuple(sb)):
+            raise FlipError(
+                f"group hulls interleave: supports {sa} and {sb}"
+            )
+    p = m.partner()
+    for support in supports:
+        flip_group(p, support)
+    return from_partner(p)
 
 
 def is_flippable_set(m, edges):

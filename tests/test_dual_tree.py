@@ -18,10 +18,37 @@ from dcmatch.matching import (
 )
 
 
+def degree(tree, v):
+    return len(tree.phi[v])
+
+
+def edge_faces(tree):
+    """The two faces bordering each chord, in face-id order."""
+    out = {}
+    for v, ring in tree.phi.items():
+        for e in ring:
+            out.setdefault(e, []).append(v)
+    return {e: tuple(sorted(fs)) for e, fs in out.items()}
+
+
+def tree_neighbors(tree, v):
+    """The faces across each chord of face v, in v's clockwise order."""
+    faces = edge_faces(tree)
+    out = []
+    for e in tree.phi[v]:
+        a, b = faces[e]
+        out.append(b if a == v else a)
+    return out
+
+
+def leaves(tree):
+    return [v for v in tree.vertices if degree(tree, v) == 1]
+
+
 def traverse(tree):
     """Chord sides in double-traversal order: cross the marked chord, then
     always the chord after the one just crossed in the entered face."""
-    faces = tree.edge_faces()
+    faces = edge_faces(tree)
     succ = {
         (e, v): ring[(i + 1) % len(ring)]
         for v, ring in tree.phi.items()
@@ -57,7 +84,7 @@ class TestToDualTree:
         assert t.vertices == (1, 2, 3)
         # The face order starts at the face's anchor arc (its id).
         assert t.phi[2] == ((3, 4), (1, 2))
-        assert t.degree(1) == 1 and t.degree(3) == 1
+        assert degree(t, 1) == 1 and degree(t, 3) == 1
         assert t.side_labels[((1, 2), 1)] == 1
         assert t.side_labels[((1, 2), 2)] == 2
         assert t.side_labels[((3, 4), 3)] == 3
@@ -66,18 +93,18 @@ class TestToDualTree:
     def test_ring_gives_star(self):
         t = to_dual_tree(parse_matching("1-2,3-4,5-6,7-8"))
         assert t.vertices == (1, 2, 3, 5, 7)
-        assert t.degree(2) == 4
-        assert sorted(t.degree(v) for v in t.vertices) == [1, 1, 1, 1, 4]
+        assert degree(t, 2) == 4
+        assert sorted(degree(t, v) for v in t.vertices) == [1, 1, 1, 1, 4]
 
     def test_nested_gives_path(self):
         t = to_dual_tree(parse_matching("1-6,2-5,3-4"))
-        assert sorted(t.degree(v) for v in t.vertices) == [1, 1, 2, 2]
+        assert sorted(degree(t, v) for v in t.vertices) == [1, 1, 2, 2]
 
     def test_vertex_and_degree_totals(self):
         for m in enumerate_matchings(5):
             t = to_dual_tree(m)
             assert len(t.vertices) == 6
-            assert sum(t.degree(v) for v in t.vertices) == 10
+            assert sum(degree(t, v) for v in t.vertices) == 10
             assert len(t.side_labels) == 10
 
     def test_leaves_match_boundary_edges(self):
@@ -87,7 +114,7 @@ class TestToDualTree:
                 boundary = sum(
                     b - a == 1 or (a, b) == (1, 2 * k) for a, b in m.edges
                 )
-                assert len(to_dual_tree(m).leaves()) == boundary
+                assert len(leaves(to_dual_tree(m))) == boundary
 
 
 class TestFromDualTree:
@@ -143,13 +170,15 @@ class TestBlocksAndAntiblocks:
         # leaf chords at one face), instance for instance.
         for m in enumerate_matchings(k):
             t = to_dual_tree(m)
-            leaf = {v: t.degree(v) == 1 for v in t.vertices}
+            leaf = {v: degree(t, v) == 1 for v in t.vertices}
             branches = sum(
-                t.degree(t.neighbors(v)[0]) == 2 for v in t.vertices if leaf[v]
+                degree(t, tree_neighbors(t, v)[0]) == 2
+                for v in t.vertices
+                if leaf[v]
             )
             wedges = 0
             for v in t.vertices:
-                ring = t.neighbors(v)
+                ring = tree_neighbors(t, v)
                 if len(ring) > 1:
                     wedges += sum(
                         leaf[a] and leaf[b]

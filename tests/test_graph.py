@@ -88,7 +88,7 @@ class TestBuild:
         assert g.edge_count == 9
 
     def test_edge_counts_match_series(self):
-        d = edge_series(8).coefficients
+        d = edge_series(8)
         for k in range(2, 9):
             assert graph_for(k).edge_count == d[k]
 
@@ -289,6 +289,26 @@ class TestComponents:
     def test_medium_profile_k5(self):
         medium = next(r for r in reports_for(5) if r.category == "medium")
         assert medium.profile == {"Medium-DBD": 1, "Medium-DBDL": 2}
+
+    @pytest.mark.parametrize("k", [5, 7, 9, 11])
+    def test_odd_mediums_are_stars(self, k):
+        # Each medium component is K_{1,l-1}: one Medium-DBD centre joined
+        # to l - 1 Medium-DBDL leaves, read off the adjacency itself.
+        l = (k + 1) // 2
+        g = graph_for(k)
+        mediums = [r for r in reports_for(k) if r.category == "medium"]
+        assert mediums
+        for r in mediums:
+            labels = {v: classify(g.vertices[v]) for v in r.members}
+            centres = [v for v in r.members if labels[v] == "Medium-DBD"]
+            assert len(centres) == 1, (k, r.id)
+            centre = centres[0]
+            leaves = [v for v in r.members if v != centre]
+            assert len(leaves) == l - 1, (k, r.id)
+            assert g.adjacent(centre) == leaves, (k, r.id)
+            for v in leaves:
+                assert labels[v] == "Medium-DBDL", (k, r.id, v)
+                assert g.adjacent(v) == [centre], (k, r.id, v)
 
     def test_rings_share_the_big_component(self):
         for k in (5, 6, 7):

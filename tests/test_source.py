@@ -10,8 +10,9 @@ import dcmatch
 
 SOURCE = Path(dcmatch.__file__).parent
 
-# Public functions and classes kept without a caller in the package, each
-# with its reason.  An export in __all__ is not a caller.
+# Public functions, classes and methods kept without a caller in the
+# package, each with its reason; a method is named "Class.method".  An
+# export in __all__ is not a caller.
 UNCALLED_ON_PURPOSE = {
     # The paper's formula for the big component's order;
     # tests/test_graph.py checks it against the census.
@@ -26,9 +27,8 @@ UNCALLED_ON_PURPOSE = {
     # against them.
     "rotate",
     "reflect",
-    # The public flip move, and the tests' reference for alternating-cycle
-    # groups.
-    "flip",
+    # argparse calls it on a bad command line.
+    "_Parser.error",
 }
 
 
@@ -41,18 +41,30 @@ def _names(node: ast.AST) -> Counter:
     )
 
 
+def _definitions(tree: ast.Module):
+    # Module-level functions and classes by name, and the methods of every
+    # class, public or not, as "Class.method".
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
 def test_every_public_function_has_a_caller():
     trees = [ast.parse(path.read_text()) for path in sorted(SOURCE.glob("*.py"))]
     used = sum((_names(tree) for tree in trees), Counter())
     uncalled = [
-        node.name
+        qualified
         for tree in trees
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
+        for qualified, node in _definitions(tree)
+        # Dunders start with "_" too; Python calls them.
+        if not node.name.startswith("_")
         # A definition that only uses itself is still uncalled.
         and used[node.name] == _names(node)[node.name]
-        and node.name not in UNCALLED_ON_PURPOSE
+        and qualified not in UNCALLED_ON_PURPOSE
     ]
     assert uncalled == []
 
