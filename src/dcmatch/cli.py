@@ -35,7 +35,7 @@ from .matching import (
     enumerate_matchings,
     parse_matching,
 )
-from .verification import run_checks, summary_dict
+from .verification import QUICK_BUILD_CAP, run_checks, summary_dict
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -346,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     sizes.add_argument("--k", type=int)
     sizes.add_argument("--k-range", metavar="A..B")
     p.add_argument("--quick", action="store_true",
-                   help="skip graph builds above k=6")
+                   help=f"skip graph builds above k={QUICK_BUILD_CAP}")
     p.add_argument("--threads", type=_positive, metavar="N")
 
     return parser

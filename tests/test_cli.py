@@ -11,13 +11,61 @@ import typing
 
 import pytest
 
-from dcmatch import cli
+from dcmatch import cli, verification
 from dcmatch.cli import main
 from dcmatch.errors import CrossingError
 from dcmatch.matching import Matching
 from dcmatch.verification import CHECK_NAMES, run_checks
 
 EDGE_ROW = (1, 0, 1, 1, 9, 21, 125, 421, 2161, 8677, 42245)
+
+SKIP = ("skip", "no applicable sizes in range")
+FAMILIES = (
+    "generated family sizes equal the closed forms "
+    "(isolated, leaf, paired, and star-center families)"
+)
+GROWTH = ("pass", "d_30/d_29 = 5.0112 within [4.97, 5.57]")
+RING = "ring component two-colorable through k=7, odd cycle exhibited beyond"
+RIORDAN = "max degree equals the Riordan number, attained exactly at the rings"
+
+# (status, detail) of each check, in run order, for verify --k 3 and --k 11.
+VERIFY_DETAILS = {
+    3: [
+        ("pass", "orders equal the Catalan numbers for k=3"),
+        ("pass", "isolated and star counts match the tables for k=3"),
+        SKIP,
+        ("pass", "component shape counts for k=3: 2"),
+        ("pass", f"{RIORDAN}, for k=3"),
+        ("pass", "edge counts match the series coefficients for k=3"),
+        ("pass", f"{RING}, for k=3"),
+        SKIP,
+        ("pass", "flip route equals the brute-force route for all 5 matchings "
+                 "with k=3 (25 pair tests)"),
+        ("pass", "splicing an outer/inner pair preserves degree (hosts k=3); "
+                 "every neighbor re-pairs each outer/inner pair in place "
+                 "(k=3); degree lower bounds hold (k=3); isolated matchings "
+                 "have no antiblocks (k=3)"),
+        ("pass", f"2 {FAMILIES}"),
+        GROWTH,
+        ("pass", "connected, with the rings inducing a full odd cycle; "
+                 "computed orders k=3: 35"),
+    ],
+    11: [
+        ("pass", "orders equal the Catalan numbers for k=11"),
+        ("pass", "isolated and star counts match the tables for k=11"),
+        SKIP,
+        ("pass", "component shape counts for k=11: 3"),
+        ("pass", f"{RIORDAN}, for k=11"),
+        SKIP,
+        ("pass", f"{RING}, for k=11"),
+        SKIP,
+        SKIP,
+        SKIP,
+        ("pass", f"3 {FAMILIES}"),
+        GROWTH,
+        SKIP,
+    ],
+}
 
 DOT_K2 = (
     "graph dcm_2 {\n"
@@ -452,6 +500,77 @@ class TestVerify:
         (again,) = run_checks(names=("growth-probe",))
         assert first.status == "pass"
         assert first.detail == again.detail
+
+    @pytest.mark.parametrize("k", sorted(VERIFY_DETAILS))
+    def test_pinned_details(self, capsys, k):
+        code, out, _ = run("verify", "--k", str(k), capsys=capsys)
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert [c["name"] for c in checks] == list(CHECK_NAMES)
+        got = [(c["status"], c["detail"]) for c in checks]
+        assert got == VERIFY_DETAILS[k]
+
+    def test_quick_skips_every_build_above_the_cap(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("quick mode built a graph")
+
+        monkeypatch.setattr(verification, "build_graph", refuse)
+        monkeypatch.setattr(verification, "build_almost_perfect_graph", refuse)
+        code, out, _ = run(
+            "verify", "--k-range", "7..9", "--quick", capsys=capsys
+        )
+        assert code == 0
+        statuses = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+        unbuilt = {"neighbor-oracle", "property-suite", "family-counts",
+                   "growth-probe"}
+        assert statuses == {
+            name: "pass" if name in unbuilt else "skip" for name in CHECK_NAMES
+        }
+
+    def test_failed_check_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setitem(verification.ISO_CLASSES_BY_K, 3, 99)
+        code, out, _ = run(
+            "verify", "--k", "3", "--format", "text", capsys=capsys
+        )
+        assert code == 1
+        assert "\nFAIL isomorphism-classes: k=3: 2 classes != 99\n" in out
+        assert out.endswith("\nresult: failed\n")
+
+
+class TestRunChecks:
+    def test_fail_detail(self, monkeypatch):
+        monkeypatch.setitem(verification.ISO_CLASSES_BY_K, 3, 99)
+        (result,) = run_checks(3, 3, names=("isomorphism-classes",))
+        assert (result.status, result.detail) == ("fail", "k=3: 2 classes != 99")
+        assert not result.passed
+
+    def test_property_problem_reaches_the_suite_detail(self, monkeypatch):
+        sizes, _, holds = verification._PROPERTIES[0]
+        planted = (sizes, lambda k: [f"k={k}: planted problem"], holds)
+        monkeypatch.setattr(
+            verification, "_PROPERTIES",
+            (planted,) + verification._PROPERTIES[1:],
+        )
+        (result,) = run_checks(4, 4, names=("property-suite",))
+        assert (result.status, result.detail) == ("fail", "k=4: planted problem")
+
+    def test_problems_are_capped_at_six(self, monkeypatch):
+        counts = dict(verification.ISO_CLASSES_BY_K)
+        for k in range(1, 9):
+            monkeypatch.setitem(verification.ISO_CLASSES_BY_K, k, 99)
+        (result,) = run_checks(1, 8, names=("isomorphism-classes",))
+        assert result.status == "fail"
+        assert result.detail.split("; ") == [
+            f"k={k}: {counts[k]} classes != 99" for k in range(1, 7)
+        ]
+
+    def test_unknown_name(self):
+        with pytest.raises(ValueError, match="nope"):
+            run_checks(names=("nope",))
+
+    def test_results_follow_the_table_order(self):
+        results = run_checks(1, 1, names=("growth-probe", "vertex-counts"))
+        assert [r.name for r in results] == ["vertex-counts", "growth-probe"]
 
 
 class TestTopLevel:
