@@ -184,7 +184,7 @@ def _cmd_components(args) -> tuple[str, int]:
                     "order": r.order,
                     "class": r.category,
                     "bipartite": r.bipartite,
-                    "representative": str(r.representative),
+                    "representative": str(graph.vertex(r.members[0])),
                 }
                 for r in reports
             ],

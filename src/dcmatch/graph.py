@@ -29,7 +29,7 @@ from .compat import (
     neighbor_partners,
     unblocked,
 )
-from .counting import catalan, census_shape
+from .counting import census_shape
 from .errors import DomainError
 from .families import (
     LABEL_PATH_LEAF,
@@ -42,33 +42,13 @@ from .matching import (
     Matching,
     canonical_edges,
     check_size,
-    dihedral_permutations,
     enumerate_matchings,
     from_partner,
-    permute,
     rank,
     unrank,
     word_rotations,
     words,
 )
-
-
-class _Ranked(Sequence):
-    """Read-only sequence of the size-k matchings by rank, made on lookup."""
-
-    def __init__(self, k: int):
-        self._k = k
-        self._ranks = range(catalan(k))
-
-    def __len__(self) -> int:
-        return len(self._ranks)
-
-    def __getitem__(self, i: int | slice) -> Matching | list[Matching]:
-        # Indexing the range checks bounds and counts negatives from the
-        # end; slicing it gives the ranks the slice names.
-        if isinstance(i, slice):
-            return [from_partner(unrank(self._k, r)) for r in self._ranks[i]]
-        return from_partner(unrank(self._k, self._ranks[i]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,7 +60,7 @@ class DcmGraph:
     ``orbit_tables``: orbits are numbered in order of their smallest rank.
     ``arcs[o]`` lists each neighbor x of orbit o's representative as
     ``(orbit[x], element[x])``.  ``certificates`` keeps each component
-    certificate made, keyed by the component's members.
+    certificate made, keyed by the component's first member.
     """
 
     k: int
@@ -89,7 +69,7 @@ class DcmGraph:
     images: array
     arcs: list[tuple[tuple[int, int], ...]]
     edge_count: int
-    certificates: dict[tuple[int, ...], tuple] = field(
+    certificates: dict[int, tuple] = field(
         default_factory=dict, init=False, repr=False
     )
 
@@ -97,10 +77,9 @@ class DcmGraph:
     def order(self) -> int:
         return len(self.orbit)
 
-    @property
-    def vertices(self) -> Sequence[Matching]:
-        """Vertex i is the matching of rank i."""
-        return _Ranked(self.k)
+    def vertex(self, i: int) -> Matching:
+        """The matching of rank ``i``."""
+        return from_partner(unrank(self.k, i))
 
     def degree(self, i: int) -> int:
         return len(self.arcs[self.orbit[i]])
@@ -127,7 +106,6 @@ class ComponentReport:
     order: int
     category: str
     profile: dict[str, int]
-    representative: Matching
     bipartite: bool
     members: tuple[int, ...]
 
@@ -279,8 +257,7 @@ def components(graph: DcmGraph) -> list[ComponentReport]:
     H's image H_D in D, each two-colouring exactly when (id, 1) is not
     in H and holding |orbit o| / [D : H_D] members of each orbit o of B.
     Family labels are dihedral invariants: each orbit's representative
-    is unranked once and classified, and a component's representative
-    is the orbit representative moved by its first member's symmetry.
+    is unranked once and classified.
     """
     k, group, arcs = graph.k, 4 * graph.k, graph.arcs
     _, small_order, _, medium_order = census_shape(k)
@@ -289,10 +266,6 @@ def components(graph: DcmGraph) -> list[ComponentReport]:
     inverse = [row.index(0) for row in compose]
     piece = array("i", [-1]) * len(arcs)
     potential = array("i", [0]) * len(arcs)
-    # Each orbit's representative as a partner table, one byte a point
-    # (k is far below 128 for any graph that can be built).
-    width = 2 * k + 1
-    partners = bytearray(width * len(arcs))
     parity = bytearray(len(arcs))
     lift_of: list[list[int]] = []  # per piece: the lift holding each h in D
     kinds: list[tuple[bool, dict[str, int]]] = []  # per lift: bipartite, profile
@@ -308,9 +281,7 @@ def components(graph: DcmGraph) -> list[ComponentReport]:
             p = potential[o]
             row = graph.images[group * o : group * (o + 1)]
             fixed = [s for s, j in enumerate(row) if j == row[0]]
-            rep = unrank(k, row[0])
-            partners[width * o : width * (o + 1)] = bytes(rep)
-            weight[classify_partner(rep)[0]] += group // len(fixed)
+            weight[classify_partner(unrank(k, row[0]))[0]] += group // len(fixed)
             generators.update((compose[compose[p][s]][inverse[p]], 0) for s in fixed)
             for w, f in arcs[o]:
                 if piece[w] < 0:
@@ -336,21 +307,16 @@ def components(graph: DcmGraph) -> list[ComponentReport]:
     for v, (o, e) in enumerate(zip(graph.orbit, graph.element)):
         h = compose[e][inverse[potential[o]]]
         found.setdefault(lift_of[piece[o]][h], []).append(v)
-    symmetries = dihedral_permutations(2 * k)
     reports: list[ComponentReport] = []
     for lift, members in found.items():
         bipartite, profile = kinds[lift]
         assert sum(profile.values()) == len(members), "lift orders must agree"
-        v = members[0]
-        o = graph.orbit[v]
-        p = permute(partners[width * o : width * (o + 1)], symmetries[graph.element[v]])
         reports.append(
             ComponentReport(
                 id=len(reports),
                 order=len(members),
                 category=category.get(len(members), "big"),
                 profile=dict(profile),
-                representative=from_partner(p),
                 bipartite=bipartite,
                 members=tuple(members),
             )
@@ -473,16 +439,17 @@ def _canonical_form(adj: list[list[int]], colors: list[int]) -> tuple:
 def component_certificate(graph: DcmGraph, component: ComponentReport) -> tuple:
     """Isomorphism-invariant canonical form of one component, made at
     most once per graph."""
-    cert = graph.certificates.get(component.members)
+    first = component.members[0]
+    cert = graph.certificates.get(first)
     if cert is None:
         adj = _induced_adjacency(graph, component.members)
         cert = _canonical_form(adj, [0] * len(adj))
-        graph.certificates[component.members] = cert
+        graph.certificates[first] = cert
     return cert
 
 
 def isomorphism_classes(
-    graph: DcmGraph, reports: list[ComponentReport] | None = None
+    graph: DcmGraph, reports: list[ComponentReport]
 ) -> tuple[int, list[list[int]]]:
     """Group components up to isomorphism.
 
@@ -491,8 +458,6 @@ def isomorphism_classes(
     on one or two vertices is K1 or K2, so those orders form one class
     each without a certificate.
     """
-    if reports is None:
-        reports = components(graph)
     by_order: dict[int, list[ComponentReport]] = {}
     for report in reports:
         by_order.setdefault(report.order, []).append(report)
@@ -548,7 +513,7 @@ def _spine_problem(graph: DcmGraph, spine: dict[int, tuple], half: int) -> str |
             if linked != (side1 != side2 and j1 + j2 >= half):
                 return (
                     "parameter rule broken between "
-                    f"{graph.vertices[a]} and {graph.vertices[b]}"
+                    f"{graph.vertex(a)} and {graph.vertex(b)}"
                 )
             linked_pairs += linked
             chords += linked and j1 + j2 >= half + 2
@@ -558,8 +523,8 @@ def _spine_problem(graph: DcmGraph, spine: dict[int, tuple], half: int) -> str |
 
 
 def verify_medium_even_structure(
-    graph: DcmGraph, reports: list[ComponentReport] | None = None
-) -> tuple[bool, list[str]]:
+    graph: DcmGraph, reports: list[ComponentReport]
+) -> list[str]:
     """Check every medium component of an even-size graph in detail.
 
     Each one must be the fixed chord-decorated path: k-2 path members
@@ -569,13 +534,12 @@ def verify_medium_even_structure(
     1..(k/2 - 1) on two sides (chi, z).  Two of them are adjacent exactly
     when they sit on opposite sides and their j values sum to at least
     k/2, and sums of at least k/2 + 2 give the non-path chords.  Each
-    member's matching, label and neighbors are made once.
+    member's matching, label and neighbors are made once.  Returns the
+    problems found, one line per failing component; empty on a pass.
     """
     k = graph.k
     if k % 2 or k < 4:
         raise DomainError(f"medium structure is defined for even k >= 4, got {k}")
-    if reports is None:
-        reports = components(graph)
     expected_profile = {
         LABEL_PATH_LEAF: 2 * (k - 2),
         LABEL_PATH_MEMBER: k - 2,
@@ -583,8 +547,7 @@ def verify_medium_even_structure(
     template_cert = _canonical_form(
         _medium_even_template(k), [0] * (3 * (k - 2))
     )
-    notes: list[str] = []
-    ok = True
+    found: list[str] = []
     mediums = [r for r in reports if r.category == "medium"]
     for report in mediums:
         problems = []
@@ -592,7 +555,7 @@ def verify_medium_even_structure(
             problems.append(f"profile {report.profile}")
         spine: dict[int, tuple] = {}
         for v in report.members:
-            m = graph.vertices[v]
+            m = graph.vertex(v)
             label, params = classify_with_witness(m)
             if label == LABEL_PATH_MEMBER:
                 around = set(graph.adjacent(v))
@@ -609,14 +572,10 @@ def verify_medium_even_structure(
         if component_certificate(graph, report) != template_cert:
             problems.append("shape differs from the chord-decorated path")
         if problems:
-            ok = False
-            notes.append(f"component {report.id}: " + "; ".join(problems))
-        else:
-            notes.append(f"component {report.id}: matches the template")
+            found.append(f"component {report.id}: " + "; ".join(problems))
     if not mediums:
-        ok = False
-        notes.append("no medium components found")
-    return ok, notes
+        found.append("no medium components found")
+    return found
 
 
 # -- almost-perfect variant --------------------------------------------------
@@ -627,7 +586,6 @@ class AlmostPerfectGraph:
     """Compatibility graph on near-perfect matchings of 2k+1 points."""
 
     k: int
-    n_points: int
     vertices: tuple[tuple[int, tuple[Edge, ...]], ...]
     offsets: array
     targets: array
@@ -707,7 +665,6 @@ def build_almost_perfect_graph(k: int) -> AlmostPerfectGraph:
             cycle_ok = False
     return AlmostPerfectGraph(
         k=k,
-        n_points=n,
         vertices=tuple(raw),
         offsets=offsets,
         targets=targets,
@@ -724,7 +681,7 @@ def build_almost_perfect_graph(k: int) -> AlmostPerfectGraph:
 
 def to_dot(graph: DcmGraph) -> str:
     """DOT text: quoted canonical strings, each edge emitted once."""
-    names = [str(m) for m in graph.vertices]
+    names = [str(m) for m in enumerate_matchings(graph.k)]
     lines = [f"graph dcm_{graph.k} {{"]
     lines.extend(f'  "{name}";' for name in names)
     for i in range(graph.order):
@@ -739,14 +696,12 @@ def graph_to_json_dict(graph: DcmGraph) -> dict:
     edges = [[i, j] for i in range(graph.order) for j in graph.adjacent(i) if i < j]
     return {
         "k": graph.k,
-        "vertices": [str(m) for m in graph.vertices],
+        "vertices": [str(m) for m in enumerate_matchings(graph.k)],
         "edges": edges,
     }
 
 
-def census_csv(graph: DcmGraph, reports: list[ComponentReport] | None = None) -> str:
-    if reports is None:
-        reports = components(graph)
+def census_csv(graph: DcmGraph, reports: list[ComponentReport]) -> str:
     lines = ["k,component_id,order,class,bipartite"]
     for r in reports:
         flag = "true" if r.bipartite else "false"

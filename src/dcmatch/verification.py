@@ -178,8 +178,8 @@ def _bipartiteness(cache: GraphCache, k: int) -> list[str]:
 
 
 def _medium_even_structure(cache: GraphCache, k: int) -> list[str]:
-    ok, notes = verify_medium_even_structure(cache.graph(k), cache.reports(k))
-    return [] if ok else [f"k={k}: {n}" for n in notes if "matches" not in n]
+    problems = verify_medium_even_structure(cache.graph(k), cache.reports(k))
+    return [f"k={k}: {p}" for p in problems]
 
 
 def _neighbor_oracle(cache: GraphCache, k: int) -> list[str]:

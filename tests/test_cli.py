@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -82,6 +83,16 @@ CENSUS_K3 = (
     "3,2,1,small,true\n"
     "3,3,1,small,true\n"
 )
+
+# sha256 of whole outputs too long to pin as literals.
+DIGESTS = {
+    "components --k 9 --format json":
+        "6d3eafdab2f8fff353ad905b4b639246a57f5035f8d17a31a4c6e1a383e8de31",
+    "graph --k 5 --format dot":
+        "07cb8c697974b297746ba678886167d41cb86c03f5dda08f9b1628d50de04123",
+    "graph --k 5 --format json":
+        "ba549fee99e7f258ce138985e3bfe3fd68e8594ef63c48b28203d38f960fc969",
+}
 
 
 def run(*argv, capsys):
@@ -384,6 +395,14 @@ class TestGraph:
         )
         assert code == 1
         assert err.startswith("dcmatch: ERR_IO:")
+
+
+class TestDigests:
+    @pytest.mark.parametrize("command", sorted(DIGESTS))
+    def test_output_digest(self, capsys, command):
+        code, out, _ = run(*command.split(), capsys=capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[command]
 
 
 class TestSeries:

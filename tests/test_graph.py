@@ -47,7 +47,7 @@ from dcmatch.matching import (
     rotate,
     unrank,
 )
-from dcmatch.verification import ISO_CLASSES_BY_K
+from dcmatch.verification import ISO_CLASSES_BY_K, run_checks
 
 # (order, category) -> how many components, pinned per size.
 CENSUS = {
@@ -113,7 +113,7 @@ class TestBuild:
 
     def test_index_roundtrip(self):
         g = graph_for(4)
-        for i, m in enumerate(g.vertices):
+        for i, m in enumerate(enumerate_matchings(4)):
             assert g.index_of(m) == i
         for other_size in ("1-2,3-4", "1-10,2-3,4-5,6-7,8-9"):
             with pytest.raises(ValueError):
@@ -170,7 +170,7 @@ class TestOrbits:
     @pytest.mark.parametrize("k", range(1, 8))
     def test_tables_describe_each_vertex(self, k):
         # Oracle: relabel the representative's edges with rotate/reflect.
-        vertices = graph_for(k).vertices
+        vertices = enumerate_matchings(k)
         orbit, element, images = orbit_tables(k)
         n = 2 * k
         for i, m in enumerate(vertices):
@@ -190,7 +190,7 @@ class TestOrbits:
     def test_orbit_is_closed_under_the_generators(self, k):
         # Oracle: rotate/reflect and index_of, not the orbit tables.
         graph = graph_for(k)
-        for i, v in enumerate(graph.vertices):
+        for i, v in enumerate(enumerate_matchings(k)):
             assert graph.orbit[graph.index_of(rotate(v, 1))] == graph.orbit[i]
             assert graph.orbit[graph.index_of(reflect(v))] == graph.orbit[i]
 
@@ -277,9 +277,11 @@ class TestComponents:
             assert sum(r.order for r in reports_for(k)) == graph_for(k).order
 
     def test_members_sorted_and_representative(self):
+        # The components JSON names a component by its first member's matching.
+        vertices = enumerate_matchings(5)
         for r in reports_for(5):
             assert list(r.members) == sorted(r.members)
-            assert r.representative == graph_for(5).vertices[r.members[0]]
+            assert graph_for(5).vertex(r.members[0]) == vertices[r.members[0]]
 
     def test_big_profiles_are_regular(self):
         for k in (5, 6):
@@ -299,7 +301,7 @@ class TestComponents:
         mediums = [r for r in reports_for(k) if r.category == "medium"]
         assert mediums
         for r in mediums:
-            labels = {v: classify(g.vertices[v]) for v in r.members}
+            labels = {v: classify(g.vertex(v)) for v in r.members}
             centres = [v for v in r.members if labels[v] == "Medium-DBD"]
             assert len(centres) == 1, (k, r.id)
             centre = centres[0]
@@ -347,7 +349,6 @@ def reference_reports(k, adjacent):
                 order=len(members),
                 category=reference_category(k, len(members)),
                 profile=dict(sorted(profile.items())),
-                representative=vertices[members[0]],
                 bipartite=bipartite,
                 members=tuple(members),
             )
@@ -363,8 +364,8 @@ class TestOrbitLabels:
         assert reports_for(k) == reference_reports(k, graph_for(k).adjacent)
 
     def test_one_classify_call_per_orbit(self, monkeypatch):
-        # One unrank and one classification per orbit; each component's
-        # representative is moved from its orbit's, not unranked again.
+        # One unrank and one classification per orbit; the census makes no
+        # matching for any component.
         calls = Counter()
 
         def counted(name):
@@ -488,27 +489,16 @@ class TestVertices:
     @pytest.mark.parametrize("k", range(1, 7))
     def test_rank_roundtrip(self, k):
         g = graph_for(k)
-        assert len(g.vertices) == g.order
-        assert list(g.vertices) == enumerate_matchings(k)
-        for i in range(g.order):
-            assert g.index_of(g.vertices[i]) == i
+        ms = enumerate_matchings(k)
+        assert g.order == len(ms)
+        for i, m in enumerate(ms):
+            assert g.vertex(i) == m
+            assert g.index_of(m) == i
 
-    def test_indexing_like_a_tuple(self):
+    def test_one_past_the_last_rank(self):
         g = graph_for(4)
-        as_tuple = tuple(enumerate_matchings(4))
-        for i in (0, 13, -1, -14):
-            assert g.vertices[i] == as_tuple[i]
-        for i in (14, -15):
-            with pytest.raises(IndexError):
-                as_tuple[i]
-            with pytest.raises(IndexError):
-                g.vertices[i]
-
-    @pytest.mark.parametrize(
-        "cut", [slice(1, 3), slice(None, None, -1), slice(-2, 3, -4), slice(20, 30)]
-    )
-    def test_slicing_like_a_list(self, cut):
-        assert graph_for(4).vertices[cut] == enumerate_matchings(4)[cut]
+        with pytest.raises(ValueError):
+            g.vertex(g.order)
 
 
 class TestBigComponent:
@@ -582,7 +572,7 @@ class TestDegrees:
             g = graph_for(k)
             best, argmax = degree_stats(g)
             assert best == expected
-            assert {g.vertices[i] for i in argmax} == set(rings(k))
+            assert {g.vertex(i) for i in argmax} == set(rings(k))
 
     def test_k2_everyone_wins(self):
         best, argmax = degree_stats(graph_for(2))
@@ -618,16 +608,34 @@ class TestIsomorphism:
 class TestMediumEvenStructure:
     def test_small_even_sizes_pass(self):
         for k in (4, 6, 8):
-            ok, notes = verify_medium_even_structure(graph_for(k), reports_for(k))
-            assert ok, notes
-            mediums = [r for r in reports_for(k) if r.category == "medium"]
-            assert len(notes) == len(mediums)
+            assert verify_medium_even_structure(graph_for(k), reports_for(k)) == []
 
     def test_rejects_odd_or_tiny(self):
         with pytest.raises(DomainError):
-            verify_medium_even_structure(graph_for(5))
+            verify_medium_even_structure(graph_for(5), reports_for(5))
         with pytest.raises(DomainError):
-            verify_medium_even_structure(graph_for(2))
+            verify_medium_even_structure(graph_for(2), reports_for(2))
+
+    def test_wrong_template_fails_the_check(self, monkeypatch):
+        # One extra edge between two leaves: every medium component's
+        # shape then differs, and the check reports the first six.
+        real = graph_module._medium_even_template
+
+        def template(k):
+            adj = real(k)
+            first, second = k - 2, k
+            adj[first].append(second)
+            adj[second].append(first)
+            return adj
+
+        monkeypatch.setattr(graph_module, "_medium_even_template", template)
+        (result,) = run_checks(8, 8, names=("medium-even-structure",))
+        problems = result.detail.split("; ")
+        assert result.status == "fail"
+        assert problems[0] == (
+            "k=8: component 2: shape differs from the chord-decorated path"
+        )
+        assert len(problems) == 6
 
 
 # -- canonical search against an unpruned reference and VF2 ----------------
@@ -799,7 +807,7 @@ class TestSearchSize:
         g = build_graph(k, workers=1)
         reports = components(g)
         isomorphism_classes(g, reports)
-        assert verify_medium_even_structure(g, reports)[0]
+        assert verify_medium_even_structure(g, reports) == []
         by_order = Counter(r.order for r in reports)
         shared = [r for r in reports if r.order > 2 and by_order[r.order] > 1]
         # One search per component of a shared order above 2, then one

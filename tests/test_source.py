@@ -31,13 +31,27 @@ UNCALLED_ON_PURPOSE = {
     "_Parser.error",
 }
 
+# Public method names that more than one class defines.  A call x.name
+# cannot tell those classes apart, so each name needs its reason here.
+SHARED_ON_PURPOSE = {
+    # DcmGraph.order: the exports and the vertex-count check read it;
+    # AlmostPerfectGraph.order: the almost-perfect check reads it.
+    "order",
+    # DcmGraph.adjacent: the census, certificates and exports read it;
+    # AlmostPerfectGraph.adjacent: tests/test_graph.py's pairwise oracle
+    # reads each row through it.
+    "adjacent",
+}
 
-def _names(node: ast.AST) -> Counter:
-    # Every use of a name, bare or as an attribute; imports do not count.
+
+def _uses(node: ast.AST, method: bool) -> Counter:
+    # Every use of a name as an attribute (x.name), and for a function or
+    # class also as a bare name.  A bare name never calls a method: it is a
+    # local or a global of that name.  Imports do not count.
     return Counter(
-        n.id if isinstance(n, ast.Name) else n.attr
+        n.attr if isinstance(n, ast.Attribute) else n.id
         for n in ast.walk(node)
-        if isinstance(n, (ast.Name, ast.Attribute))
+        if isinstance(n, ast.Attribute) or (isinstance(n, ast.Name) and not method)
     )
 
 
@@ -53,9 +67,16 @@ def _definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item
 
 
+def _trees() -> list[ast.Module]:
+    return [ast.parse(path.read_text()) for path in sorted(SOURCE.glob("*.py"))]
+
+
 def test_every_public_function_has_a_caller():
-    trees = [ast.parse(path.read_text()) for path in sorted(SOURCE.glob("*.py"))]
-    used = sum((_names(tree) for tree in trees), Counter())
+    trees = _trees()
+    used = {
+        method: sum((_uses(tree, method) for tree in trees), Counter())
+        for method in (False, True)
+    }
     uncalled = [
         qualified
         for tree in trees
@@ -63,10 +84,21 @@ def test_every_public_function_has_a_caller():
         # Dunders start with "_" too; Python calls them.
         if not node.name.startswith("_")
         # A definition that only uses itself is still uncalled.
-        and used[node.name] == _names(node)[node.name]
+        and used["." in qualified][node.name]
+        == _uses(node, "." in qualified)[node.name]
         and qualified not in UNCALLED_ON_PURPOSE
     ]
     assert uncalled == []
+
+
+def test_shared_method_names_are_listed():
+    owners = Counter(
+        node.name
+        for tree in _trees()
+        for qualified, node in _definitions(tree)
+        if "." in qualified and not node.name.startswith("_")
+    )
+    assert {name for name, n in owners.items() if n > 1} == SHARED_ON_PURPOSE
 
 
 def test_every_import_is_used():
