@@ -98,16 +98,18 @@ class DcmGraph:
         return rank(m.partner())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComponentReport:
-    """One connected component: order, census class, and family census."""
+    """One connected component: order, census class, family census and
+    sorted members.  The components of one quotient piece share their
+    ``profile`` dict, so it is read-only."""
 
     id: int
     order: int
     category: str
     profile: dict[str, int]
     bipartite: bool
-    members: tuple[int, ...]
+    members: array
 
 
 def orbit_tables(k: int) -> tuple[array, array, array]:
@@ -121,12 +123,13 @@ def orbit_tables(k: int) -> tuple[array, array, array]:
     representative is its smallest rank, so ``images[4k * o]``.
 
     Images are walked as Dyck words (``matching.words``), one rotation
-    step at a time, and ranked by bisecting the sorted words; only each
-    representative is unranked.
+    step at a time, and ranked by bisecting the words sorted with their
+    ranks packed below them; only each representative is unranked.
     """
     by_rank = words(k)
-    ranks = array("i", sorted(range(len(by_rank)), key=by_rank.__getitem__))
-    sorted_words = array("q", map(by_rank.__getitem__, ranks))
+    shift = len(by_rank).bit_length()
+    low = (1 << shift) - 1
+    packed = sorted([w << shift | r for r, w in enumerate(by_rank)])
     n = 2 * k
     orbit = array("i", [-1]) * len(by_rank)
     element = array("i", [0]) * len(orbit)
@@ -138,7 +141,7 @@ def orbit_tables(k: int) -> tuple[array, array, array]:
         w, p = by_rank[i], unrank(k, i)
         for a, (w, p) in enumerate(((w, p), _reflected(w, p))):
             for s, image in enumerate(word_rotations(w, p)):
-                j = ranks[bisect_left(sorted_words, image)]
+                j = packed[bisect_left(packed, image << shift)] & low
                 images.append(j)
                 if orbit[j] < 0:
                     orbit[j] = o
@@ -303,12 +306,13 @@ def components(graph: DcmGraph) -> list[ComponentReport]:
                     cosets[compose[d][x]] = len(kinds)
                 kinds.append(kind)
         lift_of.append(cosets)
-    found: dict[int, list[int]] = {}
+    found = [array("i") for _ in kinds]  # per lift: its members, ascending
     for v, (o, e) in enumerate(zip(graph.orbit, graph.element)):
         h = compose[e][inverse[potential[o]]]
-        found.setdefault(lift_of[piece[o]][h], []).append(v)
+        found[lift_of[piece[o]][h]].append(v)
     reports: list[ComponentReport] = []
-    for lift, members in found.items():
+    for lift in sorted(range(len(found)), key=lambda i: found[i][0]):
+        members = found[lift]
         bipartite, profile = kinds[lift]
         assert sum(profile.values()) == len(members), "lift orders must agree"
         reports.append(
@@ -316,9 +320,9 @@ def components(graph: DcmGraph) -> list[ComponentReport]:
                 id=len(reports),
                 order=len(members),
                 category=category.get(len(members), "big"),
-                profile=dict(profile),
+                profile=profile,
                 bipartite=bipartite,
-                members=tuple(members),
+                members=members,
             )
         )
     return reports
@@ -375,7 +379,7 @@ def degree_stats(graph: DcmGraph) -> tuple[int, tuple[int, ...]]:
 # -- isomorphism classes -----------------------------------------------------
 
 
-def _induced_adjacency(graph: DcmGraph, members: tuple[int, ...]) -> list[list[int]]:
+def _induced_adjacency(graph: DcmGraph, members: Sequence[int]) -> list[list[int]]:
     local = {v: i for i, v in enumerate(members)}
     return [[local[w] for w in graph.adjacent(v)] for v in members]
 

@@ -88,6 +88,8 @@ CENSUS_K3 = (
 DIGESTS = {
     "components --k 9 --format json":
         "6d3eafdab2f8fff353ad905b4b639246a57f5035f8d17a31a4c6e1a383e8de31",
+    "components --k 11 --format json":
+        "2e1b36e5e43cb9a219bd56c322542517ff5c3dd4ab3af9a1eca9ed972dcf6cc1",
     "graph --k 5 --format dot":
         "07cb8c697974b297746ba678886167d41cb86c03f5dda08f9b1628d50de04123",
     "graph --k 5 --format json":

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import multiprocessing
 import random
+import tracemalloc
 from array import array
 from collections import Counter
 from itertools import accumulate
@@ -350,7 +351,7 @@ def reference_reports(k, adjacent):
                 category=reference_category(k, len(members)),
                 profile=dict(sorted(profile.items())),
                 bipartite=bipartite,
-                members=tuple(members),
+                members=array("i", members),
             )
         )
     return reports
@@ -454,7 +455,9 @@ class TestQuotient:
         g = build_graph(1)
         assert (g.order, g.edge_count, g.degree(0), g.adjacent(0)) == (1, 0, 0, [])
         (r,) = components(g)
-        assert (r.order, r.category, r.bipartite, r.members) == (1, "small", True, (0,))
+        assert (r.order, r.category, r.bipartite, r.members) == (
+            1, "small", True, array("i", [0])
+        )
 
     @pytest.mark.parametrize("k", range(2, 11))
     def test_stabilised_orbits_list_each_member_once(self, k):
@@ -483,6 +486,34 @@ class TestQuotient:
             for b in elements:
                 for c in elements:
                     assert table[table[a][b]][c] == table[a][table[b][c]]
+
+
+class TestCensusMemory:
+    # tracemalloc counts Python allocations only, so these bounds do not
+    # move with the interpreter's resident size or the machine.
+    def test_reports_retain_little_per_vertex(self):
+        # Members live in one flat int array per component, and the
+        # lifts of a piece share its profile dict.
+        g = graph_for(10)
+        components(g)  # fill the family tables first
+        tracemalloc.start()
+        try:
+            reports = components(g)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(reports) == 121
+        assert retained <= 8 * g.order
+
+    def test_orbit_tables_peak_per_vertex(self):
+        # One sorted list of packed ints ranks the images.
+        tracemalloc.start()
+        try:
+            orbit, _, _ = orbit_tables(10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 70 * len(orbit)
 
 
 class TestVertices:
