@@ -24,8 +24,6 @@ from .matching import (
     insert,
     is_crossing,
     parse_matching,
-    reflect,
-    rotate,
     validate,
 )
 
@@ -54,9 +52,7 @@ __all__ = [
     "neighbors",
     "neighbors_bruteforce",
     "parse_matching",
-    "reflect",
     "riordan",
-    "rotate",
     "to_dot",
     "to_dual_tree",
     "validate",

@@ -6,18 +6,25 @@ union splits into cycles that alternate between the two matchings, each
 cycle visiting its points in convex order, with the cycle supports
 mutually non-interleaved.
 
-Every neighbor of M is reached by one *flip partition*: a partition of
-M's edges into groups of two or more, each group pairing up cyclically
-consecutive support points, with all remaining edges confined to single
-gaps between consecutive support points.  Flipping shifts each group's
-pairing to the complementary one.  Distinct partitions give distinct
-neighbors, so enumerating partitions enumerates the adjacency.
+The chords of a matching M cut the polygon into faces, each bounded by
+chords and polygon sides in turn.  Every chord borders two faces, the one
+under it and the one around it, so the faces and chords form a tree, the
+dual tree.  A matching M' is adjacent to M exactly when every alternating
+cycle of M and M' lies inside one face of M.  So a neighbor is two
+choices: each chord goes to one of its two faces, with no face receiving
+exactly one; and each face's chords are split into a non-crossing
+partition with no singleton block.  Each block of chords x_0, ..., x_r-1,
+in order round the face, is flipped by pairing the end of each x_i with
+the start of x_i+1, cyclically.  Distinct choices give distinct
+neighbors.  A face of m chords has Riordan(m) such partitions, so a ring,
+with all k chords on one face, has Riordan(k) neighbors.
 
-The enumeration walks each group's chain of edges in support order and
-writes down the flipped pairs as it goes, memoised per closed run of
-points.  A chain is not extended past a run it skips or covers that has
-no partition of its own, so most dead branches end at a memo lookup.
-``neighbors`` and ``neighbor_partners`` read the pairs directly.
+``_flips`` walks the points once, keeping a stack of the faces still
+open, each with every way its chords so far can be chosen.  When a chord
+closes, the face under it is resolved, with the chord going into it or
+out to the face around it, and every partition of it is read from one
+table per face size (``_patterns``).  ``neighbors`` and
+``neighbor_partners`` read the flipped pairs directly.
 """
 
 from __future__ import annotations
@@ -50,101 +57,132 @@ def flip_group(p: list[int], support: list[int]) -> None:
         p[a], p[b] = b, a
 
 
-# -- partition enumeration --------------------------------------------------
+# -- face enumeration -------------------------------------------------------
 #
-# In a flip partition of a closed run lo..hi (a run matched within itself),
-# the group of the edge (lo, b) holds a chain (s1,e1),...,(sm,em) of edges
-# that either nests under (lo, b) or continues to its right.  Each chain
-# step hops over whole closed runs.  Flipping the group pairs every chain
-# end with the next chain start:
-#
-#     nested     (lo,s1),(e1,s2),...,(em,b)
-#     rightward  (b,s1),(e1,s2),...,(lo,em)
-#
-# Every run left before, under or after a chain edge, or under or past the
-# anchor, sits in one gap of the group and is partitioned on its own.
+# A face of m chords is listed flat as [e0, s0, e1, s1, ...]: chord x is
+# met at s_x and left at e_x going round the face, and the polygon side
+# after it leads on to s_x+1.  Flipping a block pairs e_x with s_y for
+# each member x and its cyclic successor y.
 
 
-def _interval(p: list[int], memo: dict, lo: int, hi: int) -> list[tuple]:
-    """Flipped pairs of every flip partition of the closed run lo..hi.
+@lru_cache(maxsize=None)
+def _patterns(m: int) -> bytes:
+    """Flipped pairs of every partition of a face of ``m`` chords.
 
-    Each partition is one flat tuple of ``(a, b)`` pairs with ``a < b``:
-    the edges the flip puts on the run's points.  An empty list means no
-    partition exists.
+    Each partition is non-crossing with no singleton block, and takes
+    ``2 m`` bytes: for every block member x with cyclic successor y, the
+    face-list indices ``2x, 2y + 1``.
     """
-    key = lo * len(p) + hi  # distinct for every run, since hi < len(p)
-    found = memo.get(key)
-    if found is None:
-        found = memo[key] = []
-        b = p[lo]
-        # A chain nested under (lo, b), with the run past b left aside.
-        past = [_interval(p, memo, b + 1, hi)] if b < hi else []
-        if all(past):
-            _walk(p, memo, found, lo + 1, b - 1, lo, b, (), [], past)
-        # A chain right of (lo, b), with the run under it left aside.
-        under = [_interval(p, memo, lo + 1, b - 1)] if lo + 1 < b else []
-        if all(under):
-            _walk(p, memo, found, b + 1, hi, b, lo, (), under, [])
+    memo: dict[tuple[int, int], list[bytes]] = {}
+
+    def run(lo: int, hi: int) -> list[bytes]:
+        # Partitions of the chords lo..hi-1; the block of lo is lo and a
+        # chain of later members, each gap between them partitioned alone.
+        found = memo.get((lo, hi))
+        if found is None:
+            found = memo[lo, hi] = [] if lo < hi else [b""]
+            chains = [(lo, [b""])]
+            for prev, heads in chains:
+                for x in range(prev + 1, hi):
+                    gap = run(prev + 1, x)
+                    if not gap:
+                        continue
+                    step = bytes((2 * prev, 2 * x + 1))
+                    grown = [h + step + g for h in heads for g in gap]
+                    close = bytes((2 * x, 2 * lo + 1))
+                    rest = run(x + 1, hi)
+                    found += [h + close + r for h in grown for r in rest]
+                    chains.append((x, grown))
+        return found
+
+    return b"".join(run(0, m))
+
+
+def _resolved(x: list[int], face: list[int]) -> list[list[int]]:
+    # The flat list x extended by the flipped pairs of each partition of
+    # the face; x alone for an empty face.
+    if not face:
+        return [x]
+    width = len(face)
+    flat = [face[i] for i in _patterns(width // 2)]
+    return [x + flat[j : j + width] for j in range(0, len(flat), width)]
+
+
+def _flips(p: list[int]) -> list[list[int]]:
+    """Flipped pairs of every neighbor of the matching ``p``, each neighbor
+    one flat list of points taken two at a time, a pair in either order.
+
+    Every open face holds its options: the points flipped so far in the
+    faces under it, and its own face list.  A face that closes with no
+    option leaves ``p`` without neighbors, and ends the walk at once.
+    """
+    faces = [[([], [])]]
+    for t in range(1, len(p)):
+        a = p[t]
+        if a > t:
+            faces.append([([], [])])
+            continue
+        inner = faces.pop()
+        if a + 1 == t:
+            # No chord under (a, t): it can only join the face around it.
+            faces[-1] = [(x, face + [t, a]) for x, face in faces[-1]]
+            continue
+        out: list[list[int]] = []  # (a, t) left to the face around it
+        into: list[list[int]] = []  # (a, t) flipped in the face under it
+        for x, face in inner:
+            if len(face) == 2:
+                # One chord under (a, t): the two pair off, one way only.
+                into.append(x + [face[0], t, a, face[1]])
+                continue
+            out += _resolved(x, face)
+            if face:
+                into += _resolved(x, [a, t] + face)
+        if not (out or into):
+            return []
+        around = faces[-1]
+        faces[-1] = [(x + y, face + [t, a]) for x, face in around for y in out]
+        faces[-1] += [(x + y, face) for x, face in around for y in into]
+    found: list[list[int]] = []
+    for x, face in faces[0]:
+        if len(face) != 2:
+            found += _resolved(x, face)
     return found
-
-
-def _walk(p, memo, found, c, limit, prev, close, pairs, pieces, after) -> None:
-    """Extend a chain by every edge starting in c..limit, to the right of
-    ``prev``, the last chain point so far; ``close`` is the anchor end that
-    the last chain end pairs with.
-
-    ``pieces`` and ``after`` hold the partitions of the runs the group
-    leaves aside.  A step whose skipped or covered run has none is not
-    taken, since no extension of it can be completed.
-    """
-    if pairs:
-        last = (prev, close) if prev < close else (close, prev)
-        tail = [_interval(p, memo, c, limit)] if c <= limit else []
-        if all(tail):
-            combos = [pairs + (last,)]
-            for piece in pieces + tail + after:
-                combos = [x + y for x in combos for y in piece]
-            found.extend(combos)
-    s = c
-    while s <= limit:
-        e = p[s]
-        step = pieces
-        if s > c:
-            pre = _interval(p, memo, c, s - 1)
-            step = step + [pre] if pre else None
-        if step is not None and s + 1 < e:
-            inner = _interval(p, memo, s + 1, e - 1)
-            step = step + [inner] if inner else None
-        if step is not None:
-            grown = pairs + ((prev, s),)
-            _walk(p, memo, found, e + 1, limit, e, close, grown, step, after)
-        s = e + 1
-
-
-def _flips(p: list[int]) -> list[tuple]:
-    # Flipped pairs of every flip partition of the matching p.
-    return _interval(p, {}, 1, len(p) - 1)
 
 
 def neighbor_partners(p: list[int]) -> Iterator[list[int]]:
     """Partner tables of all neighbors of the matching with partner table ``p``.
 
-    Each table is written straight from the flipped pairs of one flip
-    partition.
+    Each table is written straight from the flipped pairs of one neighbor.
     """
-    n = len(p) - 1
-    for pairs in _flips(p):
-        q = [0] * (n + 1)
-        for a, b in pairs:
-            q[a] = b
-            q[b] = a
+    for flat in _flips(p):
+        q = [0] * len(p)
+        pairs = iter(flat)
+        for a, b in zip(pairs, pairs):
+            q[a], q[b] = b, a
         yield q
 
 
+class _Chords(dict):
+    # Canonical (min, max) tuple of each chord returned so far, under both
+    # orders of its points, so that neighbor sets share their chords.
+    def __missing__(self, pair: tuple[int, int]) -> Edge:
+        a, b = pair
+        chord = (a, b) if a < b else (b, a)
+        self[chord] = self[chord[::-1]] = chord
+        return chord
+
+
+_CHORDS = _Chords()
+
+
 def neighbors(m: Matching) -> set[Matching]:
-    """All matchings disjoint compatible with ``m``, via flip partitions."""
-    # Every flipped pair has a < b, so sorting makes the canonical form.
-    return {Matching(tuple(sorted(pairs))) for pairs in _flips(m.partner())}
+    """All matchings disjoint compatible with ``m``, via face partitions."""
+    chord = _CHORDS.__getitem__
+    found = set()
+    for flat in _flips(m.partner()):
+        pairs = iter(flat)
+        found.add(Matching(tuple(sorted(map(chord, zip(pairs, pairs))))))
+    return found
 
 
 # -- independent oracle -----------------------------------------------------

@@ -116,7 +116,7 @@ def orbit_tables(k: int) -> tuple[array, array, array]:
     """Dihedral orbits of the size-k matchings, indexed by rank.
 
     Returns ``(orbit, element, images)``.  Symmetries are numbered
-    0..4k-1 as in ``dihedral_permutations(2k)``.  Rank i is the image of
+    0..4k-1 as in ``_compose(2k)``.  Rank i is the image of
     the representative of orbit ``orbit[i]`` under symmetry
     ``element[i]``, and ``images[4k * o + e]`` is the rank of the
     representative of orbit o under symmetry e.  Each orbit's
@@ -160,8 +160,9 @@ def _reflected(w: int, p: Sequence[int]) -> tuple[int, list[int]]:
 @lru_cache(maxsize=None)
 def _compose(n: int) -> tuple[tuple[int, ...], ...]:
     # _compose(n)[e][f]: the symmetry "f, then e" of the n-gon.  Symmetry
-    # a*n + s is rho^s tau^a, rho the rotation by one step and tau the
-    # reflection, as in dihedral_permutations; tau rho^t = rho^-t tau.
+    # a*n + s is rho^s tau^a, rho the rotation by one step (t goes to
+    # t + 1) and tau the reflection (t goes to n + 1 - t); tau rho^t =
+    # rho^-t tau.
     # Worked in the abstract group, so the table holds for n = 2 too,
     # where the point maps repeat.
     return tuple(

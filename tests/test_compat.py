@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import sys
+import tracemalloc
 from bisect import bisect_left
 from itertools import chain, combinations, product
 
@@ -11,6 +12,7 @@ import pytest
 
 from dcmatch.compat import (
     _pair_tables,
+    _patterns,
     chord_tables,
     flip_group,
     neighbor_partners,
@@ -18,18 +20,17 @@ from dcmatch.compat import (
     neighbors_bruteforce,
     set_bits,
 )
-from dcmatch.counting import catalan
+from dcmatch.counting import catalan, riordan
 from dcmatch.matching import (
     canonical_edges,
     enumerate_matchings,
     from_partner,
     is_crossing,
     parse_matching,
-    reflect,
-    rotate,
     unrank,
     validate,
 )
+from symmetries import reflect, rotate
 
 RING4 = parse_matching("1-2,3-4,5-6,7-8")
 
@@ -376,7 +377,7 @@ class TestChordIndex:
         assert _pair_tables(4)[2] is not index
 
 
-# -- the edge-group route the pair enumeration replaced ---------------------
+# -- the edge-group route, a reference for the face walk ------------------
 
 
 def _anchored_parts(p, a, hi):
@@ -461,11 +462,9 @@ class TestPairEnumeration:
         assert len(found) > 1000
 
     def test_matches_the_group_route_at_70(self):
-        # The runs 1..140 and 3..12 are both looked up, and an interval
-        # key packed as lo * 64 + hi is 204 for both.  Closed runs have
-        # even length, so a key packed as lo * B + hi only collides past
-        # 2B points.  1-140 holds 2-13 (a 5-pair ring inside) and a stack
-        # of 63 nested chords, which keeps the neighbors few.
+        # A long chord, 1-140, holds 2-13 with a 5-pair ring inside it,
+        # and a stack of 63 nested chords.  Each face of the stack has two
+        # chords, which keeps the neighbors few.
         edges = [(1, 140), (2, 13)]
         edges += [(t, t + 1) for t in range(3, 13, 2)]
         edges += [(14 + i, 139 - i) for i in range(63)]
@@ -496,3 +495,105 @@ class TestPairEnumeration:
         assert len(neighbors(m)) == 2253
         for x in neighbors(m):
             assert validate(x.edges, 40).edges == x.edges
+
+
+def nest(n):
+    """n chords nested one inside the next: (i, 2n + 1 - i)."""
+    return validate([(i, 2 * n + 1 - i) for i in range(1, n + 1)])
+
+
+def ring(n):
+    """The n boundary chords (2i - 1, 2i)."""
+    return validate([(2 * i - 1, 2 * i) for i in range(1, n + 1)])
+
+
+class TestDeepNesting:
+    # Each face of a nest holds two chords, the innermost one; so its
+    # chords pair off from the inside out, and an odd stack leaves the
+    # outermost chord alone on the outer face.
+    def test_a_thousand_nested_chords(self):
+        assert neighbors(nest(1000)) == {ring(1000)}
+
+    def test_an_odd_nest_is_isolated(self):
+        assert neighbors(nest(999)) == set()
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_small_nests_match_bruteforce(self, n):
+        assert neighbors(nest(n)) == neighbors_bruteforce(nest(n))
+
+
+def blocks_of(chunk):
+    """The blocks named by one partition of a ``_patterns`` table, each in
+    successor order from its smallest chord, and whether every end 2x and
+    every start 2y + 1 is named once."""
+    ends, starts = chunk[::2], chunk[1::2]
+    m = len(chunk) // 2
+    once = sorted(ends) == [2 * x for x in range(m)] and sorted(starts) == [
+        2 * y + 1 for y in range(m)
+    ]
+    after = dict(zip((e // 2 for e in ends), (s // 2 for s in starts)))
+    seen, blocks = set(), []
+    for x in range(m):
+        if x not in seen:
+            block = [x]
+            while after[block[-1]] != x:
+                block.append(after[block[-1]])
+            seen.update(block)
+            blocks.append(tuple(block))
+    return blocks, once
+
+
+class TestPatterns:
+    @pytest.mark.parametrize("m", range(2, 14))
+    def test_one_partition_per_riordan_count(self, m):
+        assert len(_patterns(m)) == 2 * m * riordan(m)
+
+    @pytest.mark.parametrize("m", range(2, 14))
+    def test_each_partition_names_every_end_and_start_once(self, m):
+        table = _patterns(m)
+        for j in range(0, len(table), 2 * m):
+            assert blocks_of(table[j : j + 2 * m])[1]
+
+    @pytest.mark.parametrize("m", range(2, 11))
+    def test_partitions_are_distinct_non_crossing_without_singletons(self, m):
+        # With the count above, these are all such partitions.
+        table = _patterns(m)
+        found = set()
+        for j in range(0, len(table), 2 * m):
+            blocks, _ = blocks_of(table[j : j + 2 * m])
+            for block in blocks:
+                assert len(block) >= 2
+                assert list(block) == sorted(block)
+            for b, c in combinations(blocks, 2):
+                # c sits in one gap of b, the two ends forming one gap.
+                assert len({sum(x > y for y in b) % len(b) for x in c}) == 1
+            found.add(frozenset(blocks))
+        assert len(found) == riordan(m)
+
+    def test_no_partition_of_fewer_than_two_chords(self):
+        assert _patterns(0) == _patterns(1) == b""
+
+
+class TestSharedChords:
+    def test_neighbor_sets_share_chord_tuples(self):
+        (x,) = neighbors(parse_matching("1-2,3-4"))
+        (y,) = neighbors(parse_matching("1-2,3-4,5-6"))
+        assert x.edges[1] == y.edges[1] == (2, 3)
+        assert x.edges[1] is y.edges[1]
+
+    def test_neighbor_sets_retain_little_per_neighbor(self):
+        # tracemalloc counts Python allocations only, so the bound does not
+        # move with the interpreter's resident size or the machine.  With
+        # shared chords, a neighbor holds its Matching, its edge tuple and
+        # its set slot.
+        rng = random.Random("neighbors/memory")
+        ms = [random_matching(k, rng) for k in (10, 11, 12) for _ in range(300)]
+        for m in ms:
+            neighbors(m)  # fill the pattern and chord tables first
+        tracemalloc.start()
+        try:
+            found = [neighbors(m) for m in ms]
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained <= 320 * sum(map(len, found))

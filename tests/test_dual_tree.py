@@ -13,9 +13,9 @@ from dcmatch.dual_tree import (
 from dcmatch.matching import (
     enumerate_matchings,
     parse_matching,
-    rotate,
     validate,
 )
+from symmetries import rotate
 
 
 def degree(tree, v):

@@ -45,12 +45,11 @@ from dcmatch.matching import (
     insert,
     parse_matching,
     rank,
-    reflect,
-    rotate,
     validate,
     words,
 )
 from dcmatch.verification import ISOLATED_BY_K, run_checks
+from symmetries import reflect, rotate
 
 NESTED3 = parse_matching("1-6,2-5,3-4")
 

@@ -19,22 +19,19 @@ from dcmatch.graph import build_almost_perfect_graph, build_graph
 from dcmatch.matching import (
     Matching,
     canonical_edges,
-    dihedral_permutations,
     enumerate_matchings,
     from_partner,
     insert,
     is_crossing,
     parse_matching,
     partner_word,
-    permute,
     rank,
-    reflect,
-    rotate,
     unrank,
     validate,
     word_partners,
     words,
 )
+from symmetries import dihedral_permutations, permute, reflect, rotate
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
 

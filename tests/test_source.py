@@ -23,10 +23,6 @@ UNCALLED_ON_PURPOSE = {
     # The library entry point README shows; the benchmark's query-mix
     # workload calls it once per query.
     "classify",
-    # Symmetry oracles: the tests check equivariance and orbit tables
-    # against them.
-    "rotate",
-    "reflect",
     # argparse calls it on a bad command line.
     "_Parser.error",
 }
