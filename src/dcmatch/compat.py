@@ -20,17 +20,20 @@ neighbors.  A face of m chords has Riordan(m) such partitions, so a ring,
 with all k chords on one face, has Riordan(k) neighbors.
 
 ``_flips`` walks the points once, keeping a stack of the faces still
-open, each with every way its chords so far can be chosen.  When a chord
-closes, the face under it is resolved, with the chord going into it or
-out to the face around it, and every partition of it is read from one
-table per face size (``_patterns``).  ``neighbors`` and
-``neighbor_partners`` read the flipped pairs directly.
+open, each with every way its chords so far can be chosen: its options,
+each a tuple pair of the points flipped so far in the faces under it and
+its own face list.  When a chord closes, the face under it is resolved,
+with the chord going into it or out to the face around it, and each
+partition of it is applied as one ``itemgetter`` from one table per face
+size (``_patterns``).  ``neighbors`` and ``neighbor_partners`` read the
+flipped pairs directly.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import lru_cache
+from operator import itemgetter
 
 from .matching import (
     Edge,
@@ -66,12 +69,12 @@ def flip_group(p: list[int], support: list[int]) -> None:
 
 
 @lru_cache(maxsize=None)
-def _patterns(m: int) -> bytes:
+def _patterns(m: int) -> tuple[itemgetter, ...]:
     """Flipped pairs of every partition of a face of ``m`` chords.
 
-    Each partition is non-crossing with no singleton block, and takes
-    ``2 m`` bytes: for every block member x with cyclic successor y, the
-    face-list indices ``2x, 2y + 1``.
+    Each partition is non-crossing with no singleton block, and is one
+    getter of a face list: for every block member x with cyclic successor
+    y, it picks the face-list items ``2x, 2y + 1``.
     """
     memo: dict[tuple[int, int], list[bytes]] = {}
 
@@ -95,58 +98,60 @@ def _patterns(m: int) -> bytes:
                     chains.append((x, grown))
         return found
 
-    return b"".join(run(0, m))
+    # The one partition of no chords picks nothing, and is no getter.
+    return tuple(itemgetter(*pattern) for pattern in run(0, m) if pattern)
 
 
-def _resolved(x: list[int], face: list[int]) -> list[list[int]]:
-    # The flat list x extended by the flipped pairs of each partition of
-    # the face; x alone for an empty face.
-    if not face:
-        return [x]
-    width = len(face)
-    flat = [face[i] for i in _patterns(width // 2)]
-    return [x + flat[j : j + width] for j in range(0, len(flat), width)]
-
-
-def _flips(p: list[int]) -> list[list[int]]:
+def _flips(p: list[int]) -> Iterator[tuple[int, ...]]:
     """Flipped pairs of every neighbor of the matching ``p``, each neighbor
-    one flat list of points taken two at a time, a pair in either order.
+    one flat tuple of points taken two at a time, a pair in either order.
 
-    Every open face holds its options: the points flipped so far in the
-    faces under it, and its own face list.  A face that closes with no
-    option leaves ``p`` without neighbors, and ends the walk at once.
+    An open face in which no chord has closed yet holds ``None`` for its
+    options.  A face that closes with no option leaves ``p`` without
+    neighbors, and ends the walk at once.
     """
-    faces = [[([], [])]]
+    faces: list = []
+    here = None  # the options of the innermost open face
     for t in range(1, len(p)):
         a = p[t]
         if a > t:
-            faces.append([([], [])])
+            faces.append(here)
+            here = None
             continue
-        inner = faces.pop()
-        if a + 1 == t:
+        inner = here
+        around = faces.pop()
+        if inner is None:
             # No chord under (a, t): it can only join the face around it.
-            faces[-1] = [(x, face + [t, a]) for x, face in faces[-1]]
+            if around is None:
+                here = [((), (t, a))]
+            else:
+                here = [(x, face + (t, a)) for x, face in around]
             continue
-        out: list[list[int]] = []  # (a, t) left to the face around it
-        into: list[list[int]] = []  # (a, t) flipped in the face under it
-        for x, face in inner:
-            if len(face) == 2:
-                # One chord under (a, t): the two pair off, one way only.
-                into.append(x + [face[0], t, a, face[1]])
-                continue
-            out += _resolved(x, face)
-            if face:
-                into += _resolved(x, [a, t] + face)
-        if not (out or into):
-            return []
-        around = faces[-1]
-        faces[-1] = [(x + y, face + [t, a]) for x, face in around for y in out]
-        faces[-1] += [(x + y, face) for x, face in around for y in into]
-    found: list[list[int]] = []
-    for x, face in faces[0]:
-        if len(face) != 2:
-            found += _resolved(x, face)
-    return found
+        # Each option of the face around (one empty one for None), times
+        # each way to resolve the face under (a, t), with (a, t) out or in.
+        here = []
+        for flipped, outer in around or (((), ()),):
+            for x, face in inner:
+                if len(face) == 2:
+                    # One chord under (a, t): the two pair off, one way only.
+                    here.append((flipped + x + (face[0], t, a, face[1]), outer))
+                elif not face:
+                    here.append((flipped + x, outer + (t, a)))
+                else:
+                    x = flipped + x
+                    joined = outer + (t, a)
+                    m = len(face) >> 1
+                    here += [(x + flip(face), joined) for flip in _patterns(m)]
+                    face = (a, t) + face
+                    here += [(x + flip(face), outer) for flip in _patterns(m + 1)]
+        if not here:
+            return
+    for x, face in here:
+        if not face:
+            yield x
+        elif len(face) > 2:
+            for flip in _patterns(len(face) >> 1):
+                yield x + flip(face)
 
 
 def neighbor_partners(p: list[int]) -> Iterator[list[int]]:

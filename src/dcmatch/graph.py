@@ -595,7 +595,6 @@ class AlmostPerfectGraph:
     offsets: array
     targets: array
     edge_count: int
-    connected: bool
     component_count: int
     ring_indices: tuple[int, ...]
     rings_form_cycle: bool
@@ -659,22 +658,17 @@ def build_almost_perfect_graph(k: int) -> AlmostPerfectGraph:
         )
         ring_indices.append(index[edges])
     ring_set = set(ring_indices)
-    cycle_ok = True
-    for pos, v in enumerate(ring_indices):
-        expected = {
-            ring_indices[(pos - 1) % n],
-            ring_indices[(pos + 1) % n],
-        }
-        got = {w for w in adjacent(v) if w in ring_set}
-        if got != expected:
-            cycle_ok = False
+    cycle_ok = all(
+        {w for w in adjacent(v) if w in ring_set}
+        == {ring_indices[pos - 1], ring_indices[(pos + 1) % n]}
+        for pos, v in enumerate(ring_indices)
+    )
     return AlmostPerfectGraph(
         k=k,
         vertices=tuple(raw),
         offsets=offsets,
         targets=targets,
         edge_count=offsets[-1] // 2,
-        connected=pieces == 1,
         component_count=pieces,
         ring_indices=tuple(ring_indices),
         rings_form_cycle=cycle_ok,

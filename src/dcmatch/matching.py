@@ -121,9 +121,11 @@ def validate(edges: Iterable[Iterable[int]], k: int | None = None) -> Matching:
     """Check labels, coverage, and planarity; return the canonical matching.
 
     Raises :class:`LabelError` for bad labels or coverage and
-    :class:`CrossingError` (with one offending pair) for crossings.
+    :class:`CrossingError` (with one offending pair) for crossings.  The
+    first error in canonical edge order is the one raised.
     """
-    canon = canonical_edges(edges)
+    canon = [(a, b) if a < b else (b, a) for a, b in edges]
+    canon.sort()
     if k is None:
         k = len(canon)
     if len(canon) != k:
@@ -131,22 +133,23 @@ def validate(edges: Iterable[Iterable[int]], k: int | None = None) -> Matching:
     if k < 1:
         raise LabelError("a matching needs at least one edge")
     n = 2 * k
-    seen = [False] * (n + 1)
-    for a, b in canon:
-        for t in (a, b):
-            if not 1 <= t <= n:
-                raise LabelError(f"label {t} out of range 1..{n}")
-            if seen[t]:
-                raise LabelError(f"label {t} used more than once")
-            seen[t] = True
-        if a == b:
-            raise LabelError(f"edge ({a}, {b}) joins a point to itself")
+    if canon[0][0] < 1:
+        raise LabelError(f"label {canon[0][0]} out of range 1..{n}")
+    # No label is below the first one.  The partner table marks the labels
+    # seen, and a label over n is the look-up that runs off its end.
+    partner = [0] * (n + 1)
+    try:
+        for a, b in canon:
+            if partner[a]:
+                raise LabelError(f"label {a} used more than once")
+            partner[a] = b
+            if partner[b]:
+                raise LabelError(f"label {b} used more than once")
+            partner[b] = a
+    except IndexError:
+        raise LabelError(f"label {a if a > n else b} out of range 1..{n}") from None
     # Single stack pass detects crossings: when edge (a, b) closes at b, every
     # point opened after a must already be closed.
-    partner = [0] * (n + 1)
-    for a, b in canon:
-        partner[a] = b
-        partner[b] = a
     stack: list[int] = []
     for t in range(1, n + 1):
         if partner[t] > t:
@@ -155,22 +158,19 @@ def validate(edges: Iterable[Iterable[int]], k: int | None = None) -> Matching:
             top = stack.pop()
             if top != partner[t]:
                 raise CrossingError((top, partner[top]), (partner[t], t))
-    return Matching(canon)
+    return Matching(tuple(canon))
 
 
 def parse_matching(text: str) -> Matching:
     """Parse the ``"a-b,c-d,..."`` string form and validate it."""
     pairs = []
     for chunk in text.strip().split(","):
-        parts = chunk.split("-")
-        if len(parts) != 2:
-            raise ParseError(f"bad edge {chunk!r}, expected 'a-b'")
         try:
-            pairs.append((int(parts[0]), int(parts[1])))
+            a, b = chunk.split("-")
+            pairs.append((int(a), int(b)))
         except ValueError as exc:
-            raise ParseError(f"bad edge {chunk!r}, expected integers") from exc
-    if not pairs:
-        raise ParseError("empty matching string")
+            expected = "'a-b'" if chunk.count("-") != 1 else "integers"
+            raise ParseError(f"bad edge {chunk!r}, expected {expected}") from exc
     return validate(pairs)
 
 

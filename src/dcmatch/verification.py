@@ -218,7 +218,7 @@ def _family_counts(cache: GraphCache, k: int) -> list[str]:
 def _almost_perfect(cache: GraphCache, k: int) -> list[str]:
     ap = build_almost_perfect_graph(k)
     problems = []
-    if not ap.connected:
+    if ap.component_count != 1:
         problems.append(f"k={k}: {ap.component_count} components")
     if not ap.rings_form_cycle:
         problems.append(f"k={k}: rings do not induce a cycle")

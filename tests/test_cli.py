@@ -14,9 +14,10 @@ import pytest
 
 from dcmatch import cli, verification
 from dcmatch.cli import main
-from dcmatch.errors import CrossingError
+from dcmatch.errors import CrossingError, MatchingError
 from dcmatch.matching import Matching
 from dcmatch.verification import CHECK_NAMES, run_checks
+from reference import reference_parse
 
 EDGE_ROW = (1, 0, 1, 1, 9, 21, 125, 421, 2161, 8677, 42245)
 
@@ -205,6 +206,18 @@ class TestNeighbors:
         )
         assert code == 2
         assert err.startswith("dcmatch: ERR_USAGE:")
+
+    @pytest.mark.parametrize("text", [
+        "", "1", "1-2-3", "a-b", "1-2,,3-4", "1,2", " 2-1 , x-4", "1-2,3-4,5",
+        "1-3,2-4,5-6", "1-6,2-4,3-5", "1-2,2-3,4-5", "1-1,2-3,4-5",
+        "0-1,2-3,4-5", "1-2,3-4,5-7", "1--2,3-4,5-6", "6-5,4-3", "1-2,3-4,5-6,7-9",
+    ])
+    def test_parse_error_bytes(self, text, capsys):
+        # The usage line names the reference parser's own message.
+        with pytest.raises(MatchingError) as info:
+            reference_parse(text)
+        code, out, err = run("neighbors", "--k", "3", "--matching", text, capsys=capsys)
+        assert (code, out, err) == (2, "", f"dcmatch: ERR_USAGE: {info.value}\n")
 
     def test_size_mismatch(self, capsys):
         code, _, err = run(

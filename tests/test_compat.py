@@ -11,6 +11,7 @@ from itertools import chain, combinations, product
 import pytest
 
 from dcmatch.compat import (
+    _flips,
     _pair_tables,
     _patterns,
     chord_tables,
@@ -522,8 +523,13 @@ class TestDeepNesting:
         assert neighbors(nest(n)) == neighbors_bruteforce(nest(n))
 
 
+def patterns_of(m):
+    """Each partition in ``_patterns(m)`` as the face-list indices it picks."""
+    return [flip(range(2 * m)) for flip in _patterns(m)]
+
+
 def blocks_of(chunk):
-    """The blocks named by one partition of a ``_patterns`` table, each in
+    """The blocks named by the face-list indices of one partition, each in
     successor order from its smallest chord, and whether every end 2x and
     every start 2y + 1 is named once."""
     ends, starts = chunk[::2], chunk[1::2]
@@ -546,21 +552,19 @@ def blocks_of(chunk):
 class TestPatterns:
     @pytest.mark.parametrize("m", range(2, 14))
     def test_one_partition_per_riordan_count(self, m):
-        assert len(_patterns(m)) == 2 * m * riordan(m)
+        assert len(_patterns(m)) == riordan(m)
 
     @pytest.mark.parametrize("m", range(2, 14))
     def test_each_partition_names_every_end_and_start_once(self, m):
-        table = _patterns(m)
-        for j in range(0, len(table), 2 * m):
-            assert blocks_of(table[j : j + 2 * m])[1]
+        for chunk in patterns_of(m):
+            assert blocks_of(chunk)[1]
 
     @pytest.mark.parametrize("m", range(2, 11))
     def test_partitions_are_distinct_non_crossing_without_singletons(self, m):
         # With the count above, these are all such partitions.
-        table = _patterns(m)
         found = set()
-        for j in range(0, len(table), 2 * m):
-            blocks, _ = blocks_of(table[j : j + 2 * m])
+        for chunk in patterns_of(m):
+            blocks, _ = blocks_of(chunk)
             for block in blocks:
                 assert len(block) >= 2
                 assert list(block) == sorted(block)
@@ -571,7 +575,17 @@ class TestPatterns:
         assert len(found) == riordan(m)
 
     def test_no_partition_of_fewer_than_two_chords(self):
-        assert _patterns(0) == _patterns(1) == b""
+        assert _patterns(0) == _patterns(1) == ()
+
+
+class TestFlatFlips:
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_each_flat_tuple_covers_every_point_once(self, k):
+        points = list(range(1, 2 * k + 1))
+        for m in enumerate_matchings(k):
+            for flat in _flips(m.partner()):
+                assert type(flat) is tuple
+                assert sorted(flat) == points
 
 
 class TestSharedChords:

@@ -855,7 +855,7 @@ class TestAlmostPerfect:
         ap = build_almost_perfect_graph(1)
         assert ap.order == 3
         assert ap.edge_count == 3
-        assert ap.connected
+        assert ap.component_count == 1
         assert ap.rings_form_cycle
 
     def test_vertex_counts(self):
@@ -865,7 +865,6 @@ class TestAlmostPerfect:
     def test_connected_with_ring_cycle(self):
         for k in (2, 3, 4):
             ap = build_almost_perfect_graph(k)
-            assert ap.connected
             assert ap.component_count == 1
             assert ap.rings_form_cycle
             assert len(set(ap.ring_indices)) == 2 * k + 1

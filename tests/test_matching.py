@@ -12,6 +12,7 @@ from dcmatch.errors import (
     CrossingError,
     DomainError,
     LabelError,
+    MatchingError,
     ParseError,
     ResourceLimitError,
 )
@@ -31,6 +32,7 @@ from dcmatch.matching import (
     word_partners,
     words,
 )
+from reference import reference_parse, reference_validate
 from symmetries import dihedral_permutations, permute, reflect, rotate
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
@@ -133,6 +135,75 @@ class TestParse:
     def test_parse_validates(self):
         with pytest.raises(CrossingError):
             parse_matching("1-3,2-4")
+
+
+def outcome(f, *args):
+    """What ``f`` returns, or the type, message and witness it raises."""
+    try:
+        return f(*args)
+    except MatchingError as exc:
+        return type(exc), str(exc), getattr(exc, "first", None), getattr(
+            exc, "second", None
+        )
+
+
+@st.composite
+def edge_lists(draw):
+    """Edge lists near a matching on 2k points, and the size to check them
+    against: shuffled, with pairs reversed or given as lists, points paired
+    at random (so crossings occur), labels replaced by any in -2..2k + 2
+    (out of range, repeated, a point paired with itself), and an edge
+    dropped or added."""
+    k = draw(st.integers(1, 7))
+    n = 2 * k
+    if draw(st.booleans()):
+        edges = list(draw(st.sampled_from(enumerate_matchings(k))).edges)
+    else:
+        points = draw(st.permutations(range(1, n + 1)))
+        edges = list(zip(points[::2], points[1::2]))
+    edges = draw(st.permutations(edges))
+    label = st.integers(-2, n + 2)
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, k - 1))
+        a, b = edges[i]
+        edges[i] = (draw(label), b) if draw(st.booleans()) else (a, draw(label))
+    if draw(st.booleans()):
+        edges.pop(draw(st.integers(0, len(edges) - 1)))
+    if draw(st.booleans()):
+        edges.insert(draw(st.integers(0, len(edges))), (draw(label), draw(label)))
+    pairs = [
+        e[::-1] if swap else e
+        for e, swap in zip(edges, draw(st.lists(st.booleans(), min_size=len(edges),
+                                                max_size=len(edges))))
+    ]
+    if draw(st.booleans()):
+        pairs = [list(e) for e in pairs]
+    return pairs, draw(st.none() | st.integers(-1, k + 2))
+
+
+class TestValidateOracle:
+    """validate against its sorted-pairs reference: an equal matching, or
+    the same exception type, message and crossing witness."""
+
+    @given(edge_lists())
+    def test_matches_the_reference(self, case):
+        edges, k = case
+        assert outcome(validate, edges, k) == outcome(reference_validate, edges, k)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_every_pairing_matches_the_reference(self, k):
+        # Every pairing of 2k points, crossing or not, in canonical order
+        # and reversed.
+        for pairing in all_perfect_matchings(tuple(range(1, 2 * k + 1))):
+            for edges in (pairing, [e[::-1] for e in reversed(pairing)]):
+                assert outcome(validate, edges) == outcome(reference_validate, edges)
+
+    @given(
+        st.lists(st.sampled_from("0123456789-, x"), max_size=24).map("".join)
+        | edge_lists().map(lambda case: ",".join(f"{a}-{b}" for a, b in case[0]))
+    )
+    def test_parse_matches_the_reference(self, text):
+        assert outcome(parse_matching, text) == outcome(reference_parse, text)
 
 
 class TestEnumerate:
