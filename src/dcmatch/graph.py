@@ -59,8 +59,9 @@ class DcmGraph:
     ``orbit``, ``element`` and ``images`` are the tables of
     ``orbit_tables``: orbits are numbered in order of their smallest rank.
     ``arcs[o]`` lists each neighbor x of orbit o's representative as
-    ``(orbit[x], element[x])``.  ``certificates`` keeps each component
-    certificate made, keyed by the component's first member.
+    ``(orbit[x], element[x])``.  ``certificates`` keeps one certified
+    lift per quotient piece, keyed by the piece: its members and its
+    canonical form (``component_certificate``).
     """
 
     k: int
@@ -69,7 +70,7 @@ class DcmGraph:
     images: array
     arcs: list[tuple[tuple[int, int], ...]]
     edge_count: int
-    certificates: dict[int, tuple] = field(
+    certificates: dict[int, tuple[array, tuple]] = field(
         default_factory=dict, init=False, repr=False
     )
 
@@ -100,9 +101,10 @@ class DcmGraph:
 
 @dataclass(frozen=True, slots=True)
 class ComponentReport:
-    """One connected component: order, census class, family census and
-    sorted members.  The components of one quotient piece share their
-    ``profile`` dict, so it is read-only."""
+    """One connected component: order, census class, family census, sorted
+    members, and the quotient piece it lifts (pieces are numbered in
+    order of their smallest vertex).  The components of one piece share
+    their ``profile`` dict, so it is read-only."""
 
     id: int
     order: int
@@ -110,6 +112,7 @@ class ComponentReport:
     profile: dict[str, int]
     bipartite: bool
     members: array
+    piece: int
 
 
 def orbit_tables(k: int) -> tuple[array, array, array]:
@@ -272,7 +275,8 @@ def components(graph: DcmGraph) -> list[ComponentReport]:
     potential = array("i", [0]) * len(arcs)
     parity = bytearray(len(arcs))
     lift_of: list[list[int]] = []  # per piece: the lift holding each h in D
-    kinds: list[tuple[bool, dict[str, int]]] = []  # per lift: bipartite, profile
+    # per lift: bipartite, profile, piece
+    kinds: list[tuple[bool, dict[str, int], int]] = []
     for start in range(len(arcs)):
         if piece[start] >= 0:
             continue
@@ -299,7 +303,7 @@ def components(graph: DcmGraph) -> list[ComponentReport]:
         within = {d for d, _ in subgroup}
         lifts = group // len(within)
         profile = {label: n // lifts for label, n in sorted(weight.items())}
-        kind = (0, 1) not in subgroup, profile
+        kind = (0, 1) not in subgroup, profile, piece[start]
         cosets = [-1] * group
         for d in range(group):
             if cosets[d] < 0:
@@ -314,7 +318,7 @@ def components(graph: DcmGraph) -> list[ComponentReport]:
     reports: list[ComponentReport] = []
     for lift in sorted(range(len(found)), key=lambda i: found[i][0]):
         members = found[lift]
-        bipartite, profile = kinds[lift]
+        bipartite, profile, home = kinds[lift]
         assert sum(profile.values()) == len(members), "lift orders must agree"
         reports.append(
             ComponentReport(
@@ -324,6 +328,7 @@ def components(graph: DcmGraph) -> list[ComponentReport]:
                 profile=profile,
                 bipartite=bipartite,
                 members=members,
+                piece=home,
             )
         )
     return reports
@@ -442,15 +447,45 @@ def _canonical_form(adj: list[list[int]], colors: list[int]) -> tuple:
 
 
 def component_certificate(graph: DcmGraph, component: ComponentReport) -> tuple:
-    """Isomorphism-invariant canonical form of one component, made at
-    most once per graph."""
-    first = component.members[0]
-    cert = graph.certificates.get(first)
-    if cert is None:
+    """Isomorphism-invariant canonical form of one component.
+
+    The form is searched once per quotient piece, on the first of its
+    lifts asked for.  Every other lift of the piece is that lift's image
+    under a symmetry of the 2k-gon, an automorphism of the graph, so it
+    gets the same form; but only after the symmetry that takes the
+    certified lift's first member into it is checked to map the certified
+    lift onto its members exactly.  A failed check is an internal error.
+    """
+    cached = graph.certificates.get(component.piece)
+    if cached is None:
         adj = _induced_adjacency(graph, component.members)
-        cert = _canonical_form(adj, [0] * len(adj))
-        graph.certificates[first] = cert
-    return cert
+        cached = component.members, _canonical_form(adj, [0] * len(adj))
+        graph.certificates[component.piece] = cached
+    lift, form = cached
+    if lift is not component.members and not _maps_onto(graph, lift, component.members):
+        raise AssertionError(
+            f"component {component.id} is no symmetric image of the "
+            f"certified lift of piece {component.piece}"
+        )
+    return form
+
+
+def _maps_onto(graph: DcmGraph, lift: array, members: array) -> bool:
+    # Whether the first symmetry taking lift[0] into members maps all of
+    # lift onto the sorted vertex set members.  A symmetry maps components
+    # onto components, so no other symmetry can do better.
+    group = 4 * graph.k
+    base, e = group * graph.orbit[lift[0]], graph.element[lift[0]]
+    then = next(
+        (t for t in _compose(2 * graph.k) if graph.images[base + t[e]] in members),
+        None,
+    )
+    if then is None:
+        return False
+    moved = sorted(
+        graph.images[group * graph.orbit[v] + then[graph.element[v]]] for v in lift
+    )
+    return array("i", moved) == members
 
 
 def isomorphism_classes(
@@ -459,9 +494,10 @@ def isomorphism_classes(
     """Group components up to isomorphism.
 
     Only equal-order components are ever compared, so the canonical-form
-    cost stays with the small and medium components.  A connected graph
-    on one or two vertices is K1 or K2, so those orders form one class
-    each without a certificate.
+    cost stays with the small and medium components, and it is paid once
+    per quotient piece (``component_certificate``).  A connected graph on
+    one or two vertices is K1 or K2, so those orders form one class each
+    without a certificate.
     """
     by_order: dict[int, list[ComponentReport]] = {}
     for report in reports:
@@ -539,8 +575,10 @@ def verify_medium_even_structure(
     1..(k/2 - 1) on two sides (chi, z).  Two of them are adjacent exactly
     when they sit on opposite sides and their j values sum to at least
     k/2, and sums of at least k/2 + 2 give the non-path chords.  Each
-    member's matching, label and neighbors are made once.  Returns the
-    problems found, one line per failing component; empty on a pass.
+    member's matching, label and neighbors are made once, and each shape
+    is read through ``component_certificate``, so one search per quotient
+    piece.  Returns the problems found, one line per failing component;
+    empty on a pass.
     """
     k = graph.k
     if k % 2 or k < 4:
@@ -596,7 +634,6 @@ class AlmostPerfectGraph:
     targets: array
     edge_count: int
     component_count: int
-    ring_indices: tuple[int, ...]
     rings_form_cycle: bool
 
     @property
@@ -670,7 +707,6 @@ def build_almost_perfect_graph(k: int) -> AlmostPerfectGraph:
         targets=targets,
         edge_count=offsets[-1] // 2,
         component_count=pieces,
-        ring_indices=tuple(ring_indices),
         rings_form_cycle=cycle_ok,
     )
 

@@ -7,6 +7,7 @@ import random
 import tracemalloc
 from array import array
 from collections import Counter
+from dataclasses import replace
 from itertools import accumulate
 
 import pytest
@@ -334,13 +335,17 @@ def reference_category(k, order):
     return "small" if order == small else "medium" if order == medium else "big"
 
 
-def reference_reports(k, adjacent):
+def reference_reports(k, adjacent, orbit):
     """Component reports from a breadth-first search over ``adjacent``,
-    classifying every vertex, not one per orbit."""
+    classifying every vertex, not one per orbit.  Two components lift one
+    quotient piece exactly when they cover the same orbits (``orbit[v]``
+    for each member v), and pieces are numbered as they first appear."""
     vertices = enumerate_matchings(k)
     reports = []
+    pieces: dict[frozenset, int] = {}
     for members, bipartite in graph_module._pieces(len(vertices), adjacent):
         profile = Counter(classify(vertices[i]) for i in members)
+        covered = frozenset(orbit[v] for v in members)
         reports.append(
             graph_module.ComponentReport(
                 id=len(reports),
@@ -349,6 +354,7 @@ def reference_reports(k, adjacent):
                 profile=dict(sorted(profile.items())),
                 bipartite=bipartite,
                 members=array("i", members),
+                piece=pieces.setdefault(covered, len(pieces)),
             )
         )
     return reports
@@ -359,7 +365,8 @@ class TestOrbitLabels:
     def test_reports_match_per_vertex_labels(self, k):
         # profile reaches no CLI output, so only this and the row
         # reference below compare it.
-        assert reports_for(k) == reference_reports(k, graph_for(k).adjacent)
+        g = graph_for(k)
+        assert reports_for(k) == reference_reports(k, g.adjacent, g.orbit)
 
     def test_one_classify_call_per_orbit(self, monkeypatch):
         # One unrank and one classification per orbit; the census makes no
@@ -427,7 +434,9 @@ def assert_matches_rows(graph):
         def adjacent(v):
             return targets[offsets[v] : offsets[v + 1]]
 
-        _references[k] = offsets, targets, reference_reports(k, adjacent)
+        _references[k] = (
+            offsets, targets, reference_reports(k, adjacent, graph.orbit)
+        )
     offsets, targets, reports = _references[k]
     assert graph.order == len(offsets) - 1
     assert graph.edge_count == len(targets) // 2
@@ -633,6 +642,51 @@ class TestIsomorphism:
         assert component_certificate(g5, star) != component_certificate(g6, path)
 
 
+class TestPieceCertificates:
+    """One search per quotient piece: every other lift gets the piece's
+    form only through a symmetry checked member by member."""
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_pieces_are_the_covered_orbits(self, k):
+        g = graph_for(k)
+        by_piece, by_cover = {}, {}
+        for r in reports_for(k):
+            cover = frozenset(g.orbit[v] for v in r.members)
+            by_piece.setdefault(r.piece, set()).add(cover)
+            by_cover.setdefault(cover, set()).add(r.piece)
+        assert all(len(covers) == 1 for covers in by_piece.values())
+        assert all(len(pieces) == 1 for pieces in by_cover.values())
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_medium_certificates_match_a_direct_search(self, k):
+        g = build_graph(k, workers=1)
+        for r in components(g):
+            if r.category == "medium":
+                adj = graph_module._induced_adjacency(g, r.members)
+                expected = graph_module._canonical_form(adj, [0] * len(adj))
+                assert component_certificate(g, r) == expected, (k, r.id)
+
+    @pytest.mark.parametrize("position", (0, -1))
+    def test_a_lift_with_a_foreign_member_is_refused(self, monkeypatch, position):
+        g = build_graph(8, workers=1)
+        first, second, third = [
+            r for r in components(g) if r.category == "medium"
+        ][:3]
+        assert first.piece == second.piece == third.piece
+        form = component_certificate(g, first)
+        members = list(second.members)
+        members[position] = third.members[position]
+        mixed = replace(second, members=array("i", sorted(members)))
+        searches = []
+        monkeypatch.setattr(
+            graph_module, "_canonical_form", lambda *args: searches.append(args)
+        )
+        with pytest.raises(AssertionError, match="no symmetric image"):
+            component_certificate(g, mixed)
+        assert searches == []
+        assert component_certificate(g, second) == form
+
+
 class TestMediumEvenStructure:
     def test_small_even_sizes_pass(self):
         for k in (4, 6, 8):
@@ -812,10 +866,18 @@ class TestSearchSize:
         assert mediums
         # Certificates made by earlier tests would be read back unsearched.
         graph_for(k).certificates.clear()
+        searched = set()
         for r in mediums:
             calls[0] = 0
             component_certificate(graph_for(k), r)
-            assert 0 < calls[0] <= 2 * k
+            # The first lift of each piece is searched, every other lift
+            # is mapped onto it without a search.
+            if r.piece in searched:
+                assert calls[0] == 0
+            else:
+                assert 0 < calls[0] <= 2 * k
+                searched.add(r.piece)
+        assert len(searched) < len(mediums)
 
     @pytest.mark.parametrize("k", (6, 8))
     def test_each_component_certified_once(self, monkeypatch, k):
@@ -838,10 +900,12 @@ class TestSearchSize:
         assert verify_medium_even_structure(g, reports) == []
         by_order = Counter(r.order for r in reports)
         shared = [r for r in reports if r.order > 2 and by_order[r.order] > 1]
-        # One search per component of a shared order above 2, then one
-        # for the medium template; the mediums are read back.
-        assert shared
-        assert entries[0] == len(shared) + 1
+        # One search per quotient piece among the components of a shared
+        # order above 2, then one for the medium template; the mediums
+        # are read back.
+        pieces = {r.piece for r in shared}
+        assert len(shared) > len(pieces)
+        assert entries[0] == len(pieces) + 1
 
     @pytest.mark.parametrize("k", (8, 10))
     def test_medium_even_template(self, calls, k):
@@ -867,7 +931,15 @@ class TestAlmostPerfect:
             ap = build_almost_perfect_graph(k)
             assert ap.component_count == 1
             assert ap.rings_form_cycle
-            assert len(set(ap.ring_indices)) == 2 * k + 1
+            # A ring joins cyclically adjacent points only: exactly one
+            # vertex per skipped point.
+            n = 2 * k + 1
+            skips = [
+                skip
+                for skip, edges in ap.vertices
+                if all((b - a) % n in (1, n - 1) for a, b in edges)
+            ]
+            assert sorted(skips) == list(range(1, n + 1))
 
     def test_edge_counts(self):
         expected = {1: 3, 2: 25, 3: 161, 4: 1071, 5: 6677, 6: 41535}
