@@ -16,8 +16,7 @@ Families:
 
 * isolated matchings (no neighbor): grown from the single 2-point
   matching by repeatedly inserting :data:`BLOCK` (two chords on four
-  consecutive points, paired outer/inner); recognized by cancelling
-  blocks cyclically, like balanced brackets, down to a single chord;
+  consecutive points, paired outer/inner);
 * degree-one matchings: grown the same way from the size 2 and 3 rings;
 * paired matchings (``make_db``): elements only; mutual unique neighbors,
   linked by :func:`db_partner`;
@@ -30,18 +29,18 @@ Families:
 A leaf maker flips its center's partner table in place, one group of
 ids at a time (``compat.flip_group``).
 
-The two grown families are kept per size as sets of Dyck words
-(``matching.words``).  Splicing the block before point 1 puts the word
-``1100`` in front of the host's word, and splicing it into the other
-gaps gives that word's rotations, walked one step at a time
-(``matching.word_rotations``).  ``generate_family`` makes their
+The two grown families are kept per size as tables of Dyck words
+(``matching.words``) with no parameters.  Splicing the block before
+point 1 puts the word ``1100`` in front of the host's word, and splicing
+it into the other gaps gives that word's rotations, walked one step at a
+time (``matching.word_rotations``).  ``generate_family`` makes their
 matchings afresh on each call; ``family_size`` counts the words.
 
 Each strip family's table, built lazily per size, maps the Dyck word of
 every member to its smallest parameters: one maker call per ``(j, chi)``
 at ``z = 1``, then that word's rotations.  Classification encodes a
 matching, or its partner table, as a word once and looks it up in the
-size's tables in precedence order.
+size's tables in precedence order, the isolated table first.
 """
 
 from __future__ import annotations
@@ -246,7 +245,7 @@ def make_edbl2(k: int, j: int, chi: str, z: int) -> Matching:
     return _edb_leaf(k, j, chi, z, 0)
 
 
-# -- rings and recursively detected families --------------------------------
+# -- rings -------------------------------------------------------------------
 
 
 def rings(k: int) -> tuple[Matching, Matching]:
@@ -258,31 +257,6 @@ def rings(k: int) -> tuple[Matching, Matching]:
         [(1, 2 * k)] + [(i, i + 1) for i in range(2, 2 * k - 1, 2)]
     )
     return r1, r2
-
-
-def _block_residue(p: list[int]) -> int:
-    # Cancel blocks like balanced brackets: push points in order and pop
-    # the top four x, y, y', x' when p[x] == x' and p[y] == y'.  A pass
-    # misses blocks across its seam, so the last three survivors move to
-    # the front until a pass removes nothing.  Returns the points left.
-    residue, rotated = list(range(1, len(p))), False
-    while len(residue) >= 4:
-        kept: list[int] = []
-        for x in residue:
-            kept.append(x)
-            if len(kept) > 3 and p[kept[-4]] == x and p[kept[-3]] == kept[-2]:
-                del kept[-4:]
-        if rotated and len(kept) == len(residue):
-            break
-        residue, rotated = kept[-3:] + kept[:-3], True
-    return len(residue)
-
-
-def is_I(p: list[int]) -> bool:
-    """Whether the matching with partner table ``p`` is isolated: odd
-    size, and cancelling blocks cyclically leaves a single chord (a
-    2-point residue)."""
-    return len(p) // 2 % 2 == 1 and _block_residue(p) == 2
 
 
 # -- family generation ------------------------------------------------------
@@ -297,24 +271,24 @@ _SEEDS = {
 
 
 @lru_cache(maxsize=None)
-def _grown_family(base: str, k: int) -> frozenset[int]:
-    # The Dyck words (matching.words) of the size-k members of I or L.
-    # BLOCK spliced in before point 1 puts the word 1100 in front of the
-    # host's word; every other gap is a rotation of that.  A grown word
-    # already found came with all its rotations.
+def _grown_family(base: str, k: int) -> dict[int, None]:
+    # The Dyck words (matching.words) of the size-k members of I or L,
+    # each mapped to no witness.  BLOCK spliced in before point 1 puts the
+    # word 1100 in front of the host's word; every other gap is a rotation
+    # of that.  A grown word already found came with all its rotations.
     if base == "I" and (k % 2 == 0 or k < 1):
         raise DomainError(f"isolated matchings need odd k >= 1, got {k}")
     if base == "L" and k < 2:
         raise DomainError(f"degree-one matchings need k >= 2, got {k}")
     if (base, k) in _SEEDS:
-        return frozenset(_SEEDS[base, k])
+        return dict.fromkeys(_SEEDS[base, k])
     head = 0b1100 << (2 * k - 4)
     out: set[int] = set()
     for w in _grown_family(base, k - 2):
         grown = head | w
         if grown not in out:
             out.update(word_rotations(grown, word_partners(grown, k)))
-    return frozenset(out)
+    return dict.fromkeys(out)
 
 
 def family_size(variant: str, k: int) -> int:
@@ -325,8 +299,9 @@ def family_size(variant: str, k: int) -> int:
     return len(_family_words(variant, k))
 
 
-def _family_words(variant: str, k: int) -> frozenset[int] | dict[int, tuple]:
-    # The Dyck words of the size-k members of I, L or a strip family.
+def _family_words(variant: str, k: int) -> dict[int, tuple | None]:
+    # The Dyck words of the size-k members of I, L or a strip family,
+    # each mapped to its smallest parameters, or to None for I and L.
     if variant in ("I", "L"):
         return _grown_family(variant, k)
     return _strip_family(variant, k)
@@ -381,20 +356,21 @@ def generate_family(variant: str, k: int) -> set[Matching]:
     return {from_partner(word_partners(w, k)) for w in _family_words(variant, k)}
 
 
-# Strip tables in precedence order for even and odd k: (variant, label,
+# Family tables in precedence order for even and odd k: (variant, label,
 # smallest k).
 _PRECEDENCE = (
     (("DB", LABEL_PAIR, 2), ("EDB", LABEL_PATH_MEMBER, 4),
      ("EDBL1", LABEL_PATH_LEAF, 4), ("EDBL2", LABEL_PATH_LEAF, 4)),
-    (("DBD", LABEL_STAR_CENTER, 3), ("DBDL", LABEL_STAR_LEAF, 3)),
+    (("I", LABEL_ISOLATED, 1), ("DBD", LABEL_STAR_CENTER, 3),
+     ("DBDL", LABEL_STAR_LEAF, 3)),
 )
 
 
 @lru_cache(maxsize=None)
-def _strip_tables(k: int) -> tuple[tuple[str, dict[int, tuple]], ...]:
-    # The size-k strip tables in precedence order, each with its label.
+def _tables(k: int) -> tuple[tuple[str, dict[int, tuple | None]], ...]:
+    # The size-k family tables in precedence order, each with its label.
     return tuple(
-        (label, _strip_family(variant, k))
+        (label, _family_words(variant, k))
         for variant, label, smallest in _PRECEDENCE[k % 2]
         if k >= smallest
     )
@@ -404,13 +380,10 @@ def classify_partner(p: list[int]) -> tuple[str, tuple | None]:
     """Family label of the matching with partner table ``p``, with strip
     parameters when known: the first size-k table, in precedence order,
     that holds its Dyck word."""
-    if is_I(p):
-        return LABEL_ISOLATED, None
     w = partner_word(p)
-    for label, table in _strip_tables(len(p) // 2):
-        witness = table.get(w)
-        if witness is not None:
-            return label, witness
+    for label, table in _tables(len(p) // 2):
+        if w in table:
+            return label, table[w]
     return LABEL_REGULAR, None
 
 
@@ -422,4 +395,4 @@ def classify_with_witness(m: Matching) -> tuple[str, tuple | None]:
 def classify(m: Matching) -> str:
     """Family label: isolated, pair member, star center or leaf, path
     member or leaf, or regular."""
-    return classify_with_witness(m)[0]
+    return classify_partner(m.partner())[0]

@@ -686,14 +686,14 @@ def build_almost_perfect_graph(k: int) -> AlmostPerfectGraph:
         return targets[offsets[v] : offsets[v + 1]]
 
     pieces = sum(1 for _ in _pieces(len(raw), adjacent))
-    index = {edges: i for i, (_, edges) in enumerate(raw)}
+    # The ring skipping each point, found in raw, which is sorted by chords.
     ring_indices = []
     for skip in range(1, n + 1):
         edges = canonical_edges(
             ((skip + 2 * t) % n + 1, (skip + 2 * t + 1) % n + 1)
             for t in range(k)
         )
-        ring_indices.append(index[edges])
+        ring_indices.append(bisect_left(raw, edges, key=lambda v: v[1]))
     ring_set = set(ring_indices)
     cycle_ok = all(
         {w for w in adjacent(v) if w in ring_set}

@@ -1,4 +1,4 @@
-"""Strip-form family constructors, recognizers, and classification."""
+"""Strip-form family constructors, grown families, and classification."""
 
 from __future__ import annotations
 
@@ -31,7 +31,6 @@ from dcmatch.families import (
     db_partner,
     family_size,
     generate_family,
-    is_I,
     make_db,
     make_dbd,
     make_dbdl,
@@ -63,6 +62,24 @@ EDBL_UNION_SIZES = {4: 4, 6: 48, 8: 192}
 I_SIZES = {1: 1, 3: 3, 5: 15, 7: 91, 9: 612}
 L_SIZES = {2: 2, 3: 2, 4: 12, 5: 20, 6: 88, 7: 182, 8: 700}
 
+# Label counts over all matchings of each size, pinned.
+LABEL_COUNTS = {
+    1: {LABEL_ISOLATED: 1},
+    2: {LABEL_PAIR: 2},
+    3: {LABEL_ISOLATED: 3, LABEL_STAR_CENTER: 2},
+    4: {LABEL_PAIR: 8, LABEL_PATH_MEMBER: 2, LABEL_PATH_LEAF: 4},
+    5: {LABEL_ISOLATED: 15, LABEL_STAR_CENTER: 5, LABEL_STAR_LEAF: 10,
+        LABEL_REGULAR: 12},
+    6: {LABEL_PAIR: 24, LABEL_PATH_MEMBER: 24, LABEL_PATH_LEAF: 48,
+        LABEL_REGULAR: 36},
+    7: {LABEL_ISOLATED: 91, LABEL_STAR_CENTER: 14, LABEL_STAR_LEAF: 42,
+        LABEL_REGULAR: 282},
+    8: {LABEL_PAIR: 64, LABEL_PATH_MEMBER: 96, LABEL_PATH_LEAF: 192,
+        LABEL_REGULAR: 1078},
+    9: {LABEL_ISOLATED: 612, LABEL_STAR_CENTER: 36, LABEL_STAR_LEAF: 144,
+        LABEL_REGULAR: 4070},
+}
+
 chi_strategy = st.text(alphabet="+-", max_size=8)
 
 # Strip families in classification precedence, for even and odd k.
@@ -72,6 +89,10 @@ STRIP_PRECEDENCE = (
     (("DBD", LABEL_STAR_CENTER), ("DBDL", LABEL_STAR_LEAF)),
 )
 STRIP_VARIANTS = [v for row in STRIP_PRECEDENCE for v, _ in row]
+
+
+def isolated(m):
+    return classify(m) == LABEL_ISOLATED
 
 
 def all_chi(width):
@@ -434,32 +455,34 @@ class TestRings:
 
 
 class TestRecognizers:
+    """The isolated label, read from the isolated word table."""
+
     def test_is_i_pinned(self):
-        assert is_I(parse_matching("1-2").partner())
-        assert is_I(NESTED3.partner())
-        assert not is_I(rings(3)[0].partner())
-        assert not is_I(rings(4)[0].partner())
-        assert not is_I(make_db(4, "", 1).partner())
+        assert isolated(parse_matching("1-2"))
+        assert isolated(NESTED3)
+        assert not isolated(rings(3)[0])
+        assert not isolated(rings(4)[0])
+        assert not isolated(make_db(4, "", 1))
 
     def test_degree_oracle_agreement(self):
         for k in range(1, 8):
             for m in enumerate_matchings(k):
                 degree = len(neighbors(m))
-                assert is_I(m.partner()) == (degree == 0)
+                assert isolated(m) == (degree == 0)
 
     def test_recognizer_counts(self):
         for k in (1, 3, 5, 7):
-            found = sum(is_I(m.partner()) for m in enumerate_matchings(k))
+            found = sum(isolated(m) for m in enumerate_matchings(k))
             assert found == I_SIZES[k]
 
 
 class TestRecognizerOracles:
-    """The cyclic block cancellation against the recursive definitions:
-    the families grown by block insertion, and the dihedral symmetry."""
+    """Classification against the recursive definitions: the families
+    grown by block insertion, and the dihedral symmetry."""
 
     @pytest.mark.parametrize("k", [1, 3, 5, 7, 9])
     def test_is_i_matches_grown_family(self, k):
-        found = {m for m in enumerate_matchings(k) if is_I(m.partner())}
+        found = {m for m in enumerate_matchings(k) if isolated(m)}
         assert found == generate_family("I", k)
 
     @pytest.mark.parametrize("k", range(2, 10))
@@ -470,17 +493,35 @@ class TestRecognizerOracles:
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_dihedral_invariance(self, k):
-        for m in enumerate_matchings(k):
-            expected = is_I(m.partner())
-            for image in [reflect(m)] + [
-                rotate(m, s) for s in range(1, 2 * k)
-            ]:
-                assert is_I(image.partner()) == expected
+        # Each label's members, over all of its tables and before
+        # precedence, are closed under the symmetries.  Reflection swaps
+        # the two path-leaf tables, so only their union is closed.
+        variants = [*STRIP_PRECEDENCE[k % 2]]
+        if k % 2:
+            variants.append(("I", LABEL_ISOLATED))
+        members = {}
+        for variant, label in variants:
+            try:
+                found = generate_family(variant, k)
+            except DomainError:
+                continue
+            members.setdefault(label, set()).update(found)
+        for found in members.values():
+            assert {reflect(m) for m in found} == found
+            assert {rotate(m, 1) for m in found} == found
 
     @pytest.mark.parametrize("k", [1, 3, 5, 7, 9, 11])
     def test_isolated_count_matches_pinned_table(self, k):
-        found = sum(is_I(m.partner()) for m in enumerate_matchings(k))
+        found = sum(isolated(m) for m in enumerate_matchings(k))
         assert found == ISOLATED_BY_K[k]
+
+    @pytest.mark.parametrize("k", [3, 5, 7, 9, 11])
+    def test_isolated_table_shares_no_word(self, k):
+        # So precedence cannot change a label.  At k = 1 there is no star
+        # table to share with.
+        words_of = families_module._family_words
+        for variant in ("DBD", "DBDL"):
+            assert words_of("I", k).keys().isdisjoint(words_of(variant, k))
 
 
 @lru_cache(maxsize=None)
@@ -598,23 +639,10 @@ class TestClassify:
         assert classify_with_witness(NESTED3) == (LABEL_ISOLATED, None)
         assert classify_with_witness(rings(5)[0]) == (LABEL_REGULAR, None)
 
-    def test_census_k5(self):
-        counts = Counter(classify(m) for m in enumerate_matchings(5))
-        assert counts == {
-            LABEL_ISOLATED: 15,
-            LABEL_STAR_CENTER: 5,
-            LABEL_STAR_LEAF: 10,
-            LABEL_REGULAR: 12,
-        }
-
-    def test_census_k6(self):
-        counts = Counter(classify(m) for m in enumerate_matchings(6))
-        assert counts == {
-            LABEL_PAIR: 24,
-            LABEL_PATH_MEMBER: 24,
-            LABEL_PATH_LEAF: 48,
-            LABEL_REGULAR: 36,
-        }
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_census(self, k):
+        counts = Counter(classify(m) for m in enumerate_matchings(k))
+        assert counts == LABEL_COUNTS[k]
 
     def test_center_label_wins_at_k3(self):
         # The size-3 rings belong to the star and the leaf family at once.
