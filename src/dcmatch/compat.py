@@ -27,6 +27,15 @@ with the chord going into it or out to the face around it, and each
 partition of it is applied as one ``itemgetter`` from one table per face
 size (``_patterns``).  ``neighbors`` and ``neighbor_partners`` read the
 flipped pairs directly.
+
+The oracle ``neighbors_bruteforce`` reads adjacency off the definition
+instead, with no flip work.  M' is blocked by M when some chord of M' is
+a chord of M or crosses one.  Crossing is symmetric, so M' is blocked
+exactly when it lies in the reach set of some chord c of M: the
+matchings that use c or a chord crossing c.  ORing the reach sets of
+M's k chords thus gives the same blocked set as ORing the users of every
+chord M uses or crosses, with k ORs instead of one per such chord; the
+neighbors of M are its complement.
 """
 
 from __future__ import annotations
@@ -210,19 +219,6 @@ def chord_tables(n: int) -> tuple[dict[Edge, int], list[int]]:
     return eindex, cross
 
 
-def edge_masks(
-    edges, eindex: dict[Edge, int], cross: list[int]
-) -> tuple[int, int]:
-    """Mask of the given chords, and mask of all chords crossing one."""
-    used = 0
-    crossed = 0
-    for e in edges:
-        i = eindex[e]
-        used |= 1 << i
-        crossed |= cross[i]
-    return used, crossed
-
-
 def set_bits(x: int) -> list[int]:
     """Positions of the set bits of ``x``, in ascending order."""
     # bin() writes the bits in one C pass; reversed, position i is bit i.
@@ -235,48 +231,58 @@ def set_bits(x: int) -> list[int]:
     return found
 
 
-def chord_index(masks: list[int], n_chords: int) -> list[int]:
-    """Per chord, the bitset of the positions in ``masks`` that use it.
+def chord_index(edge_lists: list[tuple[Edge, ...]], n: int) -> list[int]:
+    """Per chord c on points 1..n, the reach set of c: the bitset of the
+    positions in ``edge_lists`` that use c or a chord crossing c.
 
-    Each position's bit is set in one byte array per chord, and each
-    array becomes one int, so the build is linear in the chords listed.
+    Each position's bit is set in one byte array per chord it uses, so
+    the fill is linear in the chords listed; then each chord's users are
+    ORed with the users of every chord crossing it.
     """
-    rows = [bytearray(len(masks) // 8 + 1) for _ in range(n_chords)]
-    for i, mask in enumerate(masks):
+    eindex, cross = chord_tables(n)
+    rows = [bytearray(len(edge_lists) // 8 + 1) for _ in cross]
+    for i, edges in enumerate(edge_lists):
         byte, bit = i >> 3, 1 << (i & 7)
-        for c in set_bits(mask):
-            rows[c][byte] |= bit
-    return [int.from_bytes(row, "little") for row in rows]
+        for e in edges:
+            rows[eindex[e]][byte] |= bit
+    users = [int.from_bytes(row, "little") for row in rows]
+    reach = []
+    for c, crossing in enumerate(cross):
+        hit = users[c]
+        for d in set_bits(crossing):
+            hit |= users[d]
+        reach.append(hit)
+    return reach
 
 
-def unblocked(index: list[int], count: int, blocked: int) -> list[int]:
-    """Positions, of ``count`` indexed, whose chords avoid ``blocked``."""
+def unblocked(reach: list[int], count: int, chords: list[int]) -> list[int]:
+    """Positions, of ``count`` indexed, that no chord id in ``chords``
+    reaches: one OR of a reach set per chord given."""
     hit = 0
-    for c in set_bits(blocked):
-        hit |= index[c]
+    for c in chords:
+        hit |= reach[c]
     return set_bits(((1 << count) - 1) ^ hit)
 
 
 @lru_cache(maxsize=2)
 def _pair_tables(k: int):
-    # Every matching of size k, its chord mask over 2k points, and the
-    # chord index over those masks; clearing the cache frees all three.
-    # Two sizes are kept: the oracle sweeps k upward, and a caller
-    # alternating between two sizes rebuilds nothing.
-    eindex, cross = chord_tables(2 * k)
+    # Every matching of size k and the reach set of each chord over them;
+    # clearing the cache frees both.  Two sizes are kept: the oracle
+    # sweeps k upward, and a caller alternating between two sizes
+    # rebuilds nothing.
     ms = enumerate_matchings(k)
-    masks = [edge_masks(m.edges, eindex, cross)[0] for m in ms]
-    return ms, masks, chord_index(masks, len(cross))
+    return ms, chord_index([m.edges for m in ms], 2 * k)
 
 
 def neighbors_bruteforce(m: Matching) -> set[Matching]:
-    """Adjacency read off the chord index of all matchings of the size.
+    """Adjacency read off the reach sets of all matchings of the size.
 
     Independent of the flip route: the matchings adjacent to ``m`` are
-    those using none of its chords and no chord crossing one of them.
-    ``m`` uses its own chords, so it is never listed.
+    those outside the reach set of every chord of ``m``, one OR per
+    chord.  ``m`` uses its own chords, so it is never listed.
     """
     check_size(m.k)  # before the cache, which would skip the guard
-    ms, _, index = _pair_tables(m.k)
-    used, crossed = edge_masks(m.edges, *chord_tables(2 * m.k))
-    return {ms[i] for i in unblocked(index, len(ms), used | crossed)}
+    ms, reach = _pair_tables(m.k)
+    eindex = chord_tables(2 * m.k)[0]
+    chords = [eindex[e] for e in m.edges]
+    return {ms[i] for i in unblocked(reach, len(ms), chords)}

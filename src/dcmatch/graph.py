@@ -25,7 +25,6 @@ from multiprocessing import get_context
 from .compat import (
     chord_index,
     chord_tables,
-    edge_masks,
     neighbor_partners,
     unblocked,
 )
@@ -648,9 +647,9 @@ def build_almost_perfect_graph(k: int) -> AlmostPerfectGraph:
     """Variant graph on 2k+1 points, each matching skipping one point.
 
     Adjacency is the same relation: no common edge and no crossing.
-    Each row is read off a per-chord index over all (2k+1) * C(k)
-    vertices, so the build is only practical for small k; the
-    acceptance checks stop at k=6.
+    Each row is the complement of the reach sets of the vertex's own
+    chords, taken over all (2k+1) * C(k) vertices, so the build is only
+    practical for small k; the acceptance checks stop at k=6.
     """
     check_size(k)
     n = 2 * k + 1
@@ -664,19 +663,13 @@ def build_almost_perfect_graph(k: int) -> AlmostPerfectGraph:
             )
             raw.append((skip, edges))
     raw.sort(key=lambda v: v[1])
-    eindex, cross = chord_tables(n)
-    masks = []
-    blocked = []
-    for _, edges in raw:
-        used, crossed = edge_masks(edges, eindex, cross)
-        masks.append(used)
-        blocked.append(used | crossed)
-    index = chord_index(masks, len(cross))
+    reach = chord_index([edges for _, edges in raw], n)
+    eindex = chord_tables(n)[0]
     counts = array("i")
     targets = array("i")
-    for b in blocked:
-        # A vertex's own chords block it, so no row lists the vertex.
-        row = unblocked(index, len(raw), b)
+    for _, edges in raw:
+        # A vertex's own chords reach it, so no row lists the vertex.
+        row = unblocked(reach, len(raw), [eindex[e] for e in edges])
         counts.append(len(row))
         targets.extend(row)
     # CSR row starts: running sums of the row lengths, led by a zero.

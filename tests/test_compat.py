@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 import sys
 import tracemalloc
@@ -352,13 +353,18 @@ class TestChordIndex:
         assert set_bits(1 << 200 | 1 << 70) == [70, 200]
 
     @pytest.mark.parametrize("k", range(1, 7))
-    def test_bitsets_list_each_chords_users(self, k):
-        ms, masks, index = _pair_tables(k)
-        assert len(masks) == len(ms)
-        assert len(index) == len(chord_tables(2 * k)[1])
-        for c, bitset in enumerate(index):
-            users = {i for i, mask in enumerate(masks) if mask >> c & 1}
-            assert set(set_bits(bitset)) == users
+    def test_reach_lists_each_chords_blockers(self, k):
+        # Oracle: pairwise edge comparison with is_crossing, no bitmasks.
+        ms, reach = _pair_tables(k)
+        chords = list(chord_tables(2 * k)[0])
+        assert len(reach) == len(chords)
+        for c, bitset in zip(chords, reach):
+            blockers = {
+                i
+                for i, m in enumerate(ms)
+                if any(e == c or is_crossing(e, c) for e in m.edges)
+            }
+            assert set(set_bits(bitset)) == blockers
 
     def test_cache_keeps_the_last_two_sizes(self):
         _pair_tables.cache_clear()
@@ -371,11 +377,29 @@ class TestChordIndex:
         assert _pair_tables.cache_info().hits == hits + 2
 
     def test_cache_clear_drops_the_index(self):
-        index = _pair_tables(4)[2]
-        held = sys.getrefcount(index)
+        reach = _pair_tables(4)[1]
+        held = sys.getrefcount(reach)
         _pair_tables.cache_clear()
-        assert sys.getrefcount(index) == held - 1
-        assert _pair_tables(4)[2] is not index
+        assert sys.getrefcount(reach) == held - 1
+        assert _pair_tables(4)[1] is not reach
+
+    def test_tables_retain_little_per_matching(self):
+        # tracemalloc counts Python allocations only.  At k = 10 the
+        # matchings take about 169 B each and the reach sets 26 B more,
+        # 195 B in all; a chord mask per matching read 241 B.  The bound
+        # leaves a 15% margin.
+        _pair_tables.cache_clear()
+        chord_tables(20)  # shared with the flip-free routes, and kept
+        gc.collect()
+        tracemalloc.start()
+        try:
+            ms, _ = _pair_tables(10)
+            gc.collect()  # the enumeration's memo is freed by a cycle pass
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            _pair_tables.cache_clear()
+        assert retained <= 225 * len(ms)
 
 
 # -- the edge-group route, a reference for the face walk ------------------
@@ -482,7 +506,7 @@ class TestPairEnumeration:
                 m = random_matching(k, rng)
                 assert neighbors(m) == neighbors_bruteforce(m)
         finally:
-            _pair_tables.cache_clear()  # about 100 MB at k = 12
+            _pair_tables.cache_clear()  # about 46 MB at k = 12
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_neighbors_are_canonical(self, k):
