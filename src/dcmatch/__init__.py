@@ -22,7 +22,6 @@ from .matching import (
     configured_max_k,
     enumerate_matchings,
     insert,
-    is_crossing,
     parse_matching,
     validate,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "growth_estimate",
     "insert",
     "is_bipartite",
-    "is_crossing",
     "isomorphism_classes",
     "neighbors",
     "neighbors_bruteforce",

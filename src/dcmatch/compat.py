@@ -26,7 +26,8 @@ its own face list.  When a chord closes, the face under it is resolved,
 with the chord going into it or out to the face around it, and each
 partition of it is applied as one ``itemgetter`` from one table per face
 size (``_patterns``).  ``neighbors`` and ``neighbor_partners`` read the
-flipped pairs directly.
+flipped pairs directly, and ``degree`` counts them: one neighbor per
+choice.
 
 The oracle ``neighbors_bruteforce`` reads adjacency off the definition
 instead, with no flip work.  M' is blocked by M when some chord of M' is
@@ -35,7 +36,9 @@ exactly when it lies in the reach set of some chord c of M: the
 matchings that use c or a chord crossing c.  ORing the reach sets of
 M's k chords thus gives the same blocked set as ORing the users of every
 chord M uses or crosses, with k ORs instead of one per such chord; the
-neighbors of M are its complement.
+neighbors of M are its complement.  The crossing masks of the chords
+come from interleaving alone: (a, b) crosses exactly the chords (c, d)
+with a < c < b < d or c < a < d < b.
 """
 
 from __future__ import annotations
@@ -44,13 +47,7 @@ from collections.abc import Iterator
 from functools import lru_cache
 from operator import itemgetter
 
-from .matching import (
-    Edge,
-    Matching,
-    check_size,
-    enumerate_matchings,
-    is_crossing,
-)
+from .matching import Edge, Matching, check_size, enumerate_matchings
 
 # -- flips ------------------------------------------------------------------
 
@@ -176,6 +173,12 @@ def neighbor_partners(p: list[int]) -> Iterator[list[int]]:
         yield q
 
 
+def degree(p: list[int]) -> int:
+    """Number of neighbors of the matching with partner table ``p``,
+    counted off the flips without building them."""
+    return sum(1 for _ in _flips(p))
+
+
 class _Chords(dict):
     # Canonical (min, max) tuple of each chord returned so far, under both
     # orders of its points, so that neighbor sets share their chords.
@@ -209,11 +212,12 @@ def chord_tables(n: int) -> tuple[dict[Edge, int], list[int]]:
     for a in range(1, n + 1):
         for b in range(a + 1, n + 1):
             eindex[(a, b)] = len(eindex)
-    chords = list(eindex)
-    cross = [0] * len(chords)
-    for i, e in enumerate(chords):
-        for j in range(i + 1, len(chords)):
-            if is_crossing(e, chords[j]):
+    cross = [0] * len(eindex)
+    # Each crossing pair once, as (a, b) and (c, d) with a < c < b < d.
+    for (a, b), i in eindex.items():
+        for c in range(a + 1, b):
+            for d in range(b + 1, n + 1):
+                j = eindex[c, d]
                 cross[i] |= 1 << j
                 cross[j] |= 1 << i
     return eindex, cross

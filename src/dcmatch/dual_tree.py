@@ -131,12 +131,13 @@ def _consecutive_runs(m: Matching, kind: str) -> list[SeparatedPair]:
         return []
     p = m.partner()
     block = kind == "block"
+    ring = [*range(1, n + 1), 1, 2, 3]
     out = []
-    for a in range(1, n + 1):
-        b, c, d = a % n + 1, (a + 1) % n + 1, (a + 2) % n + 1
-        first, second = ((a, d), (b, c)) if block else ((a, b), (c, d))
-        if p[first[0]] == first[1] and p[second[0]] == second[1]:
-            canon = tuple(sorted(tuple(sorted(e)) for e in (first, second)))
+    # a, b, c, d: four cyclically consecutive points, a from 1 to n.
+    for a, b, c, d in zip(ring, ring[1:], ring[2:], ring[3:]):
+        if (p[a] == d and p[b] == c) if block else (p[a] == b and p[c] == d):
+            pair = ((a, d), (b, c)) if block else ((a, b), (c, d))
+            canon = tuple(sorted(tuple(sorted(e)) for e in pair))
             out.append(SeparatedPair(kind, a, canon))
     return out
 

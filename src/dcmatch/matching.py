@@ -102,21 +102,6 @@ def canonical_edges(edges: Iterable[Iterable[int]]) -> tuple[Edge, ...]:
     return tuple(sorted(tuple(sorted(e)) for e in edges))
 
 
-def is_crossing(e1: Edge, e2: Edge, /) -> bool:
-    """Whether two chords of the same convex point set cross.
-
-    Edges sharing an endpoint never cross.  Otherwise the four endpoints are
-    distinct and the chords cross exactly when they interleave around the
-    circle, i.e. one edge has exactly one endpoint strictly between the two
-    endpoints of the other.
-    """
-    a1, b1 = min(e1), max(e1)
-    a2, b2 = min(e2), max(e2)
-    if a1 == a2 or a1 == b2 or b1 == a2 or b1 == b2:
-        return False
-    return (a1 < a2 < b1 < b2) or (a2 < a1 < b2 < b1)
-
-
 def validate(edges: Iterable[Iterable[int]], k: int | None = None) -> Matching:
     """Check labels, coverage, and planarity; return the canonical matching.
 
@@ -197,7 +182,9 @@ def enumerate_matchings(k: int) -> list[Matching]:
             runs[(first, pairs)] = found
         return found
 
-    return [Matching(t) for t in run(1, k)]
+    ms = [Matching(t) for t in run(1, k)]
+    runs.clear()  # run refers to itself, so the memo would wait for gc
+    return ms
 
 
 # -- ranking -----------------------------------------------------------------
@@ -343,9 +330,6 @@ def insert(host: Matching, inner: Matching, gap: int) -> Matching:
     s2 = inner.n_points
     if not 0 <= gap <= r2:
         raise ValueError(f"gap must be in 0..{r2}, got {gap}")
-    shifted = [
-        (a if a <= gap else a + s2, b if b <= gap else b + s2)
-        for a, b in host.edges
-    ]
-    placed = [(a + gap, b + gap) for a, b in inner.edges]
-    return Matching(canonical_edges(shifted + placed))
+    p = [a if a <= gap else a + s2 for a in host.partner()]
+    q = [b + gap for b in inner.partner()[1:]]
+    return from_partner(p[: gap + 1] + q + p[gap + 1 :])

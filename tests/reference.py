@@ -7,14 +7,22 @@ pair is sorted, then the pair list, then each label is checked in that
 order, and crossings are found by a stack over all points.  The package's
 versions must return an equal matching or raise the same exception type
 with the same message.
+
+``is_crossing`` is the pairwise crossing test the package once exported;
+the tests check the package's crossing masks and neighbor routes
+against it.  ``reference_consecutive_runs`` is the block and antiblock
+scan that ``dual_tree`` ran before it read the partner table first.
+``reference_insert`` is the splice that ``matching.insert`` made by
+re-sorting the shifted edges with ``canonical_edges``.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
+from dcmatch.dual_tree import SeparatedPair
 from dcmatch.errors import CrossingError, LabelError, ParseError
-from dcmatch.matching import Matching
+from dcmatch.matching import Edge, Matching, canonical_edges
 
 
 def reference_validate(
@@ -66,3 +74,44 @@ def reference_parse(text: str) -> Matching:
     if not pairs:
         raise ParseError("empty matching string")
     return reference_validate(pairs)
+
+
+def is_crossing(e1: Edge, e2: Edge, /) -> bool:
+    """Whether two chords of the same convex point set cross.
+
+    Edges sharing an endpoint never cross.  Otherwise the four endpoints are
+    distinct and the chords cross exactly when they interleave around the
+    circle, i.e. one edge has exactly one endpoint strictly between the two
+    endpoints of the other.
+    """
+    a1, b1 = min(e1), max(e1)
+    a2, b2 = min(e2), max(e2)
+    if a1 == a2 or a1 == b2 or b1 == a2 or b1 == b2:
+        return False
+    return (a1 < a2 < b1 < b2) or (a2 < a1 < b2 < b1)
+
+
+def reference_consecutive_runs(m: Matching, kind: str) -> list[SeparatedPair]:
+    n = m.n_points
+    if n < 4:
+        return []
+    p = m.partner()
+    block = kind == "block"
+    out = []
+    for a in range(1, n + 1):
+        b, c, d = a % n + 1, (a + 1) % n + 1, (a + 2) % n + 1
+        first, second = ((a, d), (b, c)) if block else ((a, b), (c, d))
+        if p[first[0]] == first[1] and p[second[0]] == second[1]:
+            canon = tuple(sorted(tuple(sorted(e)) for e in (first, second)))
+            out.append(SeparatedPair(kind, a, canon))
+    return out
+
+
+def reference_insert(host: Matching, inner: Matching, gap: int) -> Matching:
+    s2 = inner.n_points
+    shifted = [
+        (a if a <= gap else a + s2, b if b <= gap else b + s2)
+        for a, b in host.edges
+    ]
+    placed = [(a + gap, b + gap) for a, b in inner.edges]
+    return Matching(canonical_edges(shifted + placed))

@@ -16,6 +16,7 @@ from dcmatch.compat import (
     _pair_tables,
     _patterns,
     chord_tables,
+    degree,
     flip_group,
     neighbor_partners,
     neighbors,
@@ -23,15 +24,17 @@ from dcmatch.compat import (
     set_bits,
 )
 from dcmatch.counting import catalan, riordan
+from dcmatch.families import BLOCK
 from dcmatch.matching import (
     canonical_edges,
     enumerate_matchings,
     from_partner,
-    is_crossing,
+    insert,
     parse_matching,
     unrank,
     validate,
 )
+from reference import is_crossing
 from symmetries import reflect, rotate
 
 RING4 = parse_matching("1-2,3-4,5-6,7-8")
@@ -337,6 +340,22 @@ class TestOracleAgreement:
                 }
             assert neighbors_bruteforce(reflect(m)) == {reflect(x) for x in around}
 
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_degree_counts_the_neighbors(self, k):
+        for m in enumerate_matchings(k):
+            assert degree(m.partner()) == len(neighbors(m)) == len(
+                neighbors_bruteforce(m)
+            )
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_degree_after_splicing_a_block(self, k):
+        for host in enumerate_matchings(k):
+            for gap in range(2 * k + 1):
+                m = insert(host, BLOCK, gap)
+                assert degree(m.partner()) == len(neighbors(m)) == len(
+                    neighbors_bruteforce(m)
+                )
+
     def test_ring_degrees(self):
         # Ring degrees follow the closed-form row 1, 1, 3, 6, 15.
         for k, deg in [(2, 1), (3, 1), (4, 3), (5, 6), (6, 15)]:
@@ -366,6 +385,18 @@ class TestChordIndex:
             }
             assert set(set_bits(bitset)) == blockers
 
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_crossing_masks_match_the_pairwise_test(self, n):
+        eindex, cross = chord_tables(n)
+        chords = list(eindex)
+        points = range(1, n + 1)
+        assert chords == [(a, b) for a in points for b in points if a < b]
+        assert list(eindex.values()) == list(range(len(chords)))
+        for e, mask in zip(chords, cross):
+            assert mask == sum(
+                1 << eindex[f] for f in chords if is_crossing(e, f)
+            )
+
     def test_cache_keeps_the_last_two_sizes(self):
         _pair_tables.cache_clear()
         for k in range(1, 7):
@@ -394,7 +425,10 @@ class TestChordIndex:
         tracemalloc.start()
         try:
             ms, _ = _pair_tables(10)
-            gc.collect()  # the enumeration's memo is freed by a cycle pass
+            # No cycle holds the enumeration's memo, but the tuples it
+            # freed sit on CPython's tuple free lists (up to 2000 of each
+            # length, about 46 B a matching here) until a full collection.
+            gc.collect()
             retained, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

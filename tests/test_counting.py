@@ -40,6 +40,8 @@ from dcmatch.verification import (
 CATALAN_ROW = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012]
 RIORDAN_ROW = {2: 1, 3: 1, 4: 3, 5: 6, 6: 15, 7: 36, 8: 91, 12: 4213}
 EDGE_ROW = (1, 0, 1, 1, 9, 21, 125, 421, 2161, 8677, 42245)
+# d_11 and d_12, past the edge-counts check's k = 2..10.
+EDGE_TAIL = (185285, 888937)
 
 
 class TestCatalan:
@@ -140,6 +142,9 @@ class TestFamilyCounts:
 class TestEdgeSeries:
     def test_frozen_row(self):
         assert edge_series(10) == EDGE_ROW
+
+    def test_frozen_tail(self):
+        assert edge_series(12)[11:] == EDGE_TAIL
 
     def test_matches_neighbor_sums(self):
         d = edge_series(6)

@@ -15,6 +15,7 @@ from dcmatch.matching import (
     parse_matching,
     validate,
 )
+from reference import reference_consecutive_runs
 from symmetries import rotate
 
 
@@ -158,6 +159,12 @@ class TestBlocksAndAntiblocks:
         m = parse_matching("1-2,3-4")
         assert [b.start for b in find_blocks(m)] == [2, 4]
         assert [a.start for a in find_antiblocks(m)] == [1, 3]
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_match_the_reference_scan(self, k):
+        for m in enumerate_matchings(k):
+            assert find_blocks(m) == reference_consecutive_runs(m, "block")
+            assert find_antiblocks(m) == reference_consecutive_runs(m, "antiblock")
 
     def test_single_edge_has_neither(self):
         m = parse_matching("1-2")

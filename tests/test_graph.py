@@ -40,12 +40,12 @@ from dcmatch.graph import (
 )
 from dcmatch.matching import (
     enumerate_matchings,
-    is_crossing,
     parse_matching,
     rank,
     unrank,
 )
 from dcmatch.verification import ISO_CLASSES_BY_K, run_checks
+from reference import is_crossing
 from symmetries import dihedral_permutations, permute, reflect, rotate
 
 # (order, category) -> how many components, pinned per size.
@@ -90,6 +90,11 @@ class TestBuild:
         d = edge_series(8)
         for k in range(2, 9):
             assert graph_for(k).edge_count == d[k]
+
+    def test_largest_edge_counts_are_pinned(self):
+        # d_11 and d_12, past the edge-counts check; later tests in this
+        # module build both graphs anyway.
+        assert [graph_for(k).edge_count for k in (11, 12)] == [185285, 888937]
 
     def test_adjacency_sorted_symmetric_loopless(self):
         g = graph_for(5)

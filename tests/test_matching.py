@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 
 import pytest
@@ -23,7 +24,6 @@ from dcmatch.matching import (
     enumerate_matchings,
     from_partner,
     insert,
-    is_crossing,
     parse_matching,
     partner_word,
     rank,
@@ -32,7 +32,12 @@ from dcmatch.matching import (
     word_partners,
     words,
 )
-from reference import reference_parse, reference_validate
+from reference import (
+    is_crossing,
+    reference_insert,
+    reference_parse,
+    reference_validate,
+)
 from symmetries import dihedral_permutations, permute, reflect, rotate
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
@@ -232,6 +237,19 @@ class TestEnumerate:
         for m in ms:
             validate(m.edges)
 
+    def test_memo_needs_no_cycle_pass(self):
+        # The run memo is emptied before the return, so a collection
+        # finds only the recursive run closure (a few objects), not the
+        # thousands of memoised lists and edge tuples.
+        gc.collect()
+        gc.disable()
+        try:
+            enumerate_matchings(8)
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert found <= 10
+
     def test_out_of_range(self, monkeypatch):
         monkeypatch.delenv("DCM_MAX_K", raising=False)
         with pytest.raises(ResourceLimitError):
@@ -416,6 +434,16 @@ class TestInsertRemove:
                     outside = [t for t in range(1, 11) if t not in window]
                     at = {t: i for i, t in enumerate(outside, 1)}
                     assert [at[p[t]] for t in outside] == host.partner()[1:]
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_insert_matches_the_reference(self, k):
+        inners = enumerate_matchings(1) + enumerate_matchings(2)
+        for host in enumerate_matchings(k):
+            for inner in inners:
+                for gap in range(2 * k + 1):
+                    assert insert(host, inner, gap) == reference_insert(
+                        host, inner, gap
+                    )
 
     @given(matchings_strategy(4), matchings_strategy(3), st.integers(0, 8))
     def test_insert_always_valid(self, host, inner, gap):
