@@ -117,50 +117,22 @@ def riordan(k: int) -> int:
 # -- edge counts via the defining series equation ----------------------------
 
 
-def _mul(a: list[int], b: list[int], n: int) -> list[int]:
-    # Truncated product; both inputs already cut at degree n.
-    out = [0] * (n + 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j in range(min(n - i, len(b) - 1) + 1):
-            out[i + j] += x * b[j]
-    return out
-
-
-def _inverse(f: list[int], n: int) -> list[int]:
-    # Power series inverse; needs constant term 1.
-    assert f[0] == 1
-    out = [1] + [0] * n
-    for m in range(1, n + 1):
-        out[m] = -sum(f[i] * out[m - i] for i in range(1, m + 1) if i < len(f))
-    return out
-
-
 def edge_series(n: int) -> tuple[int, ...]:
     """Edge counts d_0..d_n of the graphs of sizes 0..n.
 
     The doubled-and-shifted series Z = 2z - 1 satisfies
-    Z = 1 + 2x^2 Z^4 / (1 - x Z^2); iterating that equation from the
-    constant series settles one further coefficient per round, since the
-    correction term carries a factor x^2.
+    Z = 1 + 2x^2 Z^4 / (1 - x Z^2), that is Z = 1 + x Z^3 - x Z^2 + 2x^2 Z^4
+    with the denominator multiplied out.  The x^m coefficient on the right
+    reads Z only below degree m, so the coefficients follow one at a time,
+    each extending running coefficient lists of Z^2, Z^3 and Z^4.
     """
     if n < 0:
         raise DomainError(f"series length must be >= 0, got {n}")
-    big = [1] + [0] * n
-    for _ in range(n + 3):
-        sq = _mul(big, big, n)
-        fourth = _mul(sq, sq, n)
-        denom = [1] + [-c for c in sq[:n]]
-        frac = _mul(fourth, _inverse(denom, n), n)
-        nxt = [1] + [0] * n
-        for i in range(n - 1):
-            nxt[i + 2] += 2 * frac[i]
-        if nxt == big:
-            break
-        big = nxt
-    else:
-        raise AssertionError("series iteration did not stabilize")
+    big, sq, cube, fourth = [1], [1], [1], [1]
+    for m in range(1, n + 1):
+        big.append(cube[m - 1] - sq[m - 1] + (2 * fourth[m - 2] if m > 1 else 0))
+        for power, lower in ((sq, big), (cube, sq), (fourth, cube)):
+            power.append(sum(big[i] * lower[m - i] for i in range(m + 1)))
     halved = []
     for i, c in enumerate(big):
         num = c + 1 if i == 0 else c

@@ -376,23 +376,26 @@ def _tables(k: int) -> tuple[tuple[str, dict[int, tuple | None]], ...]:
     )
 
 
-def classify_partner(p: list[int]) -> tuple[str, tuple | None]:
-    """Family label of the matching with partner table ``p``, with strip
-    parameters when known: the first size-k table, in precedence order,
-    that holds its Dyck word."""
-    w = partner_word(p)
-    for label, table in _tables(len(p) // 2):
+def _classify_word(w: int, k: int) -> tuple[str, tuple | None]:
+    # The first size-k table, in precedence order, that holds word w.
+    for label, table in _tables(k):
         if w in table:
             return label, table[w]
     return LABEL_REGULAR, None
 
 
+def classify_partner(p: list[int]) -> tuple[str, tuple | None]:
+    """``classify_with_witness`` of the matching with partner table ``p``."""
+    return _classify_word(partner_word(p), len(p) // 2)
+
+
 def classify_with_witness(m: Matching) -> tuple[str, tuple | None]:
-    """Family label of a matching, with strip parameters when known."""
-    return classify_partner(m.partner())
+    """Family label of a matching, with strip parameters when known; the
+    Dyck word is read off the edges, whose first points open the chords."""
+    return _classify_word(sum([1 << 2 * m.k - a for a, _ in m.edges]), m.k)
 
 
 def classify(m: Matching) -> str:
     """Family label: isolated, pair member, star center or leaf, path
     member or leaf, or regular."""
-    return classify_partner(m.partner())[0]
+    return classify_with_witness(m)[0]

@@ -3,11 +3,13 @@
 Vertex i is the matching of rank i in canonical order (``matching.rank``).
 Rotations and reflections of the 2k-gon preserve compatibility, so the
 graph is kept as its quotient by that dihedral group: the orbit tables,
-and per orbit its representative's neighbors as arcs labelled by
-symmetries (a voltage graph; Gross and Tucker, *Topological Graph
-Theory*, 1987, ch. 2).  Worker processes only enumerate the flips of the
-representatives, one pure job each.  A vertex's neighbors are computed
-when asked for, and the census reads every component off the quotient.
+and per orbit its representative's neighbor ranks, whose orbits and
+symmetries label the arcs (a voltage graph; Gross and Tucker, *Topological
+Graph Theory*, 1987, ch. 2).  Worker processes only enumerate the flips
+of the representatives, one pure job each.  A vertex's neighbors are
+computed when asked for, and the census reads every component off the
+quotient.  Rows, here and in the almost-perfect variant, are kept in one
+CSR layout (offsets plus targets) that ``_csr`` assembles.
 """
 
 from __future__ import annotations
@@ -16,10 +18,9 @@ import os
 from array import array
 from bisect import bisect_left
 from collections import Counter, deque
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import accumulate
 from multiprocessing import get_context
 
 from .compat import (
@@ -57,7 +58,8 @@ class DcmGraph:
 
     ``orbit``, ``element`` and ``images`` are the tables of
     ``orbit_tables``: orbits are numbered in order of their smallest rank.
-    ``arcs[o]`` lists each neighbor x of orbit o's representative as
+    CSR row o of ``offsets`` and ``targets`` holds the neighbor ranks of
+    orbit o's representative, neighbor x standing for the arc
     ``(orbit[x], element[x])``.  ``certificates`` keeps one certified
     lift per quotient piece, keyed by the piece: its members and its
     canonical form (``component_certificate``).
@@ -67,7 +69,8 @@ class DcmGraph:
     orbit: array
     element: array
     images: array
-    arcs: list[tuple[tuple[int, int], ...]]
+    offsets: array
+    targets: array
     edge_count: int
     certificates: dict[int, tuple[array, tuple]] = field(
         default_factory=dict, init=False, repr=False
@@ -82,15 +85,15 @@ class DcmGraph:
         return from_partner(unrank(self.k, i))
 
     def degree(self, i: int) -> int:
-        return len(self.arcs[self.orbit[i]])
+        return self.offsets[self.orbit[i] + 1] - self.offsets[self.orbit[i]]
 
     def adjacent(self, i: int) -> list[int]:
         """Sorted neighbor indices of vertex ``i``."""
         # Neighbor x = f(rep'), so its image under e is (f, then e)(rep').
-        then = _compose(2 * self.k)[self.element[i]]
-        base = 4 * self.k
-        arcs = self.arcs[self.orbit[i]]
-        return sorted([self.images[base * o + then[f]] for o, f in arcs])
+        o, then = self.orbit[i], _compose(2 * self.k)[self.element[i]]
+        base, orbit, element = 4 * self.k, self.orbit, self.element
+        row = self.targets[self.offsets[o] : self.offsets[o + 1]]
+        return sorted([self.images[base * orbit[x] + then[element[x]]] for x in row])
 
     def index_of(self, m: Matching) -> int:
         if m.k != self.k:
@@ -174,6 +177,15 @@ def _compose(n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def _csr(rows: Iterable[Iterable[int]]) -> tuple[array, array]:
+    """Row v of ``rows`` as ``targets[offsets[v] : offsets[v + 1]]``."""
+    offsets, targets = array("q", [0]), array("i")
+    for row in rows:
+        targets.extend(row)
+        offsets.append(len(targets))
+    return offsets, targets
+
+
 def _flip_ranks(k: int, r: int) -> list[int]:
     # The one pool job: ranks of the flip neighbors of the matching of rank r.
     return [rank(q) for q in neighbor_partners(unrank(k, r))]
@@ -185,8 +197,8 @@ def build_graph(k: int, workers: int | None = None) -> DcmGraph:
     The parent computes the orbit tables (``orbit_tables``), unranking
     one matching per orbit and ranking the rest from their Dyck words.
     Flips are enumerated once per orbit representative, by ``workers``
-    processes when that is more than one, and each neighbor found becomes
-    an arc (its orbit, its symmetry).  No arc depends on which process
+    processes when that is more than one, and the neighbor ranks found
+    become the orbit's CSR row.  No row depends on which process
     enumerated it, so any worker count yields the same graph.
     """
     check_size(k)
@@ -203,10 +215,11 @@ def build_graph(k: int, workers: int | None = None) -> DcmGraph:
     else:
         with get_context("fork").Pool(min(workers, len(representatives))) as pool:
             flips = pool.map(job, representatives)
-    arcs = [tuple((orbit[x], element[x]) for x in found) for found in flips]
-    ends = sum(len(arcs[o]) for o in orbit)
+    offsets, targets = _csr(flips)
+    degrees = [b - a for a, b in zip(offsets, offsets[1:])]
+    ends = sum([degrees[o] for o in orbit])
     assert ends % 2 == 0, "adjacency must be symmetric"
-    return DcmGraph(k, orbit, element, images, arcs, ends // 2)
+    return DcmGraph(k, orbit, element, images, offsets, targets, ends // 2)
 
 
 # -- components --------------------------------------------------------------
@@ -265,18 +278,19 @@ def components(graph: DcmGraph) -> list[ComponentReport]:
     Family labels are dihedral invariants: each orbit's representative
     is unranked once and classified.
     """
-    k, group, arcs = graph.k, 4 * graph.k, graph.arcs
+    k, group, orbit, element = graph.k, 4 * graph.k, graph.orbit, graph.element
+    offsets, targets = graph.offsets, graph.targets
     _, small_order, _, medium_order = census_shape(k)
     category = {medium_order: "medium", small_order: "small"}
     compose = _compose(2 * k)
     inverse = [row.index(0) for row in compose]
-    piece = array("i", [-1]) * len(arcs)
-    potential = array("i", [0]) * len(arcs)
-    parity = bytearray(len(arcs))
+    piece = array("i", [-1]) * (len(offsets) - 1)
+    potential = array("i", [0]) * len(piece)
+    parity = bytearray(len(piece))
     lift_of: list[list[int]] = []  # per piece: the lift holding each h in D
     # per lift: bipartite, profile, piece
     kinds: list[tuple[bool, dict[str, int], int]] = []
-    for start in range(len(arcs)):
+    for start in range(len(piece)):
         if piece[start] >= 0:
             continue
         piece[start] = len(lift_of)
@@ -286,17 +300,19 @@ def components(graph: DcmGraph) -> list[ComponentReport]:
         # Breadth-first: the loop also visits orbits appended during it.
         for o in orbits:
             p = potential[o]
+            then = compose[p]  # then[f] = p f
             row = graph.images[group * o : group * (o + 1)]
             fixed = [s for s, j in enumerate(row) if j == row[0]]
             weight[classify_partner(unrank(k, row[0]))[0]] += group // len(fixed)
-            generators.update((compose[compose[p][s]][inverse[p]], 0) for s in fixed)
-            for w, f in arcs[o]:
+            generators.update((compose[then[s]][inverse[p]], 0) for s in fixed)
+            for x in targets[offsets[o] : offsets[o + 1]]:
+                w, pf = orbit[x], then[element[x]]
                 if piece[w] < 0:
                     piece[w] = piece[start]
-                    potential[w] = compose[p][f]
+                    potential[w] = pf
                     parity[w] = 1 - parity[o]
                     orbits.append(w)
-                move = compose[compose[p][f]][inverse[potential[w]]]
+                move = compose[pf][inverse[potential[w]]]
                 generators.add((move, 1 ^ parity[o] ^ parity[w]))
         subgroup = _closure(generators, compose)
         within = {d for d, _ in subgroup}
@@ -311,7 +327,7 @@ def components(graph: DcmGraph) -> list[ComponentReport]:
                 kinds.append(kind)
         lift_of.append(cosets)
     found = [array("i") for _ in kinds]  # per lift: its members, ascending
-    for v, (o, e) in enumerate(zip(graph.orbit, graph.element)):
+    for v, (o, e) in enumerate(zip(orbit, element)):
         h = compose[e][inverse[potential[o]]]
         found[lift_of[piece[o]][h]].append(v)
     reports: list[ComponentReport] = []
@@ -375,7 +391,7 @@ def _odd_cycle(parent, v, w):
 def degree_stats(graph: DcmGraph) -> tuple[int, tuple[int, ...]]:
     """Maximum degree and the sorted indices of all vertices attaining it."""
     # Degree is constant on orbits.
-    degrees = [len(out) for out in graph.arcs]
+    degrees = [b - a for a, b in zip(graph.offsets, graph.offsets[1:])]
     best = max(degrees)
     argmax = tuple(i for i, o in enumerate(graph.orbit) if degrees[o] == best)
     return best, argmax
@@ -665,15 +681,10 @@ def build_almost_perfect_graph(k: int) -> AlmostPerfectGraph:
     raw.sort(key=lambda v: v[1])
     reach = chord_index([edges for _, edges in raw], n)
     eindex = chord_tables(n)[0]
-    counts = array("i")
-    targets = array("i")
-    for _, edges in raw:
-        # A vertex's own chords reach it, so no row lists the vertex.
-        row = unblocked(reach, len(raw), [eindex[e] for e in edges])
-        counts.append(len(row))
-        targets.extend(row)
-    # CSR row starts: running sums of the row lengths, led by a zero.
-    offsets = array("q", accumulate(counts, initial=0))
+    # A vertex's own chords reach it, so no row lists the vertex.
+    offsets, targets = _csr(
+        unblocked(reach, len(raw), [eindex[e] for e in edges]) for _, edges in raw
+    )
 
     def adjacent(v: int) -> array:
         return targets[offsets[v] : offsets[v + 1]]

@@ -14,6 +14,10 @@ against it.  ``reference_consecutive_runs`` is the block and antiblock
 scan that ``dual_tree`` ran before it read the partner table first.
 ``reference_insert`` is the splice that ``matching.insert`` made by
 re-sorting the shifted edges with ``canonical_edges``.
+``reference_edge_series`` is the fixed-point iteration that
+``counting.edge_series`` ran before it read the coefficients off a
+recurrence: truncated products and a series inverse, repeated from the
+constant series until nothing changes.
 """
 
 from __future__ import annotations
@@ -115,3 +119,44 @@ def reference_insert(host: Matching, inner: Matching, gap: int) -> Matching:
     ]
     placed = [(a + gap, b + gap) for a, b in inner.edges]
     return Matching(canonical_edges(shifted + placed))
+
+
+def _mul(a: list[int], b: list[int], n: int) -> list[int]:
+    # Truncated product; both inputs already cut at degree n.
+    out = [0] * (n + 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j in range(min(n - i, len(b) - 1) + 1):
+            out[i + j] += x * b[j]
+    return out
+
+
+def _inverse(f: list[int], n: int) -> list[int]:
+    # Power series inverse; needs constant term 1.
+    assert f[0] == 1
+    out = [1] + [0] * n
+    for m in range(1, n + 1):
+        out[m] = -sum(f[i] * out[m - i] for i in range(1, m + 1) if i < len(f))
+    return out
+
+
+def reference_edge_series(n: int) -> tuple[int, ...]:
+    # Z = 2z - 1 solves Z = 1 + 2x^2 Z^4 / (1 - x Z^2); each round of the
+    # iteration settles one more coefficient, since the correction term
+    # carries a factor x^2.
+    big = [1] + [0] * n
+    for _ in range(n + 3):
+        sq = _mul(big, big, n)
+        fourth = _mul(sq, sq, n)
+        denom = [1] + [-c for c in sq[:n]]
+        frac = _mul(fourth, _inverse(denom, n), n)
+        nxt = [1] + [0] * n
+        for i in range(n - 1):
+            nxt[i + 2] += 2 * frac[i]
+        if nxt == big:
+            break
+        big = nxt
+    else:
+        raise AssertionError("series iteration did not stabilize")
+    return tuple((c + (i == 0)) // 2 for i, c in enumerate(big))

@@ -36,6 +36,7 @@ from dcmatch.verification import (
     ODD_MEDIUMS_BY_K,
     PAIRS_BY_K,
 )
+from reference import reference_edge_series
 
 CATALAN_ROW = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012]
 RIORDAN_ROW = {2: 1, 3: 1, 4: 3, 5: 6, 6: 15, 7: 36, 8: 91, 12: 4213}
@@ -167,6 +168,10 @@ class TestEdgeSeries:
     def test_negative(self):
         with pytest.raises(DomainError):
             edge_series(-1)
+
+    def test_matches_the_fixed_point_iteration(self):
+        for n in range(61):
+            assert edge_series(n) == reference_edge_series(n), n
 
 
 class TestGrowth:

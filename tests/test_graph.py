@@ -44,7 +44,7 @@ from dcmatch.matching import (
     rank,
     unrank,
 )
-from dcmatch.verification import ISO_CLASSES_BY_K, run_checks
+from dcmatch.verification import ISO_CLASSES_BY_K, GraphCache, run_checks
 from reference import is_crossing
 from symmetries import dihedral_permutations, permute, reflect, rotate
 
@@ -61,43 +61,33 @@ CENSUS = {
 
 ISO_ROW = {1: 1, 2: 1, 3: 2, 4: 2, 5: 3, 6: 3, 7: 4, 8: 4}
 
-_graphs: dict[int, object] = {}
-_reports: dict[int, list] = {}
-
-
-def graph_for(k):
-    if k not in _graphs:
-        _graphs[k] = build_graph(k)
-    return _graphs[k]
-
-
-def reports_for(k):
-    if k not in _reports:
-        _reports[k] = components(graph_for(k))
-    return _reports[k]
+# Graphs and reports that tests only read, built once each as build_graph(k)
+# builds them.  Tests that count calls, patch the build or measure memory
+# build their own.
+cache = GraphCache()
 
 
 class TestBuild:
     def test_small_shapes(self):
-        g = graph_for(3)
+        g = cache.graph(3)
         assert g.order == 5
         assert g.edge_count == 1
-        g = graph_for(4)
+        g = cache.graph(4)
         assert g.order == 14
         assert g.edge_count == 9
 
     def test_edge_counts_match_series(self):
         d = edge_series(8)
         for k in range(2, 9):
-            assert graph_for(k).edge_count == d[k]
+            assert cache.graph(k).edge_count == d[k]
 
     def test_largest_edge_counts_are_pinned(self):
         # d_11 and d_12, past the edge-counts check; later tests in this
         # module build both graphs anyway.
-        assert [graph_for(k).edge_count for k in (11, 12)] == [185285, 888937]
+        assert [cache.graph(k).edge_count for k in (11, 12)] == [185285, 888937]
 
     def test_adjacency_sorted_symmetric_loopless(self):
-        g = graph_for(5)
+        g = cache.graph(5)
         for i in range(g.order):
             row = list(g.adjacent(i))
             assert row == sorted(row)
@@ -110,13 +100,13 @@ class TestBuild:
         # Oracle: chord-mask scan over enumeration order, no ranks or symmetries.
         ms = enumerate_matchings(k)
         index = {m: i for i, m in enumerate(ms)}
-        g = graph_for(k)
+        g = cache.graph(k)
         for i, m in enumerate(ms):
             expected = sorted(index[x] for x in neighbors_bruteforce(m))
             assert list(g.adjacent(i)) == expected, (k, i)
 
     def test_index_roundtrip(self):
-        g = graph_for(4)
+        g = cache.graph(4)
         for i, m in enumerate(enumerate_matchings(4)):
             assert g.index_of(m) == i
         for other_size in ("1-2,3-4", "1-10,2-3,4-5,6-7,8-9"):
@@ -193,7 +183,7 @@ class TestOrbits:
     @pytest.mark.parametrize("k", range(1, 7))
     def test_orbit_is_closed_under_the_generators(self, k):
         # Oracle: rotate/reflect and index_of, not the orbit tables.
-        graph = graph_for(k)
+        graph = cache.graph(k)
         for i, v in enumerate(enumerate_matchings(k)):
             assert graph.orbit[graph.index_of(rotate(v, 1))] == graph.orbit[i]
             assert graph.orbit[graph.index_of(reflect(v))] == graph.orbit[i]
@@ -273,27 +263,27 @@ class TestOrbitWalk:
 class TestComponents:
     def test_census_rows(self):
         for k, expected in CENSUS.items():
-            got = Counter((r.order, r.category) for r in reports_for(k))
+            got = Counter((r.order, r.category) for r in cache.reports(k))
             assert dict(got) == expected, f"k={k}"
 
     def test_orders_sum(self):
         for k in (3, 5, 6):
-            assert sum(r.order for r in reports_for(k)) == graph_for(k).order
+            assert sum(r.order for r in cache.reports(k)) == cache.graph(k).order
 
     def test_members_sorted_and_representative(self):
         # The components JSON names a component by its first member's matching.
         vertices = enumerate_matchings(5)
-        for r in reports_for(5):
+        for r in cache.reports(5):
             assert list(r.members) == sorted(r.members)
-            assert graph_for(5).vertex(r.members[0]) == vertices[r.members[0]]
+            assert cache.graph(5).vertex(r.members[0]) == vertices[r.members[0]]
 
     def test_big_profiles_are_regular(self):
         for k in (5, 6):
-            big = max(reports_for(k), key=lambda r: r.order)
+            big = max(cache.reports(k), key=lambda r: r.order)
             assert big.profile == {"Regular": big.order}
 
     def test_medium_profile_k5(self):
-        medium = next(r for r in reports_for(5) if r.category == "medium")
+        medium = next(r for r in cache.reports(5) if r.category == "medium")
         assert medium.profile == {"Medium-DBD": 1, "Medium-DBDL": 2}
 
     @pytest.mark.parametrize("k", [5, 7, 9, 11])
@@ -301,8 +291,8 @@ class TestComponents:
         # Each medium component is K_{1,l-1}: one Medium-DBD centre joined
         # to l - 1 Medium-DBDL leaves, read off the adjacency itself.
         l = (k + 1) // 2
-        g = graph_for(k)
-        mediums = [r for r in reports_for(k) if r.category == "medium"]
+        g = cache.graph(k)
+        mediums = [r for r in cache.reports(k) if r.category == "medium"]
         assert mediums
         for r in mediums:
             labels = {v: classify(g.vertex(v)) for v in r.members}
@@ -318,15 +308,15 @@ class TestComponents:
 
     def test_rings_share_the_big_component(self):
         for k in (5, 6, 7):
-            g = graph_for(k)
+            g = cache.graph(k)
             ring_home = {
                 r.id
-                for r in reports_for(k)
+                for r in cache.reports(k)
                 for ring in rings(k)
                 if g.index_of(ring) in set(r.members)
             }
             assert len(ring_home) == 1
-            owner = reports_for(k)[ring_home.pop()]
+            owner = cache.reports(k)[ring_home.pop()]
             assert owner.category == ("big" if k >= 5 else "medium")
 
 
@@ -370,8 +360,8 @@ class TestOrbitLabels:
     def test_reports_match_per_vertex_labels(self, k):
         # profile reaches no CLI output, so only this and the row
         # reference below compare it.
-        g = graph_for(k)
-        assert reports_for(k) == reference_reports(k, g.adjacent, g.orbit)
+        g = cache.graph(k)
+        assert cache.reports(k) == reference_reports(k, g.adjacent, g.orbit)
 
     def test_one_classify_call_per_orbit(self, monkeypatch):
         # One unrank and one classification per orbit; the census makes no
@@ -459,7 +449,7 @@ class TestQuotient:
         assert_matches_rows(build_graph(k, workers=workers))
 
     def test_matches_the_rows_at_11(self):
-        assert_matches_rows(graph_for(11))
+        assert_matches_rows(cache.graph(11))
 
     def test_one_vertex_at_k1(self):
         # dihedral_permutations(2) repeats point maps; the group table must not.
@@ -473,10 +463,10 @@ class TestQuotient:
     @pytest.mark.parametrize("k", range(2, 11))
     def test_stabilised_orbits_list_each_member_once(self, k):
         # The rings are one orbit of two, fixed by half of the 4k symmetries.
-        g = graph_for(k)
+        g = cache.graph(k)
         ring = g.orbit[g.index_of(rings(k)[0])]
         assert list(g.orbit).count(ring) == 2
-        members = [i for r in reports_for(k) for i in r.members]
+        members = [i for r in cache.reports(k) for i in r.members]
         assert sorted(members) == list(range(g.order))
 
     @pytest.mark.parametrize("k", range(1, 13))
@@ -505,7 +495,7 @@ class TestCensusMemory:
     def test_reports_retain_little_per_vertex(self):
         # Members live in one flat int array per component, and the
         # lifts of a piece share its profile dict.
-        g = graph_for(10)
+        g = build_graph(10, workers=1)
         components(g)  # fill the family tables first
         tracemalloc.start()
         try:
@@ -515,6 +505,28 @@ class TestCensusMemory:
             tracemalloc.stop()
         assert len(reports) == 121
         assert retained <= 8 * g.order
+
+    def test_quotient_retains_little_per_arc(self):
+        # Each arc is one neighbor rank in a flat int array; its orbit and
+        # symmetry are read off the orbit tables.  At k = 10 the rows keep
+        # 5.5 bytes per arc beyond the orbit tables, where per-arc
+        # (orbit, symmetry) tuples kept 44.6; the bound leaves about 45%
+        # over the first.
+        def retained(make):
+            tracemalloc.start()
+            try:
+                kept = make()
+                return kept, tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        build_graph(10, workers=1)  # fill the flip and rank tables first
+        g, built = retained(lambda: build_graph(10, workers=1))
+        _, tables = retained(lambda: orbit_tables(10))
+        # One arc per neighbor of each orbit representative.
+        arcs = sum(g.degree(r) for r in g.images[:: 4 * 10])
+        assert arcs == 3399
+        assert built - tables <= 8 * arcs
 
     def test_orbit_tables_peak_per_vertex(self):
         # One sorted list of packed ints ranks the images.
@@ -530,7 +542,7 @@ class TestCensusMemory:
 class TestVertices:
     @pytest.mark.parametrize("k", range(1, 7))
     def test_rank_roundtrip(self, k):
-        g = graph_for(k)
+        g = cache.graph(k)
         ms = enumerate_matchings(k)
         assert g.order == len(ms)
         for i, m in enumerate(ms):
@@ -538,7 +550,7 @@ class TestVertices:
             assert g.index_of(m) == i
 
     def test_one_past_the_last_rank(self):
-        g = graph_for(4)
+        g = cache.graph(4)
         with pytest.raises(ValueError):
             g.vertex(g.order)
 
@@ -546,12 +558,12 @@ class TestVertices:
 class TestBigComponent:
     @pytest.mark.parametrize("k", range(9, 13))
     def test_order_is_the_subtraction_formula(self, k):
-        big = [r.order for r in reports_for(k) if r.category == "big"]
+        big = [r.order for r in cache.reports(k) if r.category == "big"]
         assert big == [big_component_order(k)]
 
     def test_orbits_with_symmetry_at_12(self):
         # An orbit smaller than the 48 symmetries has a non-trivial stabiliser.
-        sizes = Counter(graph_for(12).orbit).values()
+        sizes = Counter(cache.graph(12).orbit).values()
         assert len(sizes) == 4588
         assert sum(1 for size in sizes if size < 48) == 487
 
@@ -559,22 +571,22 @@ class TestBigComponent:
 class TestBipartite:
     def test_ring_component_flag_flips_at_eight(self):
         for k in range(2, 8):
-            g = graph_for(k)
+            g = cache.graph(k)
             home = next(
                 r
-                for r in reports_for(k)
+                for r in cache.reports(k)
                 if g.index_of(rings(k)[0]) in set(r.members)
             )
             assert home.bipartite
-        g = graph_for(8)
+        g = cache.graph(8)
         home = next(
-            r for r in reports_for(8) if g.index_of(rings(8)[0]) in set(r.members)
+            r for r in cache.reports(8) if g.index_of(rings(8)[0]) in set(r.members)
         )
         assert not home.bipartite
 
     def test_two_coloring_witness(self):
-        g = graph_for(6)
-        big = max(reports_for(6), key=lambda r: r.order)
+        g = cache.graph(6)
+        big = max(cache.reports(6), key=lambda r: r.order)
         flag, coloring = is_bipartite(g, big)
         assert flag
         assert set(coloring) == set(big.members)
@@ -583,9 +595,9 @@ class TestBipartite:
                 assert coloring[v] != coloring[w]
 
     def test_odd_cycle_witness(self):
-        g = graph_for(8)
+        g = cache.graph(8)
         home = next(
-            r for r in reports_for(8) if g.index_of(rings(8)[0]) in set(r.members)
+            r for r in cache.reports(8) if g.index_of(rings(8)[0]) in set(r.members)
         )
         flag, cycle = is_bipartite(g, home)
         assert not flag
@@ -594,15 +606,15 @@ class TestBipartite:
             assert b in g.adjacent(a)
 
     def test_pair_component(self):
-        g = graph_for(4)
-        pair = next(r for r in reports_for(4) if r.category == "small")
+        g = cache.graph(4)
+        pair = next(r for r in cache.reports(4) if r.category == "small")
         flag, coloring = is_bipartite(g, pair)
         assert flag
         assert sorted(coloring.values()) == [0, 1]
 
     def test_other_big_at_seven_is_odd(self):
-        g = graph_for(7)
-        other = next(r for r in reports_for(7) if r.order == 196)
+        g = cache.graph(7)
+        other = next(r for r in cache.reports(7) if r.order == 196)
         flag, cycle = is_bipartite(g, other)
         assert not flag
         assert len(cycle) % 2 == 1
@@ -611,13 +623,13 @@ class TestBipartite:
 class TestDegrees:
     def test_max_at_rings(self):
         for k, expected in ((2, 1), (4, 3), (6, 15)):
-            g = graph_for(k)
+            g = cache.graph(k)
             best, argmax = degree_stats(g)
             assert best == expected
             assert {g.vertex(i) for i in argmax} == set(rings(k))
 
     def test_k2_everyone_wins(self):
-        best, argmax = degree_stats(graph_for(2))
+        best, argmax = degree_stats(cache.graph(2))
         assert best == 1
         assert len(argmax) == 2
 
@@ -625,25 +637,25 @@ class TestDegrees:
 class TestIsomorphism:
     def test_class_counts(self):
         for k, expected in ISO_ROW.items():
-            count, classes = isomorphism_classes(graph_for(k), reports_for(k))
+            count, classes = isomorphism_classes(cache.graph(k), cache.reports(k))
             assert count == expected
             covered = sorted(i for group in classes for i in group)
-            assert covered == [r.id for r in reports_for(k)]
+            assert covered == [r.id for r in cache.reports(k)]
 
     def test_partition_shape_k5(self):
-        _, classes = isomorphism_classes(graph_for(5), reports_for(5))
+        _, classes = isomorphism_classes(cache.graph(5), cache.reports(5))
         assert sorted(len(group) for group in classes) == [1, 5, 15]
 
     def test_pair_certificates_coincide(self):
-        g = graph_for(4)
-        pairs = [r for r in reports_for(4) if r.category == "small"]
+        g = cache.graph(4)
+        pairs = [r for r in cache.reports(4) if r.category == "small"]
         certs = {component_certificate(g, r) for r in pairs}
         assert len(certs) == 1
 
     def test_star_and_path_differ(self):
-        g5, g6 = graph_for(5), graph_for(6)
-        star = next(r for r in reports_for(5) if r.category == "medium")
-        path = next(r for r in reports_for(6) if r.category == "medium")
+        g5, g6 = cache.graph(5), cache.graph(6)
+        star = next(r for r in cache.reports(5) if r.category == "medium")
+        path = next(r for r in cache.reports(6) if r.category == "medium")
         assert component_certificate(g5, star) != component_certificate(g6, path)
 
 
@@ -653,9 +665,9 @@ class TestPieceCertificates:
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_pieces_are_the_covered_orbits(self, k):
-        g = graph_for(k)
+        g = cache.graph(k)
         by_piece, by_cover = {}, {}
-        for r in reports_for(k):
+        for r in cache.reports(k):
             cover = frozenset(g.orbit[v] for v in r.members)
             by_piece.setdefault(r.piece, set()).add(cover)
             by_cover.setdefault(cover, set()).add(r.piece)
@@ -695,13 +707,13 @@ class TestPieceCertificates:
 class TestMediumEvenStructure:
     def test_small_even_sizes_pass(self):
         for k in (4, 6, 8):
-            assert verify_medium_even_structure(graph_for(k), reports_for(k)) == []
+            assert verify_medium_even_structure(cache.graph(k), cache.reports(k)) == []
 
     def test_rejects_odd_or_tiny(self):
         with pytest.raises(DomainError):
-            verify_medium_even_structure(graph_for(5), reports_for(5))
+            verify_medium_even_structure(cache.graph(5), cache.reports(5))
         with pytest.raises(DomainError):
-            verify_medium_even_structure(graph_for(2), reports_for(2))
+            verify_medium_even_structure(cache.graph(2), cache.reports(2))
 
     def test_wrong_template_fails_the_check(self, monkeypatch):
         # One extra edge between two leaves: every medium component's
@@ -755,7 +767,7 @@ def unpruned_canonical_form(adj, colors):
 
 
 def induced(k, report):
-    return graph_module._induced_adjacency(graph_for(k), report.members)
+    return graph_module._induced_adjacency(cache.graph(k), report.members)
 
 
 def relabelled(adj, rng):
@@ -795,7 +807,7 @@ class TestCanonicalForm:
         for k in range(1, 11):
             graphs = [
                 induced(k, r)
-                for r in reports_for(k)
+                for r in cache.reports(k)
                 if r.category in ("small", "medium")
             ]
             if k % 2 == 0 and k >= 4:
@@ -826,7 +838,7 @@ class TestCanonicalForm:
     @pytest.mark.parametrize("k", range(1, 11))
     def test_vf2_reproduces_the_class_table(self, nx, k):
         classes = []
-        for r in reports_for(k):
+        for r in cache.reports(k):
             h = to_nx(nx, induced(k, r))
             for rep, ids in classes:
                 if len(rep) == len(h) and nx.is_isomorphic(rep, h):
@@ -835,13 +847,13 @@ class TestCanonicalForm:
             else:
                 classes.append((h, [r.id]))
         assert len(classes) == ISO_CLASSES_BY_K[k]
-        _, certified = isomorphism_classes(graph_for(k), reports_for(k))
+        _, certified = isomorphism_classes(cache.graph(k), cache.reports(k))
         assert sorted(ids for _, ids in classes) == certified
 
     @pytest.mark.parametrize("k", (4, 6, 8, 10))
     def test_vf2_matches_the_medium_even_template(self, nx, k):
         template = to_nx(nx, graph_module._medium_even_template(k))
-        mediums = [r for r in reports_for(k) if r.category == "medium"]
+        mediums = [r for r in cache.reports(k) if r.category == "medium"]
         assert mediums
         for r in mediums:
             assert nx.is_isomorphic(to_nx(nx, induced(k, r)), template)
@@ -867,14 +879,14 @@ class TestSearchSize:
 
     @pytest.mark.parametrize("k", (8, 10))
     def test_even_medium_components(self, calls, k):
-        mediums = [r for r in reports_for(k) if r.category == "medium"]
+        mediums = [r for r in cache.reports(k) if r.category == "medium"]
         assert mediums
         # Certificates made by earlier tests would be read back unsearched.
-        graph_for(k).certificates.clear()
+        cache.graph(k).certificates.clear()
         searched = set()
         for r in mediums:
             calls[0] = 0
-            component_certificate(graph_for(k), r)
+            component_certificate(cache.graph(k), r)
             # The first lift of each piece is searched, every other lift
             # is mapped onto it without a search.
             if r.piece in searched:
@@ -975,7 +987,7 @@ class TestAlmostPerfect:
 
 class TestExports:
     def test_dot_golden(self):
-        assert to_dot(graph_for(2)) == (
+        assert to_dot(cache.graph(2)) == (
             "graph dcm_2 {\n"
             '  "1-2,3-4";\n'
             '  "1-4,2-3";\n'
@@ -984,14 +996,14 @@ class TestExports:
         )
 
     def test_json_golden(self):
-        assert graph_to_json_dict(graph_for(2)) == {
+        assert graph_to_json_dict(cache.graph(2)) == {
             "k": 2,
             "vertices": ["1-2,3-4", "1-4,2-3"],
             "edges": [[0, 1]],
         }
 
     def test_census_golden(self):
-        assert census_csv(graph_for(3), reports_for(3)) == (
+        assert census_csv(cache.graph(3), cache.reports(3)) == (
             "k,component_id,order,class,bipartite\n"
             "3,0,2,medium,true\n"
             "3,1,1,small,true\n"
@@ -1000,5 +1012,5 @@ class TestExports:
         )
 
     def test_json_edge_count_consistency(self):
-        payload = graph_to_json_dict(graph_for(4))
-        assert len(payload["edges"]) == graph_for(4).edge_count
+        payload = graph_to_json_dict(cache.graph(4))
+        assert len(payload["edges"]) == cache.graph(4).edge_count

@@ -33,7 +33,8 @@ SHARED_ON_PURPOSE = {
     # DcmGraph.order: the exports and the vertex-count check read it;
     # AlmostPerfectGraph.order: the almost-perfect check reads it.
     "order",
-    # DcmGraph.adjacent: the census, certificates and exports read it;
+    # DcmGraph.adjacent: certificates, the bipartite witness, the medium
+    # structure check and the exports read it (the census reads the rows);
     # AlmostPerfectGraph.adjacent: tests/test_graph.py's pairwise oracle
     # reads each row through it.
     "adjacent",
