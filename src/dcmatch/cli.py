@@ -208,8 +208,6 @@ def _cmd_graph(args) -> tuple[str, int]:
 
 
 def _cmd_series(args) -> tuple[str, int]:
-    if not args.edges:
-        raise _UsageError("choose a series with --edges")
     if args.terms < 0:
         raise _UsageError(f"--terms must be >= 0, got {args.terms}")
     coefficients = edge_series(args.terms)
@@ -333,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("series", "edge-count series coefficients",
             fmt=("text", "csv", "json"), default_fmt="csv")
     p.add_argument("--edges", action="store_true",
-                   help="the series counting graph edges")
+                   help="the series counting graph edges (the default and "
+                        "only series)")
     p.add_argument("--terms", type=int, required=True, metavar="N")
 
     p = add("counts", "small/medium component count tables",

@@ -404,7 +404,8 @@ def run_checks(
     Each check runs over all its sizes before the next one starts, in
     ``CHECKS`` order.  A size over the configured cap propagates as
     ResourceLimitError rather than turning into a failed check, so
-    callers can report it distinctly.
+    callers can report it distinctly.  A passed ``cache`` builds with its
+    own ``workers``, and the ``workers`` argument is then ignored.
     """
     if cache is None:
         cache = GraphCache(workers=workers)

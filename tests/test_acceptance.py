@@ -2,14 +2,15 @@
 
 Each criterion runs over its whole stated size range (up to k=12) with
 exact tolerances, through the same checks the CLI verify command uses.
-Graphs are built once and shared across criteria via a module cache.
+Graphs come from the session's graph cache, so each is built once and
+shared across criteria and with the other test modules.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from dcmatch.verification import CHECK_NAMES, GraphCache, run_checks
+from dcmatch.verification import CHECK_NAMES, run_checks
 
 # The pass detail of every check over k = 1..12.
 DETAILS = {
@@ -43,14 +44,9 @@ DETAILS = {
 }
 
 
-@pytest.fixture(scope="module")
-def cache():
-    return GraphCache()
-
-
 @pytest.mark.parametrize("name", CHECK_NAMES)
-def test_criterion(name, cache):
-    (result,) = run_checks(lo=1, hi=12, names=(name,), cache=cache)
+def test_criterion(name, graph_cache):
+    (result,) = run_checks(lo=1, hi=12, names=(name,), cache=graph_cache)
     line = f"{result.status.upper()} {result.name}: {result.detail}"
     print(line)
     assert result.status == "pass", line

@@ -438,10 +438,14 @@ class TestSeries:
         assert code == 0
         assert out == "d_0 = 1\nd_1 = 0\nd_2 = 1\n"
 
-    def test_requires_edges_flag(self, capsys):
-        code, _, err = run("series", "--terms", "4", capsys=capsys)
-        assert code == 2
-        assert "--edges" in err
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_edges_flag_names_the_default(self, capsys, fmt):
+        plain = run("series", "--terms", "7", "--format", fmt, capsys=capsys)
+        named = run(
+            "series", "--edges", "--terms", "7", "--format", fmt, capsys=capsys
+        )
+        assert plain[0] == 0
+        assert plain == named
 
     def test_negative_terms(self, capsys):
         code, _, err = run(
@@ -572,9 +576,11 @@ class TestVerify:
 
 
 class TestRunChecks:
-    def test_fail_detail(self, monkeypatch):
+    def test_fail_detail(self, monkeypatch, graph_cache):
         monkeypatch.setitem(verification.ISO_CLASSES_BY_K, 3, 99)
-        (result,) = run_checks(3, 3, names=("isomorphism-classes",))
+        (result,) = run_checks(
+            3, 3, names=("isomorphism-classes",), cache=graph_cache
+        )
         assert (result.status, result.detail) == ("fail", "k=3: 2 classes != 99")
         assert not result.passed
 
@@ -588,11 +594,13 @@ class TestRunChecks:
         (result,) = run_checks(4, 4, names=("property-suite",))
         assert (result.status, result.detail) == ("fail", "k=4: planted problem")
 
-    def test_problems_are_capped_at_six(self, monkeypatch):
+    def test_problems_are_capped_at_six(self, monkeypatch, graph_cache):
         counts = dict(verification.ISO_CLASSES_BY_K)
         for k in range(1, 9):
             monkeypatch.setitem(verification.ISO_CLASSES_BY_K, k, 99)
-        (result,) = run_checks(1, 8, names=("isomorphism-classes",))
+        (result,) = run_checks(
+            1, 8, names=("isomorphism-classes",), cache=graph_cache
+        )
         assert result.status == "fail"
         assert result.detail.split("; ") == [
             f"k={k}: {counts[k]} classes != 99" for k in range(1, 7)
@@ -602,8 +610,10 @@ class TestRunChecks:
         with pytest.raises(ValueError, match="nope"):
             run_checks(names=("nope",))
 
-    def test_results_follow_the_table_order(self):
-        results = run_checks(1, 1, names=("growth-probe", "vertex-counts"))
+    def test_results_follow_the_table_order(self, graph_cache):
+        results = run_checks(
+            1, 1, names=("growth-probe", "vertex-counts"), cache=graph_cache
+        )
         assert [r.name for r in results] == ["vertex-counts", "growth-probe"]
 
 

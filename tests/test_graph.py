@@ -44,7 +44,7 @@ from dcmatch.matching import (
     rank,
     unrank,
 )
-from dcmatch.verification import ISO_CLASSES_BY_K, GraphCache, run_checks
+from dcmatch.verification import ISO_CLASSES_BY_K, run_checks
 from reference import is_crossing
 from symmetries import dihedral_permutations, permute, reflect, rotate
 
@@ -61,33 +61,28 @@ CENSUS = {
 
 ISO_ROW = {1: 1, 2: 1, 3: 2, 4: 2, 5: 3, 6: 3, 7: 4, 8: 4}
 
-# Graphs and reports that tests only read, built once each as build_graph(k)
-# builds them.  Tests that count calls, patch the build or measure memory
-# build their own.
-cache = GraphCache()
-
-
 class TestBuild:
-    def test_small_shapes(self):
-        g = cache.graph(3)
+    def test_small_shapes(self, graph_cache):
+        g = graph_cache.graph(3)
         assert g.order == 5
         assert g.edge_count == 1
-        g = cache.graph(4)
+        g = graph_cache.graph(4)
         assert g.order == 14
         assert g.edge_count == 9
 
-    def test_edge_counts_match_series(self):
+    def test_edge_counts_match_series(self, graph_cache):
         d = edge_series(8)
         for k in range(2, 9):
-            assert cache.graph(k).edge_count == d[k]
+            assert graph_cache.graph(k).edge_count == d[k]
 
-    def test_largest_edge_counts_are_pinned(self):
-        # d_11 and d_12, past the edge-counts check; later tests in this
-        # module build both graphs anyway.
-        assert [cache.graph(k).edge_count for k in (11, 12)] == [185285, 888937]
+    def test_largest_edge_counts_are_pinned(self, graph_cache):
+        # d_11 and d_12, past the edge-counts check; the acceptance tests
+        # and later tests in this module read both graphs anyway.
+        counts = [graph_cache.graph(k).edge_count for k in (11, 12)]
+        assert counts == [185285, 888937]
 
-    def test_adjacency_sorted_symmetric_loopless(self):
-        g = cache.graph(5)
+    def test_adjacency_sorted_symmetric_loopless(self, graph_cache):
+        g = graph_cache.graph(5)
         for i in range(g.order):
             row = list(g.adjacent(i))
             assert row == sorted(row)
@@ -96,17 +91,17 @@ class TestBuild:
                 assert i in g.adjacent(j)
 
     @pytest.mark.parametrize("k", range(1, 8))
-    def test_rows_match_bruteforce(self, k):
+    def test_rows_match_bruteforce(self, k, graph_cache):
         # Oracle: chord-mask scan over enumeration order, no ranks or symmetries.
         ms = enumerate_matchings(k)
         index = {m: i for i, m in enumerate(ms)}
-        g = cache.graph(k)
+        g = graph_cache.graph(k)
         for i, m in enumerate(ms):
             expected = sorted(index[x] for x in neighbors_bruteforce(m))
             assert list(g.adjacent(i)) == expected, (k, i)
 
-    def test_index_roundtrip(self):
-        g = cache.graph(4)
+    def test_index_roundtrip(self, graph_cache):
+        g = graph_cache.graph(4)
         for i, m in enumerate(enumerate_matchings(4)):
             assert g.index_of(m) == i
         for other_size in ("1-2,3-4", "1-10,2-3,4-5,6-7,8-9"):
@@ -181,9 +176,9 @@ class TestOrbits:
             assert graph.orbit == orbit_tables(k)[0]
 
     @pytest.mark.parametrize("k", range(1, 7))
-    def test_orbit_is_closed_under_the_generators(self, k):
+    def test_orbit_is_closed_under_the_generators(self, k, graph_cache):
         # Oracle: rotate/reflect and index_of, not the orbit tables.
-        graph = cache.graph(k)
+        graph = graph_cache.graph(k)
         for i, v in enumerate(enumerate_matchings(k)):
             assert graph.orbit[graph.index_of(rotate(v, 1))] == graph.orbit[i]
             assert graph.orbit[graph.index_of(reflect(v))] == graph.orbit[i]
@@ -261,38 +256,39 @@ class TestOrbitWalk:
 
 
 class TestComponents:
-    def test_census_rows(self):
+    def test_census_rows(self, graph_cache):
         for k, expected in CENSUS.items():
-            got = Counter((r.order, r.category) for r in cache.reports(k))
+            got = Counter((r.order, r.category) for r in graph_cache.reports(k))
             assert dict(got) == expected, f"k={k}"
 
-    def test_orders_sum(self):
+    def test_orders_sum(self, graph_cache):
         for k in (3, 5, 6):
-            assert sum(r.order for r in cache.reports(k)) == cache.graph(k).order
+            orders = [r.order for r in graph_cache.reports(k)]
+            assert sum(orders) == graph_cache.graph(k).order
 
-    def test_members_sorted_and_representative(self):
+    def test_members_sorted_and_representative(self, graph_cache):
         # The components JSON names a component by its first member's matching.
         vertices = enumerate_matchings(5)
-        for r in cache.reports(5):
+        for r in graph_cache.reports(5):
             assert list(r.members) == sorted(r.members)
-            assert cache.graph(5).vertex(r.members[0]) == vertices[r.members[0]]
+            assert graph_cache.graph(5).vertex(r.members[0]) == vertices[r.members[0]]
 
-    def test_big_profiles_are_regular(self):
+    def test_big_profiles_are_regular(self, graph_cache):
         for k in (5, 6):
-            big = max(cache.reports(k), key=lambda r: r.order)
+            big = max(graph_cache.reports(k), key=lambda r: r.order)
             assert big.profile == {"Regular": big.order}
 
-    def test_medium_profile_k5(self):
-        medium = next(r for r in cache.reports(5) if r.category == "medium")
+    def test_medium_profile_k5(self, graph_cache):
+        medium = next(r for r in graph_cache.reports(5) if r.category == "medium")
         assert medium.profile == {"Medium-DBD": 1, "Medium-DBDL": 2}
 
     @pytest.mark.parametrize("k", [5, 7, 9, 11])
-    def test_odd_mediums_are_stars(self, k):
+    def test_odd_mediums_are_stars(self, k, graph_cache):
         # Each medium component is K_{1,l-1}: one Medium-DBD centre joined
         # to l - 1 Medium-DBDL leaves, read off the adjacency itself.
         l = (k + 1) // 2
-        g = cache.graph(k)
-        mediums = [r for r in cache.reports(k) if r.category == "medium"]
+        g = graph_cache.graph(k)
+        mediums = [r for r in graph_cache.reports(k) if r.category == "medium"]
         assert mediums
         for r in mediums:
             labels = {v: classify(g.vertex(v)) for v in r.members}
@@ -306,17 +302,17 @@ class TestComponents:
                 assert labels[v] == "Medium-DBDL", (k, r.id, v)
                 assert g.adjacent(v) == [centre], (k, r.id, v)
 
-    def test_rings_share_the_big_component(self):
+    def test_rings_share_the_big_component(self, graph_cache):
         for k in (5, 6, 7):
-            g = cache.graph(k)
+            g = graph_cache.graph(k)
             ring_home = {
                 r.id
-                for r in cache.reports(k)
+                for r in graph_cache.reports(k)
                 for ring in rings(k)
                 if g.index_of(ring) in set(r.members)
             }
             assert len(ring_home) == 1
-            owner = cache.reports(k)[ring_home.pop()]
+            owner = graph_cache.reports(k)[ring_home.pop()]
             assert owner.category == ("big" if k >= 5 else "medium")
 
 
@@ -357,11 +353,11 @@ def reference_reports(k, adjacent, orbit):
 
 class TestOrbitLabels:
     @pytest.mark.parametrize("k", range(1, 11))
-    def test_reports_match_per_vertex_labels(self, k):
+    def test_reports_match_per_vertex_labels(self, k, graph_cache):
         # profile reaches no CLI output, so only this and the row
         # reference below compare it.
-        g = cache.graph(k)
-        assert cache.reports(k) == reference_reports(k, g.adjacent, g.orbit)
+        g = graph_cache.graph(k)
+        assert graph_cache.reports(k) == reference_reports(k, g.adjacent, g.orbit)
 
     def test_one_classify_call_per_orbit(self, monkeypatch):
         # One unrank and one classification per orbit; the census makes no
@@ -448,25 +444,25 @@ class TestQuotient:
     def test_matches_the_rows(self, k, workers):
         assert_matches_rows(build_graph(k, workers=workers))
 
-    def test_matches_the_rows_at_11(self):
-        assert_matches_rows(cache.graph(11))
+    def test_matches_the_rows_at_11(self, graph_cache):
+        assert_matches_rows(graph_cache.graph(11))
 
-    def test_one_vertex_at_k1(self):
+    def test_one_vertex_at_k1(self, graph_cache):
         # dihedral_permutations(2) repeats point maps; the group table must not.
-        g = build_graph(1)
+        g = graph_cache.graph(1)
         assert (g.order, g.edge_count, g.degree(0), g.adjacent(0)) == (1, 0, 0, [])
-        (r,) = components(g)
+        (r,) = graph_cache.reports(1)
         assert (r.order, r.category, r.bipartite, r.members) == (
             1, "small", True, array("i", [0])
         )
 
     @pytest.mark.parametrize("k", range(2, 11))
-    def test_stabilised_orbits_list_each_member_once(self, k):
+    def test_stabilised_orbits_list_each_member_once(self, k, graph_cache):
         # The rings are one orbit of two, fixed by half of the 4k symmetries.
-        g = cache.graph(k)
+        g = graph_cache.graph(k)
         ring = g.orbit[g.index_of(rings(k)[0])]
         assert list(g.orbit).count(ring) == 2
-        members = [i for r in cache.reports(k) for i in r.members]
+        members = [i for r in graph_cache.reports(k) for i in r.members]
         assert sorted(members) == list(range(g.order))
 
     @pytest.mark.parametrize("k", range(1, 13))
@@ -541,52 +537,54 @@ class TestCensusMemory:
 
 class TestVertices:
     @pytest.mark.parametrize("k", range(1, 7))
-    def test_rank_roundtrip(self, k):
-        g = cache.graph(k)
+    def test_rank_roundtrip(self, k, graph_cache):
+        g = graph_cache.graph(k)
         ms = enumerate_matchings(k)
         assert g.order == len(ms)
         for i, m in enumerate(ms):
             assert g.vertex(i) == m
             assert g.index_of(m) == i
 
-    def test_one_past_the_last_rank(self):
-        g = cache.graph(4)
+    def test_one_past_the_last_rank(self, graph_cache):
+        g = graph_cache.graph(4)
         with pytest.raises(ValueError):
             g.vertex(g.order)
 
 
 class TestBigComponent:
     @pytest.mark.parametrize("k", range(9, 13))
-    def test_order_is_the_subtraction_formula(self, k):
-        big = [r.order for r in cache.reports(k) if r.category == "big"]
+    def test_order_is_the_subtraction_formula(self, k, graph_cache):
+        big = [r.order for r in graph_cache.reports(k) if r.category == "big"]
         assert big == [big_component_order(k)]
 
-    def test_orbits_with_symmetry_at_12(self):
+    def test_orbits_with_symmetry_at_12(self, graph_cache):
         # An orbit smaller than the 48 symmetries has a non-trivial stabiliser.
-        sizes = Counter(cache.graph(12).orbit).values()
+        sizes = Counter(graph_cache.graph(12).orbit).values()
         assert len(sizes) == 4588
         assert sum(1 for size in sizes if size < 48) == 487
 
 
 class TestBipartite:
-    def test_ring_component_flag_flips_at_eight(self):
+    def test_ring_component_flag_flips_at_eight(self, graph_cache):
         for k in range(2, 8):
-            g = cache.graph(k)
+            g = graph_cache.graph(k)
             home = next(
                 r
-                for r in cache.reports(k)
+                for r in graph_cache.reports(k)
                 if g.index_of(rings(k)[0]) in set(r.members)
             )
             assert home.bipartite
-        g = cache.graph(8)
+        g = graph_cache.graph(8)
         home = next(
-            r for r in cache.reports(8) if g.index_of(rings(8)[0]) in set(r.members)
+            r
+            for r in graph_cache.reports(8)
+            if g.index_of(rings(8)[0]) in set(r.members)
         )
         assert not home.bipartite
 
-    def test_two_coloring_witness(self):
-        g = cache.graph(6)
-        big = max(cache.reports(6), key=lambda r: r.order)
+    def test_two_coloring_witness(self, graph_cache):
+        g = graph_cache.graph(6)
+        big = max(graph_cache.reports(6), key=lambda r: r.order)
         flag, coloring = is_bipartite(g, big)
         assert flag
         assert set(coloring) == set(big.members)
@@ -594,10 +592,12 @@ class TestBipartite:
             for w in g.adjacent(v):
                 assert coloring[v] != coloring[w]
 
-    def test_odd_cycle_witness(self):
-        g = cache.graph(8)
+    def test_odd_cycle_witness(self, graph_cache):
+        g = graph_cache.graph(8)
         home = next(
-            r for r in cache.reports(8) if g.index_of(rings(8)[0]) in set(r.members)
+            r
+            for r in graph_cache.reports(8)
+            if g.index_of(rings(8)[0]) in set(r.members)
         )
         flag, cycle = is_bipartite(g, home)
         assert not flag
@@ -605,57 +605,59 @@ class TestBipartite:
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             assert b in g.adjacent(a)
 
-    def test_pair_component(self):
-        g = cache.graph(4)
-        pair = next(r for r in cache.reports(4) if r.category == "small")
+    def test_pair_component(self, graph_cache):
+        g = graph_cache.graph(4)
+        pair = next(r for r in graph_cache.reports(4) if r.category == "small")
         flag, coloring = is_bipartite(g, pair)
         assert flag
         assert sorted(coloring.values()) == [0, 1]
 
-    def test_other_big_at_seven_is_odd(self):
-        g = cache.graph(7)
-        other = next(r for r in cache.reports(7) if r.order == 196)
+    def test_other_big_at_seven_is_odd(self, graph_cache):
+        g = graph_cache.graph(7)
+        other = next(r for r in graph_cache.reports(7) if r.order == 196)
         flag, cycle = is_bipartite(g, other)
         assert not flag
         assert len(cycle) % 2 == 1
 
 
 class TestDegrees:
-    def test_max_at_rings(self):
+    def test_max_at_rings(self, graph_cache):
         for k, expected in ((2, 1), (4, 3), (6, 15)):
-            g = cache.graph(k)
+            g = graph_cache.graph(k)
             best, argmax = degree_stats(g)
             assert best == expected
             assert {g.vertex(i) for i in argmax} == set(rings(k))
 
-    def test_k2_everyone_wins(self):
-        best, argmax = degree_stats(cache.graph(2))
+    def test_k2_everyone_wins(self, graph_cache):
+        best, argmax = degree_stats(graph_cache.graph(2))
         assert best == 1
         assert len(argmax) == 2
 
 
 class TestIsomorphism:
-    def test_class_counts(self):
+    def test_class_counts(self, graph_cache):
         for k, expected in ISO_ROW.items():
-            count, classes = isomorphism_classes(cache.graph(k), cache.reports(k))
+            count, classes = isomorphism_classes(
+                graph_cache.graph(k), graph_cache.reports(k)
+            )
             assert count == expected
             covered = sorted(i for group in classes for i in group)
-            assert covered == [r.id for r in cache.reports(k)]
+            assert covered == [r.id for r in graph_cache.reports(k)]
 
-    def test_partition_shape_k5(self):
-        _, classes = isomorphism_classes(cache.graph(5), cache.reports(5))
+    def test_partition_shape_k5(self, graph_cache):
+        _, classes = isomorphism_classes(graph_cache.graph(5), graph_cache.reports(5))
         assert sorted(len(group) for group in classes) == [1, 5, 15]
 
-    def test_pair_certificates_coincide(self):
-        g = cache.graph(4)
-        pairs = [r for r in cache.reports(4) if r.category == "small"]
+    def test_pair_certificates_coincide(self, graph_cache):
+        g = graph_cache.graph(4)
+        pairs = [r for r in graph_cache.reports(4) if r.category == "small"]
         certs = {component_certificate(g, r) for r in pairs}
         assert len(certs) == 1
 
-    def test_star_and_path_differ(self):
-        g5, g6 = cache.graph(5), cache.graph(6)
-        star = next(r for r in cache.reports(5) if r.category == "medium")
-        path = next(r for r in cache.reports(6) if r.category == "medium")
+    def test_star_and_path_differ(self, graph_cache):
+        g5, g6 = graph_cache.graph(5), graph_cache.graph(6)
+        star = next(r for r in graph_cache.reports(5) if r.category == "medium")
+        path = next(r for r in graph_cache.reports(6) if r.category == "medium")
         assert component_certificate(g5, star) != component_certificate(g6, path)
 
 
@@ -664,10 +666,10 @@ class TestPieceCertificates:
     form only through a symmetry checked member by member."""
 
     @pytest.mark.parametrize("k", range(1, 11))
-    def test_pieces_are_the_covered_orbits(self, k):
-        g = cache.graph(k)
+    def test_pieces_are_the_covered_orbits(self, k, graph_cache):
+        g = graph_cache.graph(k)
         by_piece, by_cover = {}, {}
-        for r in cache.reports(k):
+        for r in graph_cache.reports(k):
             cover = frozenset(g.orbit[v] for v in r.members)
             by_piece.setdefault(r.piece, set()).add(cover)
             by_cover.setdefault(cover, set()).add(r.piece)
@@ -705,17 +707,18 @@ class TestPieceCertificates:
 
 
 class TestMediumEvenStructure:
-    def test_small_even_sizes_pass(self):
+    def test_small_even_sizes_pass(self, graph_cache):
         for k in (4, 6, 8):
-            assert verify_medium_even_structure(cache.graph(k), cache.reports(k)) == []
+            g, reports = graph_cache.graph(k), graph_cache.reports(k)
+            assert verify_medium_even_structure(g, reports) == []
 
-    def test_rejects_odd_or_tiny(self):
+    def test_rejects_odd_or_tiny(self, graph_cache):
         with pytest.raises(DomainError):
-            verify_medium_even_structure(cache.graph(5), cache.reports(5))
+            verify_medium_even_structure(graph_cache.graph(5), graph_cache.reports(5))
         with pytest.raises(DomainError):
-            verify_medium_even_structure(cache.graph(2), cache.reports(2))
+            verify_medium_even_structure(graph_cache.graph(2), graph_cache.reports(2))
 
-    def test_wrong_template_fails_the_check(self, monkeypatch):
+    def test_wrong_template_fails_the_check(self, monkeypatch, graph_cache):
         # One extra edge between two leaves: every medium component's
         # shape then differs, and the check reports the first six.
         real = graph_module._medium_even_template
@@ -728,7 +731,9 @@ class TestMediumEvenStructure:
             return adj
 
         monkeypatch.setattr(graph_module, "_medium_even_template", template)
-        (result,) = run_checks(8, 8, names=("medium-even-structure",))
+        (result,) = run_checks(
+            8, 8, names=("medium-even-structure",), cache=graph_cache
+        )
         problems = result.detail.split("; ")
         assert result.status == "fail"
         assert problems[0] == (
@@ -766,7 +771,7 @@ def unpruned_canonical_form(adj, colors):
     return best
 
 
-def induced(k, report):
+def induced(cache, k, report):
     return graph_module._induced_adjacency(cache.graph(k), report.members)
 
 
@@ -803,11 +808,11 @@ def nx():
 
 
 class TestCanonicalForm:
-    def test_pruning_keeps_every_component_form(self):
+    def test_pruning_keeps_every_component_form(self, graph_cache):
         for k in range(1, 11):
             graphs = [
-                induced(k, r)
-                for r in cache.reports(k)
+                induced(graph_cache, k, r)
+                for r in graph_cache.reports(k)
                 if r.category in ("small", "medium")
             ]
             if k % 2 == 0 and k >= 4:
@@ -836,10 +841,10 @@ class TestCanonicalForm:
                 assert (form_a == form_b) == nx.is_isomorphic(a, b)
 
     @pytest.mark.parametrize("k", range(1, 11))
-    def test_vf2_reproduces_the_class_table(self, nx, k):
+    def test_vf2_reproduces_the_class_table(self, nx, k, graph_cache):
         classes = []
-        for r in cache.reports(k):
-            h = to_nx(nx, induced(k, r))
+        for r in graph_cache.reports(k):
+            h = to_nx(nx, induced(graph_cache, k, r))
             for rep, ids in classes:
                 if len(rep) == len(h) and nx.is_isomorphic(rep, h):
                     ids.append(r.id)
@@ -847,16 +852,16 @@ class TestCanonicalForm:
             else:
                 classes.append((h, [r.id]))
         assert len(classes) == ISO_CLASSES_BY_K[k]
-        _, certified = isomorphism_classes(cache.graph(k), cache.reports(k))
+        _, certified = isomorphism_classes(graph_cache.graph(k), graph_cache.reports(k))
         assert sorted(ids for _, ids in classes) == certified
 
     @pytest.mark.parametrize("k", (4, 6, 8, 10))
-    def test_vf2_matches_the_medium_even_template(self, nx, k):
+    def test_vf2_matches_the_medium_even_template(self, nx, k, graph_cache):
         template = to_nx(nx, graph_module._medium_even_template(k))
-        mediums = [r for r in cache.reports(k) if r.category == "medium"]
+        mediums = [r for r in graph_cache.reports(k) if r.category == "medium"]
         assert mediums
         for r in mediums:
-            assert nx.is_isomorphic(to_nx(nx, induced(k, r)), template)
+            assert nx.is_isomorphic(to_nx(nx, induced(graph_cache, k, r)), template)
 
 
 class TestSearchSize:
@@ -878,15 +883,15 @@ class TestSearchSize:
         return count
 
     @pytest.mark.parametrize("k", (8, 10))
-    def test_even_medium_components(self, calls, k):
-        mediums = [r for r in cache.reports(k) if r.category == "medium"]
+    def test_even_medium_components(self, calls, k, graph_cache):
+        mediums = [r for r in graph_cache.reports(k) if r.category == "medium"]
         assert mediums
         # Certificates made by earlier tests would be read back unsearched.
-        cache.graph(k).certificates.clear()
+        graph_cache.graph(k).certificates.clear()
         searched = set()
         for r in mediums:
             calls[0] = 0
-            component_certificate(cache.graph(k), r)
+            component_certificate(graph_cache.graph(k), r)
             # The first lift of each piece is searched, every other lift
             # is mapped onto it without a search.
             if r.piece in searched:
@@ -986,8 +991,8 @@ class TestAlmostPerfect:
 
 
 class TestExports:
-    def test_dot_golden(self):
-        assert to_dot(cache.graph(2)) == (
+    def test_dot_golden(self, graph_cache):
+        assert to_dot(graph_cache.graph(2)) == (
             "graph dcm_2 {\n"
             '  "1-2,3-4";\n'
             '  "1-4,2-3";\n'
@@ -995,15 +1000,15 @@ class TestExports:
             "}\n"
         )
 
-    def test_json_golden(self):
-        assert graph_to_json_dict(cache.graph(2)) == {
+    def test_json_golden(self, graph_cache):
+        assert graph_to_json_dict(graph_cache.graph(2)) == {
             "k": 2,
             "vertices": ["1-2,3-4", "1-4,2-3"],
             "edges": [[0, 1]],
         }
 
-    def test_census_golden(self):
-        assert census_csv(cache.graph(3), cache.reports(3)) == (
+    def test_census_golden(self, graph_cache):
+        assert census_csv(graph_cache.graph(3), graph_cache.reports(3)) == (
             "k,component_id,order,class,bipartite\n"
             "3,0,2,medium,true\n"
             "3,1,1,small,true\n"
@@ -1011,6 +1016,6 @@ class TestExports:
             "3,3,1,small,true\n"
         )
 
-    def test_json_edge_count_consistency(self):
-        payload = graph_to_json_dict(cache.graph(4))
-        assert len(payload["edges"]) == cache.graph(4).edge_count
+    def test_json_edge_count_consistency(self, graph_cache):
+        payload = graph_to_json_dict(graph_cache.graph(4))
+        assert len(payload["edges"]) == graph_cache.graph(4).edge_count

@@ -115,3 +115,18 @@ def test_every_import_is_used():
                     if name not in used:
                         unused.append(f"{path.name}: {name}")
     assert unused == []
+
+
+def test_one_graph_cache_in_the_tests():
+    # conftest.py's session fixture is the only GraphCache the tests make,
+    # so every graph a test only reads is built once per session.
+    tests = Path(__file__).parent
+    makers = [
+        path.name
+        for path in sorted(tests.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and "GraphCache"
+        in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert makers == ["conftest.py"]
