@@ -15,11 +15,14 @@ arc it contains, which equals the smallest side label incident to it.
 A block (an outer/inner chord pair on four consecutive points) is a leaf
 face hanging off a face of degree two; an antiblock (two boundary chords
 on four consecutive points) is two consecutive leaf faces around one face.
-``find_blocks`` and ``find_antiblocks`` scan the partner table for them.
+``find_blocks`` and ``find_antiblocks`` scan a partner table for them and
+return each one's first point a, which fixes its points a..a+3 (cyclically).
+At k = 2 one edge pair is both, at different first points.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .matching import Edge, Matching
@@ -110,43 +113,21 @@ def to_dual_tree(m: Matching) -> EmbeddedTree:
     )
 
 
-@dataclass(frozen=True)
-class SeparatedPair:
-    """Two matching edges on four cyclically consecutive points.
-
-    ``kind`` is "block" when the points are paired outer/inner (first with
-    fourth, second with third) and "antiblock" when paired consecutively.
-    ``start`` is the first of the four points; at k = 2 one edge pair shows
-    up under both kinds, at different starts.
-    """
-
-    kind: str
-    start: int
-    edges: tuple[Edge, Edge]
+def _quads(p: list[int]) -> Iterator[tuple[int, int, int, int]]:
+    # a, b, c, d: four cyclically consecutive points, a from 1 to n; none
+    # when there are fewer than four points.
+    n = len(p) - 1
+    ring = [*range(1, n + 1), 1, 2, 3] if n >= 4 else []
+    return zip(ring, ring[1:], ring[2:], ring[3:])
 
 
-def _consecutive_runs(m: Matching, kind: str) -> list[SeparatedPair]:
-    n = m.n_points
-    if n < 4:
-        return []
-    p = m.partner()
-    block = kind == "block"
-    ring = [*range(1, n + 1), 1, 2, 3]
-    out = []
-    # a, b, c, d: four cyclically consecutive points, a from 1 to n.
-    for a, b, c, d in zip(ring, ring[1:], ring[2:], ring[3:]):
-        if (p[a] == d and p[b] == c) if block else (p[a] == b and p[c] == d):
-            pair = ((a, d), (b, c)) if block else ((a, b), (c, d))
-            canon = tuple(sorted(tuple(sorted(e)) for e in pair))
-            out.append(SeparatedPair(kind, a, canon))
-    return out
+def find_blocks(p: list[int]) -> list[int]:
+    """First points, ascending, of the outer/inner pairs on four
+    consecutive points of the matching with partner table ``p``."""
+    return [a for a, b, c, d in _quads(p) if p[a] == d and p[b] == c]
 
 
-def find_blocks(m: Matching) -> list[SeparatedPair]:
-    """All placements of an outer/inner pair on consecutive points."""
-    return _consecutive_runs(m, "block")
-
-
-def find_antiblocks(m: Matching) -> list[SeparatedPair]:
-    """All placements of two boundary edges on consecutive points."""
-    return _consecutive_runs(m, "antiblock")
+def find_antiblocks(p: list[int]) -> list[int]:
+    """First points, ascending, of the two boundary edges on four
+    consecutive points of the matching with partner table ``p``."""
+    return [a for a, b, c, d in _quads(p) if p[a] == b and p[c] == d]

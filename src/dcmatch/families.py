@@ -315,8 +315,6 @@ def _strip_family(variant: str, k: int) -> dict[int, tuple]:
         "DB": make_db, "DBD": make_dbd, "DBDL": make_dbdl,
         "EDB": make_edb, "EDBL1": make_edbl1, "EDBL2": make_edbl2,
     }
-    if variant not in makers:
-        raise ValueError(f"unknown strip family {variant!r}")
     make = makers[variant]
     # Path members have one element fewer than pairs and odd stars; at a
     # size without the family the maker raises before the count matters.

@@ -35,7 +35,6 @@ from .families import (
     LABEL_PATH_LEAF,
     LABEL_PATH_MEMBER,
     classify_partner,
-    classify_with_witness,
 )
 from .matching import (
     Edge,
@@ -590,7 +589,8 @@ def verify_medium_even_structure(
     1..(k/2 - 1) on two sides (chi, z).  Two of them are adjacent exactly
     when they sit on opposite sides and their j values sum to at least
     k/2, and sums of at least k/2 + 2 give the non-path chords.  Each
-    member's matching, label and neighbors are made once, and each shape
+    member's label is read off its partner table and its neighbors are
+    made once; its matching is made only for a problem line.  Each shape
     is read through ``component_certificate``, so one search per quotient
     piece.  Returns the problems found, one line per failing component;
     empty on a pass.
@@ -613,17 +613,18 @@ def verify_medium_even_structure(
             problems.append(f"profile {report.profile}")
         spine: dict[int, tuple] = {}
         for v in report.members:
-            m = graph.vertex(v)
-            label, params = classify_with_witness(m)
+            label, params = classify_partner(unrank(k, v))
             if label == LABEL_PATH_MEMBER:
                 around = set(graph.adjacent(v))
                 leaf_neighbors = sum(1 for w in around if graph.degree(w) == 1)
                 if leaf_neighbors != 2:
-                    problems.append(f"member {m} has {leaf_neighbors} leaves")
+                    problems.append(
+                        f"member {graph.vertex(v)} has {leaf_neighbors} leaves"
+                    )
                 j, chi, z = params
                 spine[v] = (j, (chi, z), around)
             if label == LABEL_PATH_LEAF and graph.degree(v) != 1:
-                problems.append(f"leaf {m} is not degree 1")
+                problems.append(f"leaf {graph.vertex(v)} is not degree 1")
         problem = _spine_problem(graph, spine, k // 2)
         if problem:
             problems.append(problem)
@@ -674,9 +675,8 @@ def build_almost_perfect_graph(k: int) -> AlmostPerfectGraph:
     for skip in range(1, n + 1):
         rest = [p for p in range(1, n + 1) if p != skip]
         for m in matchings:
-            edges = canonical_edges(
-                (rest[a - 1], rest[b - 1]) for a, b in m.edges
-            )
+            # rest ascends, so the relabelled edges keep canonical order.
+            edges = tuple((rest[a - 1], rest[b - 1]) for a, b in m.edges)
             raw.append((skip, edges))
     raw.sort(key=lambda v: v[1])
     reach = chord_index([edges for _, edges in raw], n)

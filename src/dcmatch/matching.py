@@ -102,22 +102,19 @@ def canonical_edges(edges: Iterable[Iterable[int]]) -> tuple[Edge, ...]:
     return tuple(sorted(tuple(sorted(e)) for e in edges))
 
 
-def validate(edges: Iterable[Iterable[int]], k: int | None = None) -> Matching:
+def validate(edges: Iterable[Iterable[int]]) -> Matching:
     """Check labels, coverage, and planarity; return the canonical matching.
 
-    Raises :class:`LabelError` for bad labels or coverage and
+    The edge count k fixes the labels to 1..2k.  Raises
+    :class:`LabelError` for bad labels or coverage and
     :class:`CrossingError` (with one offending pair) for crossings.  The
     first error in canonical edge order is the one raised.
     """
     canon = [(a, b) if a < b else (b, a) for a, b in edges]
     canon.sort()
-    if k is None:
-        k = len(canon)
-    if len(canon) != k:
-        raise LabelError(f"expected {k} edges, got {len(canon)}")
-    if k < 1:
+    if not canon:
         raise LabelError("a matching needs at least one edge")
-    n = 2 * k
+    n = 2 * len(canon)
     if canon[0][0] < 1:
         raise LabelError(f"label {canon[0][0]} out of range 1..{n}")
     # No label is below the first one.  The partner table marks the labels

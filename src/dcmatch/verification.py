@@ -33,7 +33,7 @@ from .counting import (
 from .dual_tree import find_antiblocks, find_blocks
 from .families import (
     BLOCK,
-    classify_with_witness,
+    classify_partner,
     family_size,
     generate_family,
     rings,
@@ -244,15 +244,18 @@ def _growth_probe() -> tuple[str, str]:
 # -- the property suite -------------------------------------------------------
 
 
+def _disjoint_runs(starts: list[int], n: int) -> bool:
+    # Whether two of the blocks and antiblocks starting at starts, on n
+    # points, share no point: a run covers its start and the next three
+    # points, so two runs are disjoint when their starts are 4..n-4 apart.
+    return any(4 <= (t - s) % n <= n - 4
+               for i, s in enumerate(starts) for t in starts[i + 1:])
+
+
 def _separated_pairs(k: int) -> list[str]:
     for m in enumerate_matchings(k):
-        found = find_blocks(m) + find_antiblocks(m)
-        supports = [set(p.edges[0]) | set(p.edges[1]) for p in found]
-        if not any(
-            supports[i].isdisjoint(supports[j])
-            for i in range(len(supports))
-            for j in range(i + 1, len(supports))
-        ):
+        p = m.partner()
+        if not _disjoint_runs(find_blocks(p) + find_antiblocks(p), 2 * k):
             return [f"k={k}: {m} lacks two disjoint separated pairs"]
     return []
 
@@ -269,12 +272,12 @@ def _insertion_degree(k: int) -> list[str]:
 def _forced_antiblock(k: int) -> list[str]:
     n = 2 * k
     for m in enumerate_matchings(k):
-        blocks = find_blocks(m)
+        p = m.partner()
+        blocks = find_blocks(p)
         if not blocks:
             continue
-        nbs = list(neighbor_partners(m.partner()))
-        for p in blocks:
-            i = p.start
+        nbs = list(neighbor_partners(p))
+        for i in blocks:
             b, c, d = i % n + 1, (i + 1) % n + 1, (i + 2) % n + 1
             for q in nbs:
                 if q[i] != b or q[c] != d:
@@ -285,8 +288,9 @@ def _forced_antiblock(k: int) -> list[str]:
 
 def _degree_bounds(k: int) -> list[str]:
     for m in enumerate_matchings(k):
-        d = degree(m.partner())
-        block_count = len(find_blocks(m))
+        p = m.partner()
+        d = degree(p)
+        block_count = len(find_blocks(p))
         if k % 2 == 0 and d < 1:
             return [f"k={k}: even-size {m} is isolated"]
         if block_count == 1 and d < 1:
@@ -303,7 +307,7 @@ def _degree_bounds(k: int) -> list[str]:
 
 def _isolated_antiblock_free(k: int) -> list[str]:
     for m in generate_family("I", k):
-        if find_antiblocks(m):
+        if find_antiblocks(m.partner()):
             return [f"k={k}: isolated matching {m} has an antiblock"]
     return []
 
@@ -312,9 +316,9 @@ def _extended_degree(k: int) -> list[str]:
     members = sorted(generate_family("EDB", k), key=lambda m: m.edges)
     step = max(1, len(members) // 25)
     for m in members[::step]:
-        _, params = classify_with_witness(m)
-        j = params[0]
-        if degree(m.partner()) != j + 2:
+        p = m.partner()
+        j = classify_partner(p)[1][0]
+        if degree(p) != j + 2:
             return [f"k={k}: {m} does not have {j + 2} neighbors"]
     return []
 

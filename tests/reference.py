@@ -10,8 +10,10 @@ with the same message.
 
 ``is_crossing`` is the pairwise crossing test the package once exported;
 the tests check the package's crossing masks and neighbor routes
-against it.  ``reference_consecutive_runs`` is the block and antiblock
-scan that ``dual_tree`` ran before it read the partner table first.
+against it.  ``reference_consecutive_runs`` is an index-by-index scan for
+the first points of blocks and antiblocks; ``reference_run_points`` reads
+each run's points off its edges, and ``reference_separated_pairs`` is the
+property suite's verdict when it compared those point sets.
 ``reference_insert`` is the splice that ``matching.insert`` made by
 re-sorting the shifted edges with ``canonical_edges``.
 ``reference_edge_series`` is the fixed-point iteration that
@@ -24,19 +26,13 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from dcmatch.dual_tree import SeparatedPair
 from dcmatch.errors import CrossingError, LabelError, ParseError
 from dcmatch.matching import Edge, Matching, canonical_edges
 
 
-def reference_validate(
-    edges: Iterable[Iterable[int]], k: int | None = None
-) -> Matching:
+def reference_validate(edges: Iterable[Iterable[int]]) -> Matching:
     canon = tuple(sorted(tuple(sorted(e)) for e in edges))
-    if k is None:
-        k = len(canon)
-    if len(canon) != k:
-        raise LabelError(f"expected {k} edges, got {len(canon)}")
+    k = len(canon)
     if k < 1:
         raise LabelError("a matching needs at least one edge")
     n = 2 * k
@@ -95,7 +91,7 @@ def is_crossing(e1: Edge, e2: Edge, /) -> bool:
     return (a1 < a2 < b1 < b2) or (a2 < a1 < b2 < b1)
 
 
-def reference_consecutive_runs(m: Matching, kind: str) -> list[SeparatedPair]:
+def reference_consecutive_runs(m: Matching, kind: str) -> list[int]:
     n = m.n_points
     if n < 4:
         return []
@@ -106,9 +102,32 @@ def reference_consecutive_runs(m: Matching, kind: str) -> list[SeparatedPair]:
         b, c, d = a % n + 1, (a + 1) % n + 1, (a + 2) % n + 1
         first, second = ((a, d), (b, c)) if block else ((a, b), (c, d))
         if p[first[0]] == first[1] and p[second[0]] == second[1]:
-            canon = tuple(sorted(tuple(sorted(e)) for e in (first, second)))
-            out.append(SeparatedPair(kind, a, canon))
+            out.append(a)
     return out
+
+
+def reference_run_points(m: Matching) -> list[set[int]]:
+    # The point sets of the matching's blocks, then of its antiblocks, each
+    # the ends of its run's two edges: the edge at the start and the edge
+    # one point on (block) or two points on (antiblock).
+    n = m.n_points
+    p = m.partner()
+    out = []
+    for kind, step in (("block", 1), ("antiblock", 2)):
+        for a in reference_consecutive_runs(m, kind):
+            x = (a + step - 1) % n + 1
+            out.append({a, p[a], x, p[x]})
+    return out
+
+
+def reference_separated_pairs(m: Matching) -> bool:
+    # Whether two of the matching's blocks and antiblocks share no point.
+    runs = reference_run_points(m)
+    return any(
+        runs[i].isdisjoint(runs[j])
+        for i in range(len(runs))
+        for j in range(i + 1, len(runs))
+    )
 
 
 def reference_insert(host: Matching, inner: Matching, gap: int) -> Matching:

@@ -547,13 +547,15 @@ class TestPairEnumeration:
         # neighbors sorts the flipped pairs without sorting within a pair.
         for m in enumerate_matchings(k):
             for x in neighbors(m):
-                assert validate(x.edges, k).edges == x.edges
+                y = validate(x.edges)
+                assert y.edges == x.edges and y.k == k
 
     def test_neighbors_are_canonical_at_40(self):
         m = random_matching(40, random.Random(40))
         assert len(neighbors(m)) == 2253
         for x in neighbors(m):
-            assert validate(x.edges, 40).edges == x.edges
+            y = validate(x.edges)
+            assert y.edges == x.edges and y.k == 40
 
 
 def nest(n):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import combinations
+
 import pytest
 
 from dcmatch.dual_tree import (
@@ -15,7 +18,12 @@ from dcmatch.matching import (
     parse_matching,
     validate,
 )
-from reference import reference_consecutive_runs
+from dcmatch.verification import _disjoint_runs
+from reference import (
+    reference_consecutive_runs,
+    reference_run_points,
+    reference_separated_pairs,
+)
 from symmetries import rotate
 
 
@@ -140,35 +148,52 @@ class TestFromDualTree:
 
 class TestBlocksAndAntiblocks:
     def test_block_instances(self):
-        # One plain block and one wrapping across the 8/1 boundary.
+        # One plain block, 4-7 around 5-6, and one wrapping across the 8/1
+        # boundary, 8-3 around 1-2.
         m = parse_matching("1-2,3-8,4-7,5-6")
-        blocks = find_blocks(m)
-        assert [(b.start, b.edges) for b in blocks] == [
-            (4, ((4, 7), (5, 6))),
-            (8, ((1, 2), (3, 8))),
-        ]
-        assert all(b.kind == "block" for b in blocks)
+        assert find_blocks(m.partner()) == [4, 8]
 
     def test_antiblock_instances(self):
         m = parse_matching("1-2,3-4,5-6,7-8")
-        anti = find_antiblocks(m)
-        assert [a.start for a in anti] == [1, 3, 5, 7]
-        assert all(a.kind == "antiblock" for a in anti)
+        assert find_antiblocks(m.partner()) == [1, 3, 5, 7]
 
     def test_k2_pair_is_both(self):
-        m = parse_matching("1-2,3-4")
-        assert [b.start for b in find_blocks(m)] == [2, 4]
-        assert [a.start for a in find_antiblocks(m)] == [1, 3]
+        p = parse_matching("1-2,3-4").partner()
+        assert find_blocks(p) == [2, 4]
+        assert find_antiblocks(p) == [1, 3]
 
     @pytest.mark.parametrize("k", range(1, 10))
     def test_match_the_reference_scan(self, k):
         for m in enumerate_matchings(k):
-            assert find_blocks(m) == reference_consecutive_runs(m, "block")
-            assert find_antiblocks(m) == reference_consecutive_runs(m, "antiblock")
+            p = m.partner()
+            assert find_blocks(p) == reference_consecutive_runs(m, "block")
+            assert find_antiblocks(p) == reference_consecutive_runs(m, "antiblock")
 
     def test_single_edge_has_neither(self):
-        m = parse_matching("1-2")
-        assert find_blocks(m) == [] and find_antiblocks(m) == []
+        p = parse_matching("1-2").partner()
+        assert find_blocks(p) == [] and find_antiblocks(p) == []
+
+    def test_start_distance_gives_the_disjointness_verdict(self):
+        # The property suite calls two runs disjoint when their starts lie
+        # 4..n-4 steps apart; the reference compares their point sets, run
+        # pair by run pair and over each whole matching.
+        pairs, matchings = Counter(), Counter()
+        for k in range(1, 10):
+            for m in enumerate_matchings(k):
+                p = m.partner()
+                starts = find_blocks(p) + find_antiblocks(p)
+                runs = zip(starts, reference_run_points(m), strict=True)
+                for (s, a), (t, b) in combinations(runs, 2):
+                    verdict = _disjoint_runs([s, t], 2 * k)
+                    assert verdict == a.isdisjoint(b), (m, s, t)
+                    pairs[verdict] += 1
+                verdict = _disjoint_runs(starts, 2 * k)
+                assert verdict == reference_separated_pairs(m), m
+                matchings[verdict] += 1
+        # Both verdicts occur: the 8 matchings with k <= 3 lack two
+        # disjoint runs, and every larger one has them.
+        assert pairs[True] and pairs[False]
+        assert matchings[False] == 8
 
     @pytest.mark.parametrize("k", range(2, 6))
     def test_counts_match_tree_shapes(self, k):
@@ -191,5 +216,5 @@ class TestBlocksAndAntiblocks:
                         leaf[a] and leaf[b]
                         for a, b in zip(ring, ring[1:] + ring[:1])
                     )
-            assert len(find_blocks(m)) == branches
-            assert len(find_antiblocks(m)) == wedges
+            assert len(find_blocks(m.partner())) == branches
+            assert len(find_antiblocks(m.partner())) == wedges

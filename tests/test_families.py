@@ -592,12 +592,12 @@ class TestGenerateFamily:
     def test_isolated_members_have_no_antiblocks(self):
         for k in (1, 3, 5, 7, 9):
             for m in generate_family("I", k):
-                assert find_antiblocks(m) == []
+                assert find_antiblocks(m.partner()) == []
 
     def test_isolated_members_have_two_blocks(self):
         for k in (3, 5, 7):
             for m in generate_family("I", k):
-                assert len(find_blocks(m)) >= 2
+                assert len(find_blocks(m.partner())) >= 2
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):

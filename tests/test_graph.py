@@ -23,7 +23,7 @@ from dcmatch.counting import (
     medium_odd_order,
 )
 from dcmatch.errors import DomainError, ResourceLimitError
-from dcmatch.families import classify, rings
+from dcmatch.families import LABEL_PATH_MEMBER, classify, rings
 from dcmatch.graph import (
     build_almost_perfect_graph,
     build_graph,
@@ -39,6 +39,7 @@ from dcmatch.graph import (
     verify_medium_even_structure,
 )
 from dcmatch.matching import (
+    canonical_edges,
     enumerate_matchings,
     parse_matching,
     rank,
@@ -741,6 +742,20 @@ class TestMediumEvenStructure:
         )
         assert len(problems) == 6
 
+    def test_role_problems_name_the_matching(self, monkeypatch, graph_cache):
+        # With every degree read as 2, no path member counts a leaf and no
+        # leaf has degree 1; each problem names the member's matching.
+        g, reports = graph_cache.graph(4), graph_cache.reports(4)
+        monkeypatch.setattr(graph_module.DcmGraph, "degree", lambda self, i: 2)
+        (problem,) = verify_medium_even_structure(g, reports)
+        (medium,) = [r for r in reports if r.category == "medium"]
+        for v in medium.members:
+            m = g.vertex(v)
+            if classify(m) == LABEL_PATH_MEMBER:
+                assert f"member {m} has 0 leaves" in problem
+            else:
+                assert f"leaf {m} is not degree 1" in problem
+
 
 # -- canonical search against an unpruned reference and VF2 ----------------
 
@@ -984,6 +999,12 @@ class TestAlmostPerfect:
                     )
                 }
                 assert set(ap.adjacent(i)) == expected, (k, i)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_vertices_hold_canonical_edges(self, k):
+        # The build relabels each matching's edges without re-sorting them.
+        for _, edges in build_almost_perfect_graph(k).vertices:
+            assert canonical_edges(edges) == edges
 
     def test_bad_size(self):
         with pytest.raises(DomainError):

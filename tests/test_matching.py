@@ -95,10 +95,6 @@ class TestValidate:
         assert m.edges == ((1, 6), (2, 5), (3, 4))
         assert str(m) == "1-6,2-5,3-4"
 
-    def test_k_mismatch(self):
-        with pytest.raises(LabelError):
-            validate([(1, 2)], k=2)
-
     def test_label_out_of_range(self):
         with pytest.raises(LabelError):
             validate([(1, 2), (3, 5)])
@@ -107,11 +103,11 @@ class TestValidate:
 
     def test_duplicate_label(self):
         with pytest.raises(LabelError):
-            validate([(1, 2), (2, 3)], k=2)
+            validate([(1, 2), (2, 3)])
 
     def test_self_loop(self):
         with pytest.raises(LabelError):
-            validate([(1, 1), (2, 3)], k=2)
+            validate([(1, 1), (2, 3)])
 
     def test_crossing_rejected_with_witness(self):
         with pytest.raises(CrossingError) as info:
@@ -154,11 +150,10 @@ def outcome(f, *args):
 
 @st.composite
 def edge_lists(draw):
-    """Edge lists near a matching on 2k points, and the size to check them
-    against: shuffled, with pairs reversed or given as lists, points paired
-    at random (so crossings occur), labels replaced by any in -2..2k + 2
-    (out of range, repeated, a point paired with itself), and an edge
-    dropped or added."""
+    """Edge lists near a matching on 2k points: shuffled, with pairs
+    reversed or given as lists, points paired at random (so crossings
+    occur), labels replaced by any in -2..2k + 2 (out of range, repeated,
+    a point paired with itself), and an edge dropped or added."""
     k = draw(st.integers(1, 7))
     n = 2 * k
     if draw(st.booleans()):
@@ -183,7 +178,7 @@ def edge_lists(draw):
     ]
     if draw(st.booleans()):
         pairs = [list(e) for e in pairs]
-    return pairs, draw(st.none() | st.integers(-1, k + 2))
+    return pairs
 
 
 class TestValidateOracle:
@@ -191,9 +186,8 @@ class TestValidateOracle:
     the same exception type, message and crossing witness."""
 
     @given(edge_lists())
-    def test_matches_the_reference(self, case):
-        edges, k = case
-        assert outcome(validate, edges, k) == outcome(reference_validate, edges, k)
+    def test_matches_the_reference(self, edges):
+        assert outcome(validate, edges) == outcome(reference_validate, edges)
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_every_pairing_matches_the_reference(self, k):
@@ -205,7 +199,7 @@ class TestValidateOracle:
 
     @given(
         st.lists(st.sampled_from("0123456789-, x"), max_size=24).map("".join)
-        | edge_lists().map(lambda case: ",".join(f"{a}-{b}" for a, b in case[0]))
+        | edge_lists().map(lambda edges: ",".join(f"{a}-{b}" for a, b in edges))
     )
     def test_parse_matches_the_reference(self, text):
         assert outcome(parse_matching, text) == outcome(reference_parse, text)
@@ -326,7 +320,7 @@ class TestRanking:
         for i in range(CATALAN[k]):
             p = unrank(k, i)
             assert rank(p) == i
-            validate(from_partner(p).edges, k)
+            assert validate(from_partner(p).edges).k == k
 
     def test_unrank_out_of_range(self):
         with pytest.raises(ValueError):

@@ -41,6 +41,18 @@ SHARED_ON_PURPOSE = {
 }
 
 
+# Defaulted parameters that no call in the package passes, each with its
+# reason, as "function.parameter" ("Class.method.parameter" for a method).
+UNPASSED_ON_PURPOSE = {
+    # The tests drive the CLI in process through it.
+    "main.argv",
+    # The benchmark's verify-k1-10 workload passes both, and the tests pass
+    # the session's graph cache.
+    "run_checks.names",
+    "run_checks.cache",
+}
+
+
 def _uses(node: ast.AST, method: bool) -> Counter:
     # Every use of a name as an attribute (x.name), and for a function or
     # class also as a bare name.  A bare name never calls a method: it is a
@@ -130,3 +142,46 @@ def test_one_graph_cache_in_the_tests():
         in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
     assert makers == ["conftest.py"]
+
+
+def _defaulted(tree: ast.Module):
+    # (qualified parameter, callee name, position) for every defaulted
+    # parameter of a public function, public method or __init__.  A call
+    # of __init__ names its class, and a method's position leaves out self.
+    # A keyword-only parameter has no position.
+    for qualified, node in _definitions(tree):
+        owner = qualified.rpartition(".")[0]
+        if isinstance(node, ast.ClassDef) or (
+            node.name.startswith("_") and node.name != "__init__"
+        ):
+            continue
+        callee = owner if node.name == "__init__" else node.name
+        args = node.args.posonlyargs + node.args.args
+        first = len(args) - len(node.args.defaults)
+        for i, arg in enumerate(args[first:], first):
+            yield f"{qualified}.{arg.arg}", callee, i - bool(owner)
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield f"{qualified}.{arg.arg}", callee, None
+
+
+def test_every_defaulted_parameter_is_passed():
+    # Calls are matched by name only, so a call of another function with
+    # the same name counts too.
+    trees = _trees()
+    calls = [n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    unpassed = [
+        qualified
+        for tree in trees
+        for qualified, callee, position in _defaulted(tree)
+        if not any(
+            callee in (getattr(c.func, "id", None), getattr(c.func, "attr", None))
+            and (
+                qualified.rpartition(".")[2] in {kw.arg for kw in c.keywords}
+                or position is not None and len(c.args) > position
+            )
+            for c in calls
+        )
+        and qualified not in UNPASSED_ON_PURPOSE
+    ]
+    assert unpassed == []
