@@ -14,7 +14,6 @@ from .graph import (
     degree_stats,
     is_bipartite,
     isomorphism_classes,
-    to_dot,
     verify_medium_even_structure,
 )
 from .matching import (
@@ -51,7 +50,6 @@ __all__ = [
     "neighbors_bruteforce",
     "parse_matching",
     "riordan",
-    "to_dot",
     "to_dual_tree",
     "validate",
     "verify_medium_even_structure",

@@ -2,10 +2,12 @@
 
 One executable, ``dcmatch``, with subcommands for enumeration, neighbor
 listing, classification, component censuses, graph export, series
-coefficients, count tables, and the verification suite.  All output is
-deterministic for a given command line; worker count never changes the
-bytes emitted.  Exit codes: 0 success, 1 verification, I/O or internal
-failure, 2 usage error, 3 resource limit.
+coefficients, count tables, and the verification suite.  This is the one
+module that knows the output formats: the library returns data, and the
+handlers here turn it into text.  All output is deterministic for a given
+command line; worker count never changes the bytes emitted.  Exit codes:
+0 success, 1 verification, I/O or internal failure, 2 usage error, 3
+resource limit.
 """
 
 from __future__ import annotations
@@ -21,13 +23,7 @@ from .counting import census_shape, edge_series
 from .dual_tree import to_dual_tree
 from .errors import MatchingError, ResourceLimitError
 from .families import classify_with_witness
-from .graph import (
-    build_graph,
-    census_csv,
-    components,
-    graph_to_json_dict,
-    to_dot,
-)
+from .graph import build_graph, components
 from .matching import (
     Matching,
     check_size,
@@ -35,7 +31,7 @@ from .matching import (
     enumerate_matchings,
     parse_matching,
 )
-from .verification import QUICK_BUILD_CAP, run_checks, summary_dict
+from .verification import QUICK_BUILD_CAP, run_checks
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -141,14 +137,14 @@ def _cmd_classify(args) -> tuple[str, int]:
     _check_k(args.k)
     m = _matching_argument(args)
     label, witness = classify_with_witness(m)
-    tree = to_dual_tree(m).to_json_dict() if args.dump_dual else None
+    tree = _dual_tree(m) if args.dump_dual else None
     if args.format == "text":
         line = label
         if witness is not None:
             line += " " + _witness_text(witness)
         out = line + "\n"
         if tree is not None:
-            out += json.dumps(tree, separators=(",", ":")) + "\n"
+            out += _json(tree)
         return out, EXIT_OK
     payload = {
         "k": args.k,
@@ -159,6 +155,20 @@ def _cmd_classify(args) -> tuple[str, int]:
     if tree is not None:
         payload["dual_tree"] = tree
     return _json(payload), EXIT_OK
+
+
+def _dual_tree(m: Matching) -> dict:
+    # json writes the tuples as lists and phi's int keys as strings.
+    tree = to_dual_tree(m)
+    sides = sorted(tree.side_labels.items(), key=lambda side: side[1])
+    (a, b), marked_face = tree.marked
+    return {
+        "k": tree.k,
+        "vertices": tree.vertices,
+        "phi": tree.phi,
+        "side_labels": [[*e, face, label] for (e, face), label in sides],
+        "marked": [a, b, marked_face],
+    }
 
 
 def _witness_text(witness: tuple) -> str:
@@ -174,7 +184,12 @@ def _cmd_components(args) -> tuple[str, int]:
     graph = build_graph(args.k, workers=args.threads)
     reports = components(graph)
     if args.format == "csv":
-        return census_csv(graph, reports), EXIT_OK
+        rows = "".join(
+            f"{args.k},{r.id},{r.order},{r.category},"
+            f"{'true' if r.bipartite else 'false'}\n"
+            for r in reports
+        )
+        return "k,component_id,order,class,bipartite\n" + rows, EXIT_OK
     if args.format == "json":
         payload = {
             "k": args.k,
@@ -202,9 +217,20 @@ def _cmd_components(args) -> tuple[str, int]:
 def _cmd_graph(args) -> tuple[str, int]:
     _check_k(args.k)
     graph = build_graph(args.k, workers=args.threads)
+    names = [str(m) for m in enumerate_matchings(args.k)]
+    # Each edge once, walked once by whichever format is written; json
+    # writes the pairs as lists.
+    edges = (
+        (i, j) for i in range(graph.order) for j in graph.adjacent(i) if i < j
+    )
     if args.format == "json":
-        return _json(graph_to_json_dict(graph)), EXIT_OK
-    return to_dot(graph), EXIT_OK
+        payload = {"k": args.k, "vertices": names, "edges": list(edges)}
+        return _json(payload), EXIT_OK
+    lines = [f"graph dcm_{args.k} {{"]
+    lines.extend(f'  "{name}";' for name in names)
+    lines.extend(f'  "{names[i]}" -- "{names[j]}";' for i, j in edges)
+    lines.append("}")
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
 def _cmd_series(args) -> tuple[str, int]:
@@ -276,7 +302,21 @@ def _cmd_verify(args) -> tuple[str, int]:
         ]
         lines.append("result: " + ("ok" if code == EXIT_OK else "failed"))
         return "\n".join(lines) + "\n", code
-    return _json(summary_dict(results, lo, hi, args.quick)), code
+    payload = {
+        "k_range": [lo, hi],
+        "quick": args.quick,
+        "passed": code == EXIT_OK,
+        "checks": [
+            {
+                "name": r.name,
+                "status": r.status,
+                "detail": r.detail,
+                "seconds": round(r.seconds, 3),
+            }
+            for r in results
+        ],
+    }
+    return _json(payload), code
 
 
 def _json(payload) -> str:

@@ -4,9 +4,10 @@ antiblocks read off them.
 The chords of a matching cut the convex disc into faces; faces touching
 across a chord are adjacent.  Since the chords do not cross, this adjacency
 structure is a tree with k edges, one per chord.  The tree is *embedded*:
-each face carries the clockwise cyclic order of its incident chords.
-``to_dual_tree`` builds it, labelling each chord side with the endpoint
-where the side's face meets the chord, and marking the side labelled 1.
+each face carries the counterclockwise cyclic order of its incident
+chords, the way the point labels run.  ``to_dual_tree`` builds it,
+labelling each chord side with the endpoint where the side's face meets
+the chord, and marking the side labelled 1.
 
 Face ids are deterministic: each boundary arc i (from point i to point
 i+1, cyclically) lies in exactly one face, and a face's id is the smallest
@@ -35,7 +36,7 @@ Side = tuple[Edge, int]
 class EmbeddedTree:
     """Plane tree dual to a matching, with labeled chord sides.
 
-    ``phi`` maps each face id to the cyclic (clockwise) tuple of its
+    ``phi`` maps each face id to the cyclic (counterclockwise) tuple of its
     incident chords; ``side_labels`` maps each (chord, face) side to its
     point label; ``marked`` is the side labeled 1.
     """
@@ -45,23 +46,6 @@ class EmbeddedTree:
     phi: dict[int, tuple[Edge, ...]]
     side_labels: dict[Side, int]
     marked: Side
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "vertices": list(self.vertices),
-            "phi": {
-                str(v): [[a, b] for a, b in ring]
-                for v, ring in self.phi.items()
-            },
-            "side_labels": [
-                [e[0], e[1], face, label]
-                for (e, face), label in sorted(
-                    self.side_labels.items(), key=lambda kv: kv[1]
-                )
-            ],
-            "marked": [self.marked[0][0], self.marked[0][1], self.marked[1]],
-        }
 
 
 def _cyc(i: int, n: int) -> int:

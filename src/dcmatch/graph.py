@@ -1,4 +1,4 @@
-"""The compatibility graph itself: construction, components, and exports.
+"""The compatibility graph itself: construction and components.
 
 Vertex i is the matching of rank i in canonical order (``matching.rank``).
 Rotations and reflections of the 2k-gon preserve compatibility, so the
@@ -9,7 +9,8 @@ Graph Theory*, 1987, ch. 2).  Worker processes only enumerate the flips
 of the representatives, one pure job each.  A vertex's neighbors are
 computed when asked for, and the census reads every component off the
 quotient.  Rows, here and in the almost-perfect variant, are kept in one
-CSR layout (offsets plus targets) that ``_csr`` assembles.
+CSR layout (offsets plus targets) that ``_csr`` assembles.  The module
+returns graphs and reports only; ``cli`` writes them out.
 """
 
 from __future__ import annotations
@@ -713,36 +714,3 @@ def build_almost_perfect_graph(k: int) -> AlmostPerfectGraph:
         component_count=pieces,
         rings_form_cycle=cycle_ok,
     )
-
-
-# -- exports -----------------------------------------------------------------
-
-
-def to_dot(graph: DcmGraph) -> str:
-    """DOT text: quoted canonical strings, each edge emitted once."""
-    names = [str(m) for m in enumerate_matchings(graph.k)]
-    lines = [f"graph dcm_{graph.k} {{"]
-    lines.extend(f'  "{name}";' for name in names)
-    for i in range(graph.order):
-        for j in graph.adjacent(i):
-            if i < j:
-                lines.append(f'  "{names[i]}" -- "{names[j]}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def graph_to_json_dict(graph: DcmGraph) -> dict:
-    edges = [[i, j] for i in range(graph.order) for j in graph.adjacent(i) if i < j]
-    return {
-        "k": graph.k,
-        "vertices": [str(m) for m in enumerate_matchings(graph.k)],
-        "edges": edges,
-    }
-
-
-def census_csv(graph: DcmGraph, reports: list[ComponentReport]) -> str:
-    lines = ["k,component_id,order,class,bipartite"]
-    for r in reports:
-        flag = "true" if r.bipartite else "false"
-        lines.append(f"{graph.k},{r.id},{r.order},{r.category},{flag}")
-    return "\n".join(lines) + "\n"

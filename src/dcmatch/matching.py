@@ -106,21 +106,25 @@ def validate(edges: Iterable[Iterable[int]]) -> Matching:
     """Check labels, coverage, and planarity; return the canonical matching.
 
     The edge count k fixes the labels to 1..2k.  Raises
-    :class:`LabelError` for bad labels or coverage and
-    :class:`CrossingError` (with one offending pair) for crossings.  The
-    first error in canonical edge order is the one raised.
+    :class:`LabelError` for an edge that is not a pair of integer labels,
+    for bad labels or for bad coverage, and :class:`CrossingError` (with
+    one offending pair) for crossings.  The first error in canonical edge
+    order is the one raised.
     """
-    canon = [(a, b) if a < b else (b, a) for a, b in edges]
-    canon.sort()
-    if not canon:
-        raise LabelError("a matching needs at least one edge")
-    n = 2 * len(canon)
-    if canon[0][0] < 1:
-        raise LabelError(f"label {canon[0][0]} out of range 1..{n}")
-    # No label is below the first one.  The partner table marks the labels
-    # seen, and a label over n is the look-up that runs off its end.
-    partner = [0] * (n + 1)
+    # An edge of the wrong length fails to unpack, and a label that is not
+    # an integer fails to compare or to index the partner table.
     try:
+        canon = [(a, b) if a < b else (b, a) for a, b in edges]
+        canon.sort()
+        if not canon:
+            raise LabelError("a matching needs at least one edge")
+        n = 2 * len(canon)
+        if canon[0][0] < 1:
+            raise LabelError(f"label {canon[0][0]} out of range 1..{n}")
+        # No label is below the first one.  The partner table marks the
+        # labels seen, and a label over n is the look-up that runs off its
+        # end.
+        partner = [0] * (n + 1)
         for a, b in canon:
             if partner[a]:
                 raise LabelError(f"label {a} used more than once")
@@ -130,6 +134,10 @@ def validate(edges: Iterable[Iterable[int]]) -> Matching:
             partner[b] = a
     except IndexError:
         raise LabelError(f"label {a if a > n else b} out of range 1..{n}") from None
+    except LabelError:
+        raise
+    except (TypeError, ValueError):
+        raise LabelError("every edge must be a pair of integer labels") from None
     # Single stack pass detects crossings: when edge (a, b) closes at b, every
     # point opened after a must already be closed.
     stack: list[int] = []

@@ -7,7 +7,8 @@ properties, family counts, the growth-rate probe, and the variant graph
 on an odd number of points.  Each check is a row of ``CHECKS``: its
 sizes and a body that returns the problems found at one size.
 ``run_checks`` runs any subset of the rows in one loop and is shared by
-the CLI ``verify`` command and the acceptance test suite.
+the CLI ``verify`` command and the acceptance test suite.  It returns
+``CheckResult`` rows; ``cli`` writes them out.
 """
 
 from __future__ import annotations
@@ -438,26 +439,6 @@ def run_checks(
             CheckResult(name, status, detail, time.perf_counter() - start)
         )
     return results
-
-
-def summary_dict(
-    results: list[CheckResult], lo: int, hi: int, quick: bool
-) -> dict:
-    """JSON-ready run summary used by the CLI verify command."""
-    return {
-        "k_range": [lo, hi],
-        "quick": quick,
-        "passed": all(r.passed for r in results),
-        "checks": [
-            {
-                "name": r.name,
-                "status": r.status,
-                "detail": r.detail,
-                "seconds": round(r.seconds, 3),
-            }
-            for r in results
-        ],
-    }
 
 
 def _span_str(ks: list[int]) -> str:

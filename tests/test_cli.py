@@ -6,6 +6,7 @@ import csv
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 import typing
@@ -85,8 +86,18 @@ CENSUS_K3 = (
     "3,3,1,small,true\n"
 )
 
+DUAL_K6 = "classify --k 6 --matching 1-12,2-5,3-4,6-7,8-11,9-10 --dump-dual"
+
 # sha256 of whole outputs too long to pin as literals.
 DIGESTS = {
+    DUAL_K6:
+        "b1e868dcdb9b0a4602d564aa98f182af3aa5390536e78c2032b7192ec2d8fe2e",
+    DUAL_K6 + " --format json":
+        "692f35f2b041740520d9a087e840a5ad939702bd46a884b3bc8ba96cccce40b9",
+    "components --k 10":
+        "75f36feccf6fab319b395c7fba9f8b1a268ee0d9b5fd9af941024aede7869108",
+    "components --k 10 --format csv":
+        "b23bceb6df7a90b7bbd8aa337fbd6ba33155ead0265eeb505c43b05464d1757f",
     "components --k 9 --format json":
         "6d3eafdab2f8fff353ad905b4b639246a57f5035f8d17a31a4c6e1a383e8de31",
     "components --k 11 --format json":
@@ -96,6 +107,12 @@ DIGESTS = {
     "graph --k 5 --format json":
         "ba549fee99e7f258ce138985e3bfe3fd68e8594ef63c48b28203d38f960fc969",
 }
+
+# sha256 of verify --k-range 1..4 --format json, each "seconds" value
+# written as 0.
+VERIFY_1_4_JSON = (
+    "081db9c17b4095ee5eb366b7b0197a79862679b05197a71549486b6d798c403e"
+)
 
 
 def run(*argv, capsys):
@@ -394,6 +411,13 @@ class TestGraph:
             "edges": [[0, 1]],
         }
 
+    def test_json_edge_count_consistency(self, capsys, graph_cache):
+        code, out, _ = run(
+            "graph", "--k", "4", "--format", "json", capsys=capsys
+        )
+        assert code == 0
+        assert len(json.loads(out)["edges"]) == graph_cache.graph(4).edge_count
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "g.dot"
         code, out, _ = run(
@@ -521,6 +545,16 @@ class TestVerify:
         assert all(
             line.startswith(("PASS", "SKIP")) for line in lines[:-1]
         )
+
+    def test_json_bytes(self, capsys):
+        # Every byte but the timings, which differ from run to run.
+        code, out, _ = run(
+            "verify", "--k-range", "1..4", "--format", "json", capsys=capsys
+        )
+        assert code == 0
+        masked = re.sub(r'"seconds":[0-9.]+', '"seconds":0', out)
+        assert masked != out
+        assert hashlib.sha256(masked.encode()).hexdigest() == VERIFY_1_4_JSON
 
     def test_k_and_k_range_are_exclusive(self, capsys):
         code, out, err = run(

@@ -41,7 +41,7 @@ def edge_faces(tree):
 
 
 def tree_neighbors(tree, v):
-    """The faces across each chord of face v, in v's clockwise order."""
+    """The faces across each chord of face v, in v's counterclockwise order."""
     faces = edge_faces(tree)
     out = []
     for e in tree.phi[v]:

@@ -27,15 +27,12 @@ from dcmatch.families import LABEL_PATH_MEMBER, classify, rings
 from dcmatch.graph import (
     build_almost_perfect_graph,
     build_graph,
-    census_csv,
     component_certificate,
     components,
     degree_stats,
-    graph_to_json_dict,
     is_bipartite,
     isomorphism_classes,
     orbit_tables,
-    to_dot,
     verify_medium_even_structure,
 )
 from dcmatch.matching import (
@@ -61,6 +58,12 @@ CENSUS = {
 }
 
 ISO_ROW = {1: 1, 2: 1, 3: 2, 4: 2, 5: 3, 6: 3, 7: 4, 8: 4}
+
+
+def tables(g):
+    """Every table a build fills in, and its edge count."""
+    return g.orbit, g.element, g.images, g.offsets, g.targets, g.edge_count
+
 
 class TestBuild:
     def test_small_shapes(self, graph_cache):
@@ -112,9 +115,9 @@ class TestBuild:
     @pytest.mark.parametrize("k", [4, 9])
     def test_worker_count_is_invisible(self, k):
         # Both sizes have more than one orbit, so workers > 1 use the pool.
-        base = graph_to_json_dict(build_graph(k, workers=1))
-        assert graph_to_json_dict(build_graph(k, workers=2)) == base
-        assert graph_to_json_dict(build_graph(k, workers=3)) == base
+        base = tables(build_graph(k, workers=1))
+        assert tables(build_graph(k, workers=2)) == base
+        assert tables(build_graph(k, workers=3)) == base
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_one_flip_enumeration_per_orbit(self, monkeypatch, workers):
@@ -133,10 +136,10 @@ class TestBuild:
 
     def test_spawned_workers_build_the_same_graph(self, monkeypatch):
         # Spawned workers inherit nothing from the parent's memory.
-        base = graph_to_json_dict(build_graph(9, workers=1))
+        base = tables(build_graph(9, workers=1))
         spawn = multiprocessing.get_context("spawn")
         monkeypatch.setattr(graph_module, "get_context", lambda method: spawn)
-        assert graph_to_json_dict(build_graph(9, workers=2)) == base
+        assert tables(build_graph(9, workers=2)) == base
 
     def test_configured_cap(self, monkeypatch):
         monkeypatch.setenv("DCM_MAX_K", "5")
@@ -1009,34 +1012,3 @@ class TestAlmostPerfect:
     def test_bad_size(self):
         with pytest.raises(DomainError):
             build_almost_perfect_graph(0)
-
-
-class TestExports:
-    def test_dot_golden(self, graph_cache):
-        assert to_dot(graph_cache.graph(2)) == (
-            "graph dcm_2 {\n"
-            '  "1-2,3-4";\n'
-            '  "1-4,2-3";\n'
-            '  "1-2,3-4" -- "1-4,2-3";\n'
-            "}\n"
-        )
-
-    def test_json_golden(self, graph_cache):
-        assert graph_to_json_dict(graph_cache.graph(2)) == {
-            "k": 2,
-            "vertices": ["1-2,3-4", "1-4,2-3"],
-            "edges": [[0, 1]],
-        }
-
-    def test_census_golden(self, graph_cache):
-        assert census_csv(graph_cache.graph(3), graph_cache.reports(3)) == (
-            "k,component_id,order,class,bipartite\n"
-            "3,0,2,medium,true\n"
-            "3,1,1,small,true\n"
-            "3,2,1,small,true\n"
-            "3,3,1,small,true\n"
-        )
-
-    def test_json_edge_count_consistency(self, graph_cache):
-        payload = graph_to_json_dict(graph_cache.graph(4))
-        assert len(payload["edges"]) == graph_cache.graph(4).edge_count

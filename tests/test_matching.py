@@ -109,6 +109,13 @@ class TestValidate:
         with pytest.raises(LabelError):
             validate([(1, 1), (2, 3)])
 
+    @pytest.mark.parametrize(
+        "edges", [[(1, 2, 3)], [(1,)], [(1.0, 2.0)], [(1, "2")]]
+    )
+    def test_edge_that_is_not_an_integer_pair(self, edges):
+        with pytest.raises(LabelError, match="pair of integer labels"):
+            validate(edges)
+
     def test_crossing_rejected_with_witness(self):
         with pytest.raises(CrossingError) as info:
             validate([(1, 3), (2, 4)])

@@ -30,11 +30,13 @@ UNCALLED_ON_PURPOSE = {
 # Public method names that more than one class defines.  A call x.name
 # cannot tell those classes apart, so each name needs its reason here.
 SHARED_ON_PURPOSE = {
-    # DcmGraph.order: the exports and the vertex-count check read it;
+    # DcmGraph.order: the CLI's graph export and the vertex-count check
+    # read it;
     # AlmostPerfectGraph.order: the almost-perfect check reads it.
     "order",
     # DcmGraph.adjacent: certificates, the bipartite witness, the medium
-    # structure check and the exports read it (the census reads the rows);
+    # structure check and the CLI's graph export read it (the census reads
+    # the rows);
     # AlmostPerfectGraph.adjacent: tests/test_graph.py's pairwise oracle
     # reads each row through it.
     "adjacent",
@@ -127,6 +129,28 @@ def test_every_import_is_used():
                     if name not in used:
                         unused.append(f"{path.name}: {name}")
     assert unused == []
+
+
+def _writes_stdout(node: ast.AST) -> bool:
+    # A print without file= writes to stdout, and so can any use of the
+    # name (sys.stdout, "from sys import stdout").  A print to stderr or to
+    # a file stays allowed.
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print":
+        return not any(kw.arg == "file" for kw in node.keywords)
+    names = (getattr(node, attr, None) for attr in ("id", "attr", "name"))
+    return "stdout" in names
+
+
+def test_only_the_cli_writes_stdout():
+    # The library returns data, and cli alone turns it into output.
+    writers = [
+        path.name
+        for path in sorted(SOURCE.glob("*.py"))
+        if path.name != "cli.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if _writes_stdout(node)
+    ]
+    assert writers == []
 
 
 def test_one_graph_cache_in_the_tests():
