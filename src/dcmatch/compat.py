@@ -259,13 +259,13 @@ def chord_index(edge_lists: list[tuple[Edge, ...]], n: int) -> list[int]:
     return reach
 
 
-def unblocked(reach: list[int], count: int, chords: list[int]) -> list[int]:
-    """Positions, of ``count`` indexed, that no chord id in ``chords``
-    reaches: one OR of a reach set per chord given."""
+def unblocked(reach: list[int], count: int, chords: list[int]) -> int:
+    """Bitset of the positions, of ``count`` indexed, that no chord id in
+    ``chords`` reaches: one OR of a reach set per chord given."""
     hit = 0
     for c in chords:
         hit |= reach[c]
-    return set_bits(((1 << count) - 1) ^ hit)
+    return ((1 << count) - 1) ^ hit
 
 
 @lru_cache(maxsize=2)
@@ -289,4 +289,4 @@ def neighbors_bruteforce(m: Matching) -> set[Matching]:
     ms, reach = _pair_tables(m.k)
     eindex = chord_tables(2 * m.k)[0]
     chords = [eindex[e] for e in m.edges]
-    return {ms[i] for i in unblocked(reach, len(ms), chords)}
+    return {ms[i] for i in set_bits(unblocked(reach, len(ms), chords))}

@@ -8,9 +8,10 @@ symmetries label the arcs (a voltage graph; Gross and Tucker, *Topological
 Graph Theory*, 1987, ch. 2).  Worker processes only enumerate the flips
 of the representatives, one pure job each.  A vertex's neighbors are
 computed when asked for, and the census reads every component off the
-quotient.  Rows, here and in the almost-perfect variant, are kept in one
-CSR layout (offsets plus targets) that ``_csr`` assembles.  The module
-returns graphs and reports only; ``cli`` writes them out.
+quotient.  Its rows are CSR (offsets plus targets), as ``_csr`` lays
+them out; the odd-points variant makes each row from its reach sets as
+one bitset when read.  The module returns graphs and reports only;
+``cli`` writes them out.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import os
 from array import array
 from bisect import bisect_left
 from collections import Counter, deque
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from multiprocessing import get_context
@@ -28,6 +29,7 @@ from .compat import (
     chord_index,
     chord_tables,
     neighbor_partners,
+    set_bits,
     unblocked,
 )
 from .counting import census_shape
@@ -223,32 +225,6 @@ def build_graph(k: int, workers: int | None = None) -> DcmGraph:
 
 
 # -- components --------------------------------------------------------------
-
-
-def _pieces(order: int, adjacent) -> Iterator[tuple[list[int], bool]]:
-    """Connected components in order of their smallest vertex.
-
-    Yields each component's sorted members and whether it two-colors;
-    ``adjacent(v)`` lists the neighbors of vertex ``v``.
-    """
-    color = bytearray(order)  # 0 while unseen, then 1 or 2
-    for start in range(order):
-        if color[start]:
-            continue
-        color[start] = 1
-        members = [start]
-        bipartite = True
-        # Breadth-first: the loop also visits members appended during it.
-        for v in members:
-            opposite = 3 - color[v]
-            for w in adjacent(v):
-                if not color[w]:
-                    color[w] = opposite
-                    members.append(w)
-                elif color[w] != opposite:
-                    bipartite = False
-        members.sort()
-        yield members, bipartite
 
 
 def _closure(generators: set[tuple[int, int]], compose) -> set[tuple[int, int]]:
@@ -643,12 +619,12 @@ def verify_medium_even_structure(
 
 @dataclass(frozen=True, eq=False)
 class AlmostPerfectGraph:
-    """Compatibility graph on near-perfect matchings of 2k+1 points."""
+    """Compatibility graph on near-perfect matchings of 2k+1 points; each
+    row is made from ``reach``, the reach set of each chord, when read."""
 
     k: int
     vertices: tuple[tuple[int, tuple[Edge, ...]], ...]
-    offsets: array
-    targets: array
+    reach: list[int]
     edge_count: int
     component_count: int
     rings_form_cycle: bool
@@ -657,8 +633,35 @@ class AlmostPerfectGraph:
     def order(self) -> int:
         return len(self.vertices)
 
-    def adjacent(self, i: int) -> array:
-        return self.targets[self.offsets[i] : self.offsets[i + 1]]
+    def adjacent(self, i: int) -> list[int]:
+        """Sorted neighbor indices of vertex ``i``."""
+        return set_bits(_variant_row(self.reach, self.vertices, i))
+
+
+def _variant_row(reach: list[int], vertices: Sequence, v: int) -> int:
+    # Vertex v's neighbors as one bitset: the vertices that no chord of v
+    # reaches.  Its own chords reach v, so the row never holds it.
+    edges = vertices[v][1]
+    eindex = chord_tables(2 * len(edges) + 1)[0]
+    return unblocked(reach, len(vertices), [eindex[e] for e in edges])
+
+
+def _piece_count(row: Callable[[int], int], order: int) -> int:
+    """Connected components of the graph on 0..order-1 with neighbor
+    bitsets ``row(v)``.  Each grows from its lowest unseen vertex: a
+    frontier's rows are ORed into one mask, its unseen bits the next."""
+    unseen = (1 << order) - 1
+    count = 0
+    while unseen:
+        count += 1
+        frontier = unseen & -unseen
+        while frontier:
+            unseen ^= frontier
+            reached = 0
+            for v in set_bits(frontier):
+                reached |= row(v)
+            frontier = reached & unseen
+    return count
 
 
 def build_almost_perfect_graph(k: int) -> AlmostPerfectGraph:
@@ -681,16 +684,7 @@ def build_almost_perfect_graph(k: int) -> AlmostPerfectGraph:
             raw.append((skip, edges))
     raw.sort(key=lambda v: v[1])
     reach = chord_index([edges for _, edges in raw], n)
-    eindex = chord_tables(n)[0]
-    # A vertex's own chords reach it, so no row lists the vertex.
-    offsets, targets = _csr(
-        unblocked(reach, len(raw), [eindex[e] for e in edges]) for _, edges in raw
-    )
-
-    def adjacent(v: int) -> array:
-        return targets[offsets[v] : offsets[v + 1]]
-
-    pieces = sum(1 for _ in _pieces(len(raw), adjacent))
+    row = partial(_variant_row, reach, raw)
     # The ring skipping each point, found in raw, which is sorted by chords.
     ring_indices = []
     for skip in range(1, n + 1):
@@ -699,18 +693,17 @@ def build_almost_perfect_graph(k: int) -> AlmostPerfectGraph:
             for t in range(k)
         )
         ring_indices.append(bisect_left(raw, edges, key=lambda v: v[1]))
-    ring_set = set(ring_indices)
+    ring_mask = sum(1 << v for v in ring_indices)
     cycle_ok = all(
-        {w for w in adjacent(v) if w in ring_set}
-        == {ring_indices[pos - 1], ring_indices[(pos + 1) % n]}
+        row(v) & ring_mask
+        == (1 << ring_indices[pos - 1]) | (1 << ring_indices[(pos + 1) % n])
         for pos, v in enumerate(ring_indices)
     )
     return AlmostPerfectGraph(
         k=k,
         vertices=tuple(raw),
-        offsets=offsets,
-        targets=targets,
-        edge_count=offsets[-1] // 2,
-        component_count=pieces,
+        reach=reach,
+        edge_count=sum(row(v).bit_count() for v in range(len(raw))) // 2,
+        component_count=_piece_count(row, len(raw)),
         rings_form_cycle=cycle_ok,
     )

@@ -106,26 +106,30 @@ def validate(edges: Iterable[Iterable[int]]) -> Matching:
     """Check labels, coverage, and planarity; return the canonical matching.
 
     The edge count k fixes the labels to 1..2k.  Raises
-    :class:`LabelError` for an edge that is not a pair of integer labels,
-    for bad labels or for bad coverage, and :class:`CrossingError` (with
-    one offending pair) for crossings.  The first error in canonical edge
-    order is the one raised.
+    :class:`LabelError` for an edge that is not a pair of labels of type
+    ``int`` (a ``bool`` is refused), for bad labels or for bad coverage,
+    and :class:`CrossingError` (with one offending pair) for crossings.
+    The first error in canonical edge order is the one raised.
     """
     # An edge of the wrong length fails to unpack, and a label that is not
-    # an integer fails to compare or to index the partner table.
+    # an integer fails to compare or to index the partner table.  A bool or
+    # a float can do both, so the loop tests each label's type, and a first
+    # label below 1 is out of range only when it is an int.
     try:
         canon = [(a, b) if a < b else (b, a) for a, b in edges]
         canon.sort()
         if not canon:
             raise LabelError("a matching needs at least one edge")
         n = 2 * len(canon)
-        if canon[0][0] < 1:
+        if canon[0][0] < 1 and type(canon[0][0]) is int:
             raise LabelError(f"label {canon[0][0]} out of range 1..{n}")
         # No label is below the first one.  The partner table marks the
         # labels seen, and a label over n is the look-up that runs off its
         # end.
         partner = [0] * (n + 1)
         for a, b in canon:
+            if type(a) is not int or type(b) is not int:
+                raise TypeError
             if partner[a]:
                 raise LabelError(f"label {a} used more than once")
             partner[a] = b

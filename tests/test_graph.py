@@ -10,6 +10,7 @@ from collections import Counter
 from dataclasses import replace
 from itertools import accumulate
 
+import networkx as nx
 import pytest
 
 from dcmatch import graph as graph_module
@@ -331,14 +332,18 @@ def reference_category(k, order):
 
 
 def reference_reports(k, adjacent, orbit):
-    """Component reports from a breadth-first search over ``adjacent``,
-    classifying every vertex, not one per orbit.  Two components lift one
-    quotient piece exactly when they cover the same orbits (``orbit[v]``
-    for each member v), and pieces are numbered as they first appear."""
+    """Component reports from networkx's components and two-colouring of
+    the rows ``adjacent`` lists, classifying every vertex, not one per
+    orbit.  Two components lift one quotient piece exactly when they cover
+    the same orbits (``orbit[v]`` for each member v), and pieces are
+    numbered as they first appear."""
     vertices = enumerate_matchings(k)
+    g = to_nx([adjacent(v) for v in range(len(vertices))])
     reports = []
     pieces: dict[frozenset, int] = {}
-    for members, bipartite in graph_module._pieces(len(vertices), adjacent):
+    # Distinct components have distinct smallest members.
+    for members in sorted(sorted(c) for c in nx.connected_components(g)):
+        bipartite = nx.is_bipartite(g.subgraph(members))
         profile = Counter(classify(vertices[i]) for i in members)
         covered = frozenset(orbit[v] for v in members)
         reports.append(
@@ -802,7 +807,7 @@ def relabelled(adj, rng):
     return out
 
 
-def random_regular_adjacencies(nx):
+def random_regular_adjacencies():
     """40 seeded random 3- and 4-regular graphs on 8 to 12 vertices."""
     rng = random.Random(2014)
     out = []
@@ -814,15 +819,10 @@ def random_regular_adjacencies(nx):
     return out
 
 
-def to_nx(nx, adj):
+def to_nx(adj):
     g = nx.empty_graph(len(adj))
     g.add_edges_from((v, w) for v, row in enumerate(adj) for w in row)
     return g
-
-
-@pytest.fixture
-def nx():
-    return pytest.importorskip("networkx")
 
 
 class TestCanonicalForm:
@@ -841,28 +841,28 @@ class TestCanonicalForm:
                     adj, colors
                 ) == unpruned_canonical_form(adj, colors)
 
-    def test_regular_graphs(self, nx):
+    def test_regular_graphs(self):
         # Refinement cannot split a regular graph, so the search alone
         # decides its form: a pruning rule that drops a needed branch
         # gives a different or label-dependent form here.
         rng = random.Random(7)
         pool = []
-        for adj in random_regular_adjacencies(nx):
+        for adj in random_regular_adjacencies():
             colors = [0] * len(adj)
             form = graph_module._canonical_form(adj, colors)
             assert form == unpruned_canonical_form(adj, colors)
             moved = relabelled(adj, rng)
             assert graph_module._canonical_form(moved, colors) == form
-            pool += [(to_nx(nx, adj), form), (to_nx(nx, moved), form)]
+            pool += [(to_nx(adj), form), (to_nx(moved), form)]
         for i, (a, form_a) in enumerate(pool):
             for b, form_b in pool[i + 1:]:
                 assert (form_a == form_b) == nx.is_isomorphic(a, b)
 
     @pytest.mark.parametrize("k", range(1, 11))
-    def test_vf2_reproduces_the_class_table(self, nx, k, graph_cache):
+    def test_vf2_reproduces_the_class_table(self, k, graph_cache):
         classes = []
         for r in graph_cache.reports(k):
-            h = to_nx(nx, induced(graph_cache, k, r))
+            h = to_nx(induced(graph_cache, k, r))
             for rep, ids in classes:
                 if len(rep) == len(h) and nx.is_isomorphic(rep, h):
                     ids.append(r.id)
@@ -874,12 +874,12 @@ class TestCanonicalForm:
         assert sorted(ids for _, ids in classes) == certified
 
     @pytest.mark.parametrize("k", (4, 6, 8, 10))
-    def test_vf2_matches_the_medium_even_template(self, nx, k, graph_cache):
-        template = to_nx(nx, graph_module._medium_even_template(k))
+    def test_vf2_matches_the_medium_even_template(self, k, graph_cache):
+        template = to_nx(graph_module._medium_even_template(k))
         mediums = [r for r in graph_cache.reports(k) if r.category == "medium"]
         assert mediums
         for r in mediums:
-            assert nx.is_isomorphic(to_nx(nx, induced(graph_cache, k, r)), template)
+            assert nx.is_isomorphic(to_nx(induced(graph_cache, k, r)), template)
 
 
 class TestSearchSize:
@@ -1002,6 +1002,16 @@ class TestAlmostPerfect:
                     )
                 }
                 assert set(ap.adjacent(i)) == expected, (k, i)
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_piece_count_finds_every_component(self, k, graph_cache):
+        # The variant is connected at every size it is built for, so the
+        # compatibility graph's rows, as bitsets, give the count more
+        # than one piece to find (649 at k = 9).
+        g = graph_cache.graph(k)
+        rows = [sum(1 << w for w in g.adjacent(v)) for v in range(g.order)]
+        pieces = graph_module._piece_count(rows.__getitem__, len(rows))
+        assert pieces == len(graph_cache.reports(k))
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_vertices_hold_canonical_edges(self, k):

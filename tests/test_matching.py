@@ -110,7 +110,16 @@ class TestValidate:
             validate([(1, 1), (2, 3)])
 
     @pytest.mark.parametrize(
-        "edges", [[(1, 2, 3)], [(1,)], [(1.0, 2.0)], [(1, "2")]]
+        "edges",
+        [
+            [(1, 2, 3)],
+            [(1,)],
+            [(1.0, 2.0)],
+            [(1, "2")],
+            [(True, 2)],
+            [(1, True)],
+            [(0.5, 2)],
+        ],
     )
     def test_edge_that_is_not_an_integer_pair(self, edges):
         with pytest.raises(LabelError, match="pair of integer labels"):

@@ -82,24 +82,35 @@ def _trees() -> list[ast.Module]:
     return [ast.parse(path.read_text()) for path in sorted(SOURCE.glob("*.py"))]
 
 
-def test_every_public_function_has_a_caller():
+def _uncalled(private: bool) -> list[str]:
+    # The public or the private definitions that nothing in the package
+    # uses.  Dunders are neither: Python calls them.
     trees = _trees()
     used = {
         method: sum((_uses(tree, method) for tree in trees), Counter())
         for method in (False, True)
     }
-    uncalled = [
+    return [
         qualified
         for tree in trees
         for qualified, node in _definitions(tree)
-        # Dunders start with "_" too; Python calls them.
-        if not node.name.startswith("_")
+        if node.name.startswith("_") == private
+        and not (node.name.startswith("__") and node.name.endswith("__"))
         # A definition that only uses itself is still uncalled.
         and used["." in qualified][node.name]
         == _uses(node, "." in qualified)[node.name]
         and qualified not in UNCALLED_ON_PURPOSE
     ]
-    assert uncalled == []
+
+
+def test_every_public_function_has_a_caller():
+    assert _uncalled(private=False) == []
+
+
+def test_every_private_function_has_a_caller():
+    # A private helper whose only callers are tests is dead code the
+    # tests keep alive.
+    assert _uncalled(private=True) == []
 
 
 def test_shared_method_names_are_listed():
