@@ -23,7 +23,7 @@ from .counting import census_shape, edge_series
 from .dual_tree import to_dual_tree
 from .errors import MatchingError, ResourceLimitError
 from .families import classify_with_witness
-from .graph import build_graph, components
+from .graph import POOL_MIN_ORBITS, build_graph, components
 from .matching import (
     Matching,
     check_size,
@@ -336,6 +336,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
+    threads_help = (
+        "worker processes for the graph build's flips (default: the CPU "
+        f"count); a graph of fewer than {POOL_MIN_ORBITS} orbits, which is "
+        "every k <= 13, is built in one process"
+    )
+
     def add(name, help_text, *, fmt, default_fmt):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--format", choices=fmt, default=default_fmt)
@@ -361,12 +367,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("components", "component census of the graph",
             fmt=("text", "csv", "json"), default_fmt="text")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--threads", type=_positive, metavar="N")
+    p.add_argument("--threads", type=_positive, metavar="N", help=threads_help)
 
     p = add("graph", "export the whole graph",
             fmt=("dot", "json"), default_fmt="dot")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--threads", type=_positive, metavar="N")
+    p.add_argument("--threads", type=_positive, metavar="N", help=threads_help)
 
     p = add("series", "edge-count series coefficients",
             fmt=("text", "csv", "json"), default_fmt="csv")
@@ -386,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     sizes.add_argument("--k-range", metavar="A..B")
     p.add_argument("--quick", action="store_true",
                    help=f"skip graph builds above k={QUICK_BUILD_CAP}")
-    p.add_argument("--threads", type=_positive, metavar="N")
+    p.add_argument("--threads", type=_positive, metavar="N", help=threads_help)
 
     return parser
 

@@ -5,13 +5,17 @@ Rotations and reflections of the 2k-gon preserve compatibility, so the
 graph is kept as its quotient by that dihedral group: the orbit tables,
 and per orbit its representative's neighbor ranks, whose orbits and
 symmetries label the arcs (a voltage graph; Gross and Tucker, *Topological
-Graph Theory*, 1987, ch. 2).  Worker processes only enumerate the flips
-of the representatives, one pure job each.  A vertex's neighbors are
-computed when asked for, and the census reads every component off the
-quotient.  Its rows are CSR (offsets plus targets), as ``_csr`` lays
-them out; the odd-points variant makes each row from its reach sets as
-one bitset when read.  The module returns graphs and reports only;
-``cli`` writes them out.
+Graph Theory*, 1987, ch. 2).  Each representative's flips are one pure
+job, which returns the Dyck word of every neighbor; the parent ranks the
+words by the orbit scan's bisect.  The jobs run in a pool of worker
+processes only for graphs of at least ``POOL_MIN_ORBITS`` orbits, and
+every size up to k = 13 runs them in one process.  A vertex's neighbors
+are computed when asked for, and the census reads every component off
+the quotient, classifying each orbit by its representative's word.  Its
+rows are CSR (offsets plus targets), as ``_csr`` lays them out; the
+odd-points variant makes each row from its reach sets as one bitset when
+read.  The module returns graphs and reports only; ``cli`` writes them
+out.
 """
 
 from __future__ import annotations
@@ -23,12 +27,11 @@ from collections import Counter, deque
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from multiprocessing import get_context
 
 from .compat import (
+    _flips,
     chord_index,
     chord_tables,
-    neighbor_partners,
     set_bits,
     unblocked,
 )
@@ -37,6 +40,7 @@ from .errors import DomainError
 from .families import (
     LABEL_PATH_LEAF,
     LABEL_PATH_MEMBER,
+    _classify_word,
     classify_partner,
 )
 from .matching import (
@@ -48,6 +52,7 @@ from .matching import (
     from_partner,
     rank,
     unrank,
+    word_partners,
     word_rotations,
     words,
 )
@@ -58,9 +63,10 @@ class DcmGraph:
     """Compatibility graph on all matchings of one size, as its dihedral
     quotient.
 
-    ``orbit``, ``element`` and ``images`` are the tables of
-    ``orbit_tables``: orbits are numbered in order of their smallest rank.
-    CSR row o of ``offsets`` and ``targets`` holds the neighbor ranks of
+    ``orbit``, ``element``, ``images`` and ``words`` are the tables of
+    ``orbit_tables``: orbits are numbered in order of their smallest rank,
+    and ``words[o]`` is the Dyck word of orbit o's representative.  CSR
+    row o of ``offsets`` and ``targets`` holds the neighbor ranks of
     orbit o's representative, neighbor x standing for the arc
     ``(orbit[x], element[x])``.  ``certificates`` keeps one certified
     lift per quotient piece, keyed by the piece: its members and its
@@ -71,6 +77,7 @@ class DcmGraph:
     orbit: array
     element: array
     images: array
+    words: array
     offsets: array
     targets: array
     edge_count: int
@@ -119,15 +126,20 @@ class ComponentReport:
     piece: int
 
 
-def orbit_tables(k: int) -> tuple[array, array, array]:
+def orbit_tables(
+    k: int,
+) -> tuple[array, array, array, array, Callable[[Iterable[int]], list[int]]]:
     """Dihedral orbits of the size-k matchings, indexed by rank.
 
-    Returns ``(orbit, element, images)``.  Symmetries are numbered
-    0..4k-1 as in ``_compose(2k)``.  Rank i is the image of
+    Returns ``(orbit, element, images, reps, ranked)``.  Symmetries are
+    numbered 0..4k-1 as in ``_compose(2k)``.  Rank i is the image of
     the representative of orbit ``orbit[i]`` under symmetry
     ``element[i]``, and ``images[4k * o + e]`` is the rank of the
     representative of orbit o under symmetry e.  Each orbit's
-    representative is its smallest rank, so ``images[4k * o]``.
+    representative is its smallest rank, so ``images[4k * o]``, and
+    ``reps[o]`` is its Dyck word.  ``ranked(ws)`` lists the ranks of
+    the size-k Dyck words ``ws`` by the scan's own bisect, so it keeps
+    the scan's sorted list alive.
 
     Images are walked as Dyck words (``matching.words``), one rotation
     step at a time, and ranked by bisecting the words sorted with their
@@ -137,23 +149,28 @@ def orbit_tables(k: int) -> tuple[array, array, array]:
     shift = len(by_rank).bit_length()
     low = (1 << shift) - 1
     packed = sorted([w << shift | r for r, w in enumerate(by_rank)])
+
+    def ranked(ws: Iterable[int]) -> list[int]:
+        return [packed[bisect_left(packed, w << shift)] & low for w in ws]
+
     n = 2 * k
     orbit = array("i", [-1]) * len(by_rank)
     element = array("i", [0]) * len(orbit)
     images = array("i")
+    reps = array("q")
     for i in range(len(orbit)):
         if orbit[i] >= 0:
             continue
-        o = len(images) // (2 * n)
+        o = len(reps)
         w, p = by_rank[i], unrank(k, i)
+        reps.append(w)
         for a, (w, p) in enumerate(((w, p), _reflected(w, p))):
-            for s, image in enumerate(word_rotations(w, p)):
-                j = packed[bisect_left(packed, image << shift)] & low
+            for s, j in enumerate(ranked(word_rotations(w, p))):
                 images.append(j)
                 if orbit[j] < 0:
                     orbit[j] = o
                     element[j] = a * n + s
-    return orbit, element, images
+    return orbit, element, images, reps, ranked
 
 
 def _reflected(w: int, p: Sequence[int]) -> tuple[int, list[int]]:
@@ -188,9 +205,25 @@ def _csr(rows: Iterable[Iterable[int]]) -> tuple[array, array]:
     return offsets, targets
 
 
-def _flip_ranks(k: int, r: int) -> list[int]:
-    # The one pool job: ranks of the flip neighbors of the matching of rank r.
-    return [rank(q) for q in neighbor_partners(unrank(k, r))]
+# Fewest orbit representatives for which a build forks its pool of
+# workers.  In two sets of alternating fresh-process pairs on two cores,
+# one process built faster than a pool of two in 10 and 10 of 10 pairs
+# at k = 11 (1473 orbits), 10 and 8 at k = 12 (4588) and 9 and 7 at
+# k = 13 (14782), peaking 1-5 MB lower; the pool won 4 and 3 of 4 pairs
+# at k = 14 (48678).
+POOL_MIN_ORBITS = 15000
+
+
+def _flip_words(k: int, w: int) -> list[int]:
+    # The one pool job: Dyck words of the flip neighbors of the size-k
+    # matching with word w.  Each flipped pair's smaller point opens its
+    # chord.
+    bit = [1 << 2 * k - t for t in range(2 * k + 1)]
+    found = []
+    for flat in _flips(word_partners(w, k)):
+        pairs = iter(flat)
+        found.append(sum([bit[a] if a < b else bit[b] for a, b in zip(pairs, pairs)]))
+    return found
 
 
 def build_graph(k: int, workers: int | None = None) -> DcmGraph:
@@ -198,9 +231,12 @@ def build_graph(k: int, workers: int | None = None) -> DcmGraph:
 
     The parent computes the orbit tables (``orbit_tables``), unranking
     one matching per orbit and ranking the rest from their Dyck words.
-    Flips are enumerated once per orbit representative, by ``workers``
-    processes when that is more than one, and the neighbor ranks found
-    become the orbit's CSR row.  No row depends on which process
+    Flips are enumerated once per orbit representative, from its word,
+    and each neighbor comes back as its word.  The parent ranks those
+    words by the orbit scan's bisect, and the ranks become the orbit's
+    CSR row.  ``workers`` processes flip only when that is more than one
+    and there are at least ``POOL_MIN_ORBITS`` representatives; smaller
+    builds flip in this process.  No row depends on which process
     enumerated it, so any worker count yields the same graph.
     """
     check_size(k)
@@ -208,20 +244,20 @@ def build_graph(k: int, workers: int | None = None) -> DcmGraph:
         workers = os.cpu_count() or 1
     if workers < 1:
         raise DomainError(f"worker count must be >= 1, got {workers}")
-    orbit, element, images = orbit_tables(k)
-    group = 4 * k
-    representatives = images[::group]
-    job = partial(_flip_ranks, k)
-    if workers == 1 or len(representatives) == 1:
-        flips = map(job, representatives)
+    orbit, element, images, reps, ranked = orbit_tables(k)
+    job = partial(_flip_words, k)
+    if workers == 1 or len(reps) < POOL_MIN_ORBITS:
+        flips = map(job, reps)
     else:
-        with get_context("fork").Pool(min(workers, len(representatives))) as pool:
-            flips = pool.map(job, representatives)
-    offsets, targets = _csr(flips)
+        from multiprocessing import get_context
+
+        with get_context("fork").Pool(min(workers, len(reps))) as pool:
+            flips = pool.map(job, reps)
+    offsets, targets = _csr(map(ranked, flips))
     degrees = [b - a for a, b in zip(offsets, offsets[1:])]
     ends = sum([degrees[o] for o in orbit])
     assert ends % 2 == 0, "adjacency must be symmetric"
-    return DcmGraph(k, orbit, element, images, offsets, targets, ends // 2)
+    return DcmGraph(k, orbit, element, images, reps, offsets, targets, ends // 2)
 
 
 # -- components --------------------------------------------------------------
@@ -251,8 +287,8 @@ def components(graph: DcmGraph) -> list[ComponentReport]:
     generate H <= D x Z2.  B lifts to one component per left coset of
     H's image H_D in D, each two-colouring exactly when (id, 1) is not
     in H and holding |orbit o| / [D : H_D] members of each orbit o of B.
-    Family labels are dihedral invariants: each orbit's representative
-    is unranked once and classified.
+    Family labels are dihedral invariants: each orbit is classified once,
+    by its representative's Dyck word.
     """
     k, group, orbit, element = graph.k, 4 * graph.k, graph.orbit, graph.element
     offsets, targets = graph.offsets, graph.targets
@@ -279,7 +315,7 @@ def components(graph: DcmGraph) -> list[ComponentReport]:
             then = compose[p]  # then[f] = p f
             row = graph.images[group * o : group * (o + 1)]
             fixed = [s for s, j in enumerate(row) if j == row[0]]
-            weight[classify_partner(unrank(k, row[0]))[0]] += group // len(fixed)
+            weight[_classify_word(graph.words[o], k)[0]] += group // len(fixed)
             generators.update((compose[then[s]][inverse[p]], 0) for s in fixed)
             for x in targets[offsets[o] : offsets[o + 1]]:
                 w, pf = orbit[x], then[element[x]]

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import multiprocessing
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from array import array
 from collections import Counter
 from dataclasses import replace
 from itertools import accumulate
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -40,6 +44,7 @@ from dcmatch.matching import (
     canonical_edges,
     enumerate_matchings,
     parse_matching,
+    partner_word,
     rank,
     unrank,
 )
@@ -114,24 +119,28 @@ class TestBuild:
                 g.index_of(parse_matching(other_size))
 
     @pytest.mark.parametrize("k", [4, 9])
-    def test_worker_count_is_invisible(self, k):
-        # Both sizes have more than one orbit, so workers > 1 use the pool.
+    def test_worker_count_is_invisible(self, monkeypatch, k):
+        # Both sizes have more than one orbit, so with the cut-off lowered
+        # workers > 1 use the pool.
         base = tables(build_graph(k, workers=1))
+        monkeypatch.setattr(graph_module, "POOL_MIN_ORBITS", 2)
         assert tables(build_graph(k, workers=2)) == base
         assert tables(build_graph(k, workers=3)) == base
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_one_flip_enumeration_per_orbit(self, monkeypatch, workers):
-        # Forked workers inherit both the shared counter and the patch.
+        # Forked workers inherit both the shared counter and the patch; the
+        # lowered cut-off sends workers > 1 through the pool.
         calls = multiprocessing.get_context("fork").Value("i", 0)
-        real = graph_module.neighbor_partners
+        real = graph_module._flips
 
         def counted(p):
             with calls.get_lock():
                 calls.value += 1
             return real(p)
 
-        monkeypatch.setattr(graph_module, "neighbor_partners", counted)
+        monkeypatch.setattr(graph_module, "_flips", counted)
+        monkeypatch.setattr(graph_module, "POOL_MIN_ORBITS", 2)
         build_graph(9, workers=workers)
         assert calls.value == max(orbit_tables(9)[0]) + 1 == 175
 
@@ -139,8 +148,25 @@ class TestBuild:
         # Spawned workers inherit nothing from the parent's memory.
         base = tables(build_graph(9, workers=1))
         spawn = multiprocessing.get_context("spawn")
-        monkeypatch.setattr(graph_module, "get_context", lambda method: spawn)
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: spawn)
+        monkeypatch.setattr(graph_module, "POOL_MIN_ORBITS", 2)
         assert tables(build_graph(9, workers=2)) == base
+
+    def test_small_builds_import_no_multiprocessing(self):
+        # The pool, and so multiprocessing, is only made past the cut-off.
+        code = (
+            "import sys, dcmatch; dcmatch.build_graph(9, workers=2); "
+            "assert 'multiprocessing' not in sys.modules"
+        )
+        root = str(Path(graph_module.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_configured_cap(self, monkeypatch):
         monkeypatch.setenv("DCM_MAX_K", "5")
@@ -157,15 +183,15 @@ class TestBuild:
 class TestOrbits:
     @pytest.mark.parametrize("k, count", [(8, 65), (10, 490)])
     def test_orbit_counts(self, k, count):
-        orbit, _, images = orbit_tables(k)
-        assert max(orbit) + 1 == count
+        orbit, _, images, reps, _ = orbit_tables(k)
+        assert max(orbit) + 1 == len(reps) == count
         assert len(images) == 4 * k * count
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_tables_describe_each_vertex(self, k):
         # Oracle: relabel the representative's edges with rotate/reflect.
         vertices = enumerate_matchings(k)
-        orbit, element, images = orbit_tables(k)
+        orbit, element, images = orbit_tables(k)[:3]
         n = 2 * k
         for i, m in enumerate(vertices):
             rep = vertices[images[2 * n * orbit[i]]]
@@ -219,10 +245,23 @@ def word_of(p):
 class TestOrbitWalk:
     @pytest.mark.parametrize("k", range(1, 12))
     def test_matches_the_ranked_pass(self, k):
-        assert orbit_tables(k) == reference_orbit_tables(k)
+        assert orbit_tables(k)[:3] == reference_orbit_tables(k)
 
     def test_matches_the_ranked_pass_at_12(self):
-        assert orbit_tables(12) == reference_orbit_tables(12)
+        assert orbit_tables(12)[:3] == reference_orbit_tables(12)
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_flip_words_rank_like_partner_tables(self, k):
+        # Oracle: each neighbor's partner table, its word read point by
+        # point and its rank by the partner-table ranking.
+        _, _, images, reps, ranked = orbit_tables(k)
+        representatives = images[:: 4 * k]
+        assert list(reps) == [word_of(unrank(k, r)) for r in representatives]
+        for r, w in zip(representatives, reps):
+            found = list(neighbor_partners(unrank(k, r)))
+            got = graph_module._flip_words(k, w)
+            assert got == [partner_word(q) for q in found], (k, r)
+            assert ranked(got) == [rank(q) for q in found], (k, r)
 
     @pytest.mark.parametrize("k", range(1, 31))
     def test_steps_match_permute(self, k):
@@ -369,8 +408,8 @@ class TestOrbitLabels:
         assert graph_cache.reports(k) == reference_reports(k, g.adjacent, g.orbit)
 
     def test_one_classify_call_per_orbit(self, monkeypatch):
-        # One unrank and one classification per orbit; the census makes no
-        # matching for any component.
+        # One classification per orbit, of its representative's word; the
+        # census unranks nothing and makes no matching for any component.
         calls = Counter()
 
         def counted(name):
@@ -383,11 +422,11 @@ class TestOrbitLabels:
             return call
 
         graph = build_graph(9)
-        for name in ("classify_partner", "unrank"):
+        for name in ("_classify_word", "unrank"):
             monkeypatch.setattr(graph_module, name, counted(name))
         reports = components(graph)
         assert len(reports) > 175
-        assert calls == {"classify_partner": 175, "unrank": 175}
+        assert calls == {"_classify_word": 175}
         assert max(graph.orbit) + 1 == 175
 
 
@@ -401,7 +440,7 @@ def reference_rows(k):
     representative, with symmetries composed as point maps: the rows the
     graph kept before its census moved to the quotient.
     """
-    orbit, element, images = orbit_tables(k)
+    orbit, element, images = orbit_tables(k)[:3]
     group = 4 * k
     perms = dihedral_permutations(2 * k)
     number = {sigma: e for e, sigma in enumerate(perms)}
@@ -527,7 +566,8 @@ class TestCensusMemory:
 
         build_graph(10, workers=1)  # fill the flip and rank tables first
         g, built = retained(lambda: build_graph(10, workers=1))
-        _, tables = retained(lambda: orbit_tables(10))
+        # The graph keeps the first four of them.
+        _, tables = retained(lambda: orbit_tables(10)[:4])
         # One arc per neighbor of each orbit representative.
         arcs = sum(g.degree(r) for r in g.images[:: 4 * 10])
         assert arcs == 3399
@@ -537,7 +577,7 @@ class TestCensusMemory:
         # One sorted list of packed ints ranks the images.
         tracemalloc.start()
         try:
-            orbit, _, _ = orbit_tables(10)
+            orbit = orbit_tables(10)[0]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
