@@ -5,9 +5,8 @@ listing, classification, component censuses, graph export, series
 coefficients, count tables, and the verification suite.  This is the one
 module that knows the output formats: the library returns data, and the
 handlers here turn it into text.  All output is deterministic for a given
-command line; worker count never changes the bytes emitted.  Exit codes:
-0 success, 1 verification, I/O or internal failure, 2 usage error, 3
-resource limit.
+command line.  Exit codes: 0 success, 1 verification, I/O or internal
+failure, 2 usage error, 3 resource limit.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from .counting import census_shape, edge_series
 from .dual_tree import to_dual_tree
 from .errors import MatchingError, ResourceLimitError
 from .families import classify_with_witness
-from .graph import POOL_MIN_ORBITS, build_graph, components
+from .graph import build_graph, components
 from .matching import (
     Matching,
     check_size,
@@ -55,20 +54,6 @@ def _max_k() -> int:
         return configured_max_k()
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-
-
-def _positive(text: str) -> int:
-    # argparse type for --threads: a bad value is a usage error at parse
-    # time, not a DomainError from the library later.
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
 
 
 def _check_k(k: int) -> None:
@@ -181,7 +166,7 @@ def _witness_text(witness: tuple) -> str:
 
 def _cmd_components(args) -> tuple[str, int]:
     _check_k(args.k)
-    graph = build_graph(args.k, workers=args.threads)
+    graph = build_graph(args.k)
     reports = components(graph)
     if args.format == "csv":
         rows = "".join(
@@ -216,7 +201,7 @@ def _cmd_components(args) -> tuple[str, int]:
 
 def _cmd_graph(args) -> tuple[str, int]:
     _check_k(args.k)
-    graph = build_graph(args.k, workers=args.threads)
+    graph = build_graph(args.k)
     names = [str(m) for m in enumerate_matchings(args.k)]
     # Each edge once, walked once by whichever format is written; json
     # writes the pairs as lists.
@@ -289,12 +274,7 @@ def _cmd_verify(args) -> tuple[str, int]:
         lo = hi = args.k
     else:
         lo, hi = 1, min(12, _max_k())
-    results = run_checks(
-        lo=lo,
-        hi=hi,
-        quick=args.quick,
-        workers=args.threads,
-    )
+    results = run_checks(lo=lo, hi=hi, quick=args.quick)
     code = EXIT_OK if all(r.passed for r in results) else EXIT_FAILURE
     if args.format == "text":
         lines = [
@@ -336,12 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    threads_help = (
-        "worker processes for the graph build's flips (default: the CPU "
-        f"count); a graph of fewer than {POOL_MIN_ORBITS} orbits, which is "
-        "every k <= 13, is built in one process"
-    )
-
     def add(name, help_text, *, fmt, default_fmt):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--format", choices=fmt, default=default_fmt)
@@ -367,18 +341,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("components", "component census of the graph",
             fmt=("text", "csv", "json"), default_fmt="text")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--threads", type=_positive, metavar="N", help=threads_help)
 
     p = add("graph", "export the whole graph",
             fmt=("dot", "json"), default_fmt="dot")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--threads", type=_positive, metavar="N", help=threads_help)
 
     p = add("series", "edge-count series coefficients",
             fmt=("text", "csv", "json"), default_fmt="csv")
-    p.add_argument("--edges", action="store_true",
-                   help="the series counting graph edges (the default and "
-                        "only series)")
     p.add_argument("--terms", type=int, required=True, metavar="N")
 
     p = add("counts", "small/medium component count tables",
@@ -392,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     sizes.add_argument("--k-range", metavar="A..B")
     p.add_argument("--quick", action="store_true",
                    help=f"skip graph builds above k={QUICK_BUILD_CAP}")
-    p.add_argument("--threads", type=_positive, metavar="N", help=threads_help)
 
     return parser
 

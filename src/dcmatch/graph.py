@@ -143,7 +143,8 @@ def orbit_tables(
 
     Images are walked as Dyck words (``matching.words``), one rotation
     step at a time, and ranked by bisecting the words sorted with their
-    ranks packed below them; only each representative is unranked.
+    ranks packed below them; each representative's partner table is
+    read off its word, so the scan neither ranks nor unranks.
     """
     by_rank = words(k)
     shift = len(by_rank).bit_length()
@@ -158,12 +159,12 @@ def orbit_tables(
     element = array("i", [0]) * len(orbit)
     images = array("i")
     reps = array("q")
-    for i in range(len(orbit)):
+    for i, w in enumerate(by_rank):
         if orbit[i] >= 0:
             continue
         o = len(reps)
-        w, p = by_rank[i], unrank(k, i)
         reps.append(w)
+        p = word_partners(w, k)
         for a, (w, p) in enumerate(((w, p), _reflected(w, p))):
             for s, j in enumerate(ranked(word_rotations(w, p))):
                 images.append(j)
@@ -229,8 +230,8 @@ def _flip_words(k: int, w: int) -> list[int]:
 def build_graph(k: int, workers: int | None = None) -> DcmGraph:
     """Build the size-k graph as its dihedral quotient.
 
-    The parent computes the orbit tables (``orbit_tables``), unranking
-    one matching per orbit and ranking the rest from their Dyck words.
+    The parent computes the orbit tables (``orbit_tables``) from the
+    Dyck words alone, ranking every image by bisect.
     Flips are enumerated once per orbit representative, from its word,
     and each neighbor comes back as its word.  The parent ranks those
     words by the orbit scan's bisect, and the ranks become the orbit's
@@ -661,7 +662,6 @@ class AlmostPerfectGraph:
     k: int
     vertices: tuple[tuple[int, tuple[Edge, ...]], ...]
     reach: list[int]
-    edge_count: int
     component_count: int
     rings_form_cycle: bool
 
@@ -739,7 +739,6 @@ def build_almost_perfect_graph(k: int) -> AlmostPerfectGraph:
         k=k,
         vertices=tuple(raw),
         reach=reach,
-        edge_count=sum(row(v).bit_count() for v in range(len(raw))) // 2,
         component_count=_piece_count(row, len(raw)),
         rings_form_cycle=cycle_ok,
     )

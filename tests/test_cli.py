@@ -365,20 +365,6 @@ class TestComponents:
             ],
         }
 
-    def test_threads_do_not_change_bytes(self, capsys):
-        # Both sizes have more than one dihedral orbit, so their threaded
-        # builds enumerate flips in the worker pool.
-        for k in ("4", "9"):
-            outs = set()
-            for threads in ("1", "3"):
-                code, out, _ = run(
-                    "components", "--k", k, "--format", "csv",
-                    "--threads", threads, capsys=capsys,
-                )
-                assert code == 0
-                outs.add(out)
-            assert len(outs) == 1
-
     def test_memory_cap_refusal(self, capsys, monkeypatch):
         # The size cap (DCM_MAX_K, default 12) is the one resource guard.
         monkeypatch.delenv("DCM_MAX_K", raising=False)
@@ -447,7 +433,7 @@ class TestDigests:
 class TestSeries:
     def test_csv_row(self, capsys):
         code, out, _ = run(
-            "series", "--edges", "--terms", "10", capsys=capsys
+            "series", "--terms", "10", capsys=capsys
         )
         assert code == 0
         lines = out.splitlines()
@@ -456,24 +442,21 @@ class TestSeries:
 
     def test_text(self, capsys):
         code, out, _ = run(
-            "series", "--edges", "--terms", "2", "--format", "text",
+            "series", "--terms", "2", "--format", "text",
             capsys=capsys,
         )
         assert code == 0
         assert out == "d_0 = 1\nd_1 = 0\nd_2 = 1\n"
 
-    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
-    def test_edges_flag_names_the_default(self, capsys, fmt):
-        plain = run("series", "--terms", "7", "--format", fmt, capsys=capsys)
-        named = run(
-            "series", "--edges", "--terms", "7", "--format", fmt, capsys=capsys
-        )
-        assert plain[0] == 0
-        assert plain == named
+    def test_edges_flag_is_unknown(self, capsys):
+        code, _, err = run("series", "--edges", "--terms", "3", capsys=capsys)
+        assert code == 2
+        assert err.startswith("dcmatch: ERR_USAGE:")
+        assert err.count("\n") == 1
 
     def test_negative_terms(self, capsys):
         code, _, err = run(
-            "series", "--edges", "--terms", "-1", capsys=capsys
+            "series", "--terms", "-1", capsys=capsys
         )
         assert code == 2
         assert err.startswith("dcmatch: ERR_USAGE:")
@@ -696,15 +679,13 @@ class TestTopLevel:
         assert code == 2
         assert err.startswith("dcmatch: ERR_USAGE: DCM_MAX_K")
 
-    @pytest.mark.parametrize("value", ["0", "-1", "x"])
-    def test_nonpositive_worker_flags_are_usage_errors(self, capsys, value):
+    @pytest.mark.parametrize("command", ["components", "graph", "verify"])
+    def test_threads_flag_is_unknown(self, capsys, command):
         code, _, err = run(
-            "components", "--k", "2", "--threads", value, capsys=capsys
+            command, "--k", "2", "--threads", "2", capsys=capsys
         )
         assert code == 2
         assert err.startswith("dcmatch: ERR_USAGE:")
-        assert "--threads" in err
-        assert "_positive" not in err
         assert err.count("\n") == 1
 
     def test_annotations_resolve(self):

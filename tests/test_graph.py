@@ -279,7 +279,7 @@ class TestOrbitWalk:
             turns = [word_of(permute(p, perms[n + s])) for s in range(n)]
             assert list(matching_module.word_rotations(w, q)) == turns
 
-    def test_one_unrank_per_orbit_and_no_rank(self, monkeypatch):
+    def test_no_rank_and_no_unrank(self, monkeypatch):
         calls = Counter()
 
         def counting(module, name):
@@ -296,7 +296,7 @@ class TestOrbitWalk:
                 if hasattr(module, name):
                     counting(module, name)
         orbit_tables(9)
-        assert calls == Counter(unrank=175)
+        assert calls == Counter()
 
 
 class TestComponents:
@@ -998,7 +998,7 @@ class TestAlmostPerfect:
     def test_smallest_is_a_triangle(self):
         ap = build_almost_perfect_graph(1)
         assert ap.order == 3
-        assert ap.edge_count == 3
+        assert sum(len(ap.adjacent(v)) for v in range(ap.order)) == 2 * 3
         assert ap.component_count == 1
         assert ap.rings_form_cycle
 
@@ -1024,7 +1024,8 @@ class TestAlmostPerfect:
     def test_edge_counts(self):
         expected = {1: 3, 2: 25, 3: 161, 4: 1071, 5: 6677, 6: 41535}
         for k, count in expected.items():
-            assert build_almost_perfect_graph(k).edge_count == count
+            ap = build_almost_perfect_graph(k)
+            assert sum(len(ap.adjacent(v)) for v in range(ap.order)) == 2 * count
 
     def test_adjacent_vertices_share_nothing(self):
         # Oracle: pairwise edge comparison with is_crossing, no bitmasks.

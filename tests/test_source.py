@@ -48,10 +48,11 @@ SHARED_ON_PURPOSE = {
 UNPASSED_ON_PURPOSE = {
     # The tests drive the CLI in process through it.
     "main.argv",
-    # The benchmark's verify-k1-10 workload passes both, and the tests pass
-    # the session's graph cache.
+    # The benchmark's verify-k1-10 workload passes all three, and the tests
+    # pass the session's graph cache.
     "run_checks.names",
     "run_checks.cache",
+    "run_checks.workers",
 }
 
 
