@@ -26,8 +26,8 @@ its own face list.  When a chord closes, the face under it is resolved,
 with the chord going into it or out to the face around it, and each
 partition of it is applied as one ``itemgetter`` from one table per face
 size (``_patterns``).  ``neighbors`` and ``neighbor_partners`` read the
-flipped pairs directly, and ``degree`` counts them: one neighbor per
-choice.
+flipped pairs directly, ``neighbor_words`` writes each neighbor's Dyck
+word from them, and ``degree`` counts them: one neighbor per choice.
 
 The oracle ``neighbors_bruteforce`` reads adjacency off the definition
 instead, with no flip work.  M' is blocked by M when some chord of M' is
@@ -47,7 +47,13 @@ from collections.abc import Iterator
 from functools import lru_cache
 from operator import itemgetter
 
-from .matching import Edge, Matching, check_size, enumerate_matchings
+from .matching import (
+    Edge,
+    Matching,
+    check_size,
+    enumerate_matchings,
+    word_partners,
+)
 
 # -- flips ------------------------------------------------------------------
 
@@ -171,6 +177,20 @@ def neighbor_partners(p: list[int]) -> Iterator[list[int]]:
         for a, b in zip(pairs, pairs):
             q[a], q[b] = b, a
         yield q
+
+
+def neighbor_words(k: int, w: int) -> list[int]:
+    """Dyck words (``matching.words``) of the neighbors of the size-k
+    matching with word ``w``, in flip order.
+
+    Each flipped pair's smaller point opens its chord.
+    """
+    bit = [1 << 2 * k - t for t in range(2 * k + 1)]
+    found = []
+    for flat in _flips(word_partners(w, k)):
+        pairs = iter(flat)
+        found.append(sum([bit[a] if a < b else bit[b] for a, b in zip(pairs, pairs)]))
+    return found
 
 
 def degree(p: list[int]) -> int:

@@ -6,16 +6,16 @@ graph is kept as its quotient by that dihedral group: the orbit tables,
 and per orbit its representative's neighbor ranks, whose orbits and
 symmetries label the arcs (a voltage graph; Gross and Tucker, *Topological
 Graph Theory*, 1987, ch. 2).  Each representative's flips are one pure
-job, which returns the Dyck word of every neighbor; the parent ranks the
-words by the orbit scan's bisect.  The jobs run in a pool of worker
-processes only for graphs of at least ``POOL_MIN_ORBITS`` orbits, and
-every size up to k = 13 runs them in one process.  A vertex's neighbors
-are computed when asked for, and the census reads every component off
-the quotient, classifying each orbit by its representative's word.  Its
-rows are CSR (offsets plus targets), as ``_csr`` lays them out; the
-odd-points variant makes each row from its reach sets as one bitset when
-read.  The module returns graphs and reports only; ``cli`` writes them
-out.
+job, ``compat.neighbor_words``, which returns the Dyck word of every
+neighbor; the parent ranks the words by the orbit scan's bisect.  The
+jobs run in a pool of worker processes only for graphs of at least
+``POOL_MIN_ORBITS`` orbits, and every size up to k = 13 runs them in
+one process.  A vertex's neighbors are computed when asked for, and the
+census reads every component off the quotient, classifying each orbit
+by its representative's word.  Its rows are CSR (offsets plus targets),
+as ``_csr`` lays them out; the odd-points variant makes each row from
+its reach sets as one bitset when read.  The module returns graphs and
+reports only; ``cli`` writes them out.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 from .compat import (
-    _flips,
     chord_index,
     chord_tables,
+    neighbor_words,
     set_bits,
     unblocked,
 )
@@ -215,18 +215,6 @@ def _csr(rows: Iterable[Iterable[int]]) -> tuple[array, array]:
 POOL_MIN_ORBITS = 15000
 
 
-def _flip_words(k: int, w: int) -> list[int]:
-    # The one pool job: Dyck words of the flip neighbors of the size-k
-    # matching with word w.  Each flipped pair's smaller point opens its
-    # chord.
-    bit = [1 << 2 * k - t for t in range(2 * k + 1)]
-    found = []
-    for flat in _flips(word_partners(w, k)):
-        pairs = iter(flat)
-        found.append(sum([bit[a] if a < b else bit[b] for a, b in zip(pairs, pairs)]))
-    return found
-
-
 def build_graph(k: int, workers: int | None = None) -> DcmGraph:
     """Build the size-k graph as its dihedral quotient.
 
@@ -246,7 +234,7 @@ def build_graph(k: int, workers: int | None = None) -> DcmGraph:
     if workers < 1:
         raise DomainError(f"worker count must be >= 1, got {workers}")
     orbit, element, images, reps, ranked = orbit_tables(k)
-    job = partial(_flip_words, k)
+    job = partial(neighbor_words, k)
     if workers == 1 or len(reps) < POOL_MIN_ORBITS:
         flips = map(job, reps)
     else:

@@ -18,7 +18,15 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .compat import degree, neighbor_partners, neighbors, neighbors_bruteforce
+from .compat import (
+    _pair_tables,
+    chord_tables,
+    degree,
+    neighbor_partners,
+    neighbor_words,
+    set_bits,
+    unblocked,
+)
 from .counting import (
     catalan,
     census_shape,
@@ -33,13 +41,14 @@ from .counting import (
 )
 from .dual_tree import find_antiblocks, find_blocks
 from .families import (
-    BLOCK,
+    _family_words,
     classify_partner,
     family_size,
     generate_family,
     rings,
 )
 from .graph import (
+    _csr,
     build_almost_perfect_graph,
     build_graph,
     components,
@@ -48,7 +57,7 @@ from .graph import (
     isomorphism_classes,
     verify_medium_even_structure,
 )
-from .matching import enumerate_matchings, from_partner, insert
+from .matching import enumerate_matchings, from_partner, word_partners, words
 
 # Census rows pinned independently of the counting formulas; the checks
 # require the measured censuses to equal both.
@@ -80,12 +89,14 @@ class CheckResult:
 
 
 class GraphCache:
-    """Builds each graph and its component reports at most once."""
+    """Builds each graph, its component reports and each size's flip rows
+    at most once."""
 
     def __init__(self, workers: int | None = None):
         self.workers = workers
         self._graphs: dict[int, object] = {}
         self._reports: dict[int, list] = {}
+        self._flip_rows: dict[int, tuple] = {}
 
     def graph(self, k: int):
         if k not in self._graphs:
@@ -96,6 +107,23 @@ class GraphCache:
         if k not in self._reports:
             self._reports[k] = components(self.graph(k))
         return self._reports[k]
+
+    def flip_rows(self, k: int) -> tuple:
+        """CSR ``(offsets, targets)`` whose row r holds the sorted ranks of
+        the flip neighbors of the size-k matching of rank r.
+
+        Each matching's flips are walked once, as Dyck words
+        (``neighbor_words``), and ranked by a dict over ``words(k)``.
+        The neighbor oracle and the property suite read these rows, so
+        they are built only for the sizes those checks cover.
+        """
+        if k not in self._flip_rows:
+            by_rank = words(k)
+            rank_of = {w: r for r, w in enumerate(by_rank)}.__getitem__
+            self._flip_rows[k] = _csr(
+                sorted(map(rank_of, neighbor_words(k, w))) for w in by_rank
+            )
+        return self._flip_rows[k]
 
 
 # A failing check reports at most this many problems.
@@ -184,8 +212,14 @@ def _medium_even_structure(cache: GraphCache, k: int) -> list[str]:
 
 
 def _neighbor_oracle(cache: GraphCache, k: int) -> list[str]:
-    for m in enumerate_matchings(k):
-        if neighbors(m) != neighbors_bruteforce(m):
+    # Each flip row against the positions that no chord of the matching
+    # reaches, both as sorted ranks, so a flip listed twice disagrees.
+    ms, reach = _pair_tables(k)
+    eindex = chord_tables(2 * k)[0]
+    offsets, targets = cache.flip_rows(k)
+    for r, m in enumerate(ms):
+        free = unblocked(reach, len(ms), [eindex[e] for e in m.edges])
+        if targets[offsets[r] : offsets[r + 1]].tolist() != set_bits(free):
             return [f"k={k}: routes disagree at {m}"]
     return []
 
@@ -253,7 +287,7 @@ def _disjoint_runs(starts: list[int], n: int) -> bool:
                for i, s in enumerate(starts) for t in starts[i + 1:])
 
 
-def _separated_pairs(k: int) -> list[str]:
+def _separated_pairs(cache: GraphCache, k: int) -> list[str]:
     for m in enumerate_matchings(k):
         p = m.partner()
         if not _disjoint_runs(find_blocks(p) + find_antiblocks(p), 2 * k):
@@ -261,16 +295,31 @@ def _separated_pairs(k: int) -> list[str]:
     return []
 
 
-def _insertion_degree(k: int) -> list[str]:
-    for m in enumerate_matchings(k):
-        d = degree(m.partner())
-        for gap in range(2 * k + 1):
-            if degree(insert(m, BLOCK, gap).partner()) != d:
+def _spliced_word(w: int, n: int, gap: int) -> int:
+    # The Dyck word of families.BLOCK, 1100, spliced after point gap of
+    # the n-point matching with word w: its bits go between the gap
+    # points above and the n - gap below.
+    low = n - gap
+    return (w >> low << 4 | 0b1100) << low | w & ((1 << low) - 1)
+
+
+def _insertion_degree(cache: GraphCache, k: int) -> list[str]:
+    # Degrees are flip-row lengths, at k for the host and at k + 2 for
+    # each splice.
+    n = 2 * k
+    host, spliced = cache.flip_rows(k)[0], cache.flip_rows(k + 2)[0]
+    rank_of = {w: r for r, w in enumerate(words(k + 2))}
+    for r, w in enumerate(words(k)):
+        d = host[r + 1] - host[r]
+        for gap in range(n + 1):
+            s = rank_of[_spliced_word(w, n, gap)]
+            if spliced[s + 1] - spliced[s] != d:
+                m = from_partner(word_partners(w, k))
                 return [f"k={k}: degree changed inserting at {gap} in {m}"]
     return []
 
 
-def _forced_antiblock(k: int) -> list[str]:
+def _forced_antiblock(cache: GraphCache, k: int) -> list[str]:
     n = 2 * k
     for m in enumerate_matchings(k):
         p = m.partner()
@@ -287,11 +336,11 @@ def _forced_antiblock(k: int) -> list[str]:
     return []
 
 
-def _degree_bounds(k: int) -> list[str]:
-    for m in enumerate_matchings(k):
-        p = m.partner()
-        d = degree(p)
-        block_count = len(find_blocks(p))
+def _degree_bounds(cache: GraphCache, k: int) -> list[str]:
+    offsets = cache.flip_rows(k)[0]
+    for r, m in enumerate(enumerate_matchings(k)):
+        d = offsets[r + 1] - offsets[r]
+        block_count = len(find_blocks(m.partner()))
         if k % 2 == 0 and d < 1:
             return [f"k={k}: even-size {m} is isolated"]
         if block_count == 1 and d < 1:
@@ -306,14 +355,15 @@ def _degree_bounds(k: int) -> list[str]:
     return []
 
 
-def _isolated_antiblock_free(k: int) -> list[str]:
-    for m in generate_family("I", k):
-        if find_antiblocks(m.partner()):
-            return [f"k={k}: isolated matching {m} has an antiblock"]
+def _isolated_antiblock_free(cache: GraphCache, k: int) -> list[str]:
+    for w in _family_words("I", k):
+        p = word_partners(w, k)
+        if find_antiblocks(p):
+            return [f"k={k}: isolated matching {from_partner(p)} has an antiblock"]
     return []
 
 
-def _extended_degree(k: int) -> list[str]:
+def _extended_degree(cache: GraphCache, k: int) -> list[str]:
     members = sorted(generate_family("EDB", k), key=lambda m: m.edges)
     step = max(1, len(members) // 25)
     for m in members[::step]:
@@ -325,7 +375,10 @@ def _extended_degree(k: int) -> list[str]:
 
 
 # (sizes, body, what holds); the pass detail fills the sizes run into {}.
-# Degrees are counted off the flip walk, with no neighbor built.
+# Each body takes (cache, k) and returns the problems found at size k.
+# Degrees up to k = 8 are the lengths of the cache's flip rows; the
+# sampled sizes above count them off the flip walk, with no neighbor
+# built.
 _PROPERTIES = (
     (range(4, 9), _separated_pairs, "two disjoint separated pairs exist (k={})"),
     (range(1, 7), _insertion_degree,
@@ -380,7 +433,7 @@ CHECKS = (
     ("property-suite", tuple(sorted(set().union(*(s for s, _, _ in _PROPERTIES)))),
      False,
      lambda cache, k: [p for sizes, body, _ in _PROPERTIES if k in sizes
-                       for p in body(k)],
+                       for p in body(cache, k)],
      _property_suite_detail),
     ("family-counts", range(1, 13), False, _family_counts,
      lambda ks: f"{sum(len(_families_at(k)) for k in ks)} generated family "

@@ -13,10 +13,19 @@ import typing
 
 import pytest
 
-from dcmatch import cli, verification
+from dcmatch import cli, compat, verification
 from dcmatch.cli import main
+from dcmatch.compat import neighbors
+from dcmatch.counting import catalan
 from dcmatch.errors import CrossingError, MatchingError
-from dcmatch.matching import Matching
+from dcmatch.families import BLOCK
+from dcmatch.matching import (
+    Matching,
+    enumerate_matchings,
+    insert,
+    partner_word,
+    rank,
+)
 from dcmatch.verification import CHECK_NAMES, run_checks
 from reference import reference_parse
 
@@ -603,13 +612,52 @@ class TestRunChecks:
 
     def test_property_problem_reaches_the_suite_detail(self, monkeypatch):
         sizes, _, holds = verification._PROPERTIES[0]
-        planted = (sizes, lambda k: [f"k={k}: planted problem"], holds)
+        planted = (sizes, lambda cache, k: [f"k={k}: planted problem"], holds)
         monkeypatch.setattr(
             verification, "_PROPERTIES",
             (planted,) + verification._PROPERTIES[1:],
         )
         (result,) = run_checks(4, 4, names=("property-suite",))
         assert (result.status, result.detail) == ("fail", "k=4: planted problem")
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_flip_rows_rank_the_flip_neighbors(self, graph_cache, k):
+        # Oracle: the Matching-level flip route, each neighbor ranked off
+        # its partner table.
+        offsets, targets = graph_cache.flip_rows(k)
+        assert len(offsets) == catalan(k) + 1
+        for r, m in enumerate(enumerate_matchings(k)):
+            want = sorted(rank(x.partner()) for x in neighbors(m))
+            assert targets[offsets[r] : offsets[r + 1]].tolist() == want, m
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_spliced_word_inserts_the_block(self, k):
+        for m in enumerate_matchings(k):
+            w = partner_word(m.partner())
+            for gap in range(2 * k + 1):
+                want = partner_word(insert(m, BLOCK, gap).partner())
+                assert verification._spliced_word(w, 2 * k, gap) == want, (m, gap)
+
+    def test_flip_walks_of_oracle_and_suite(self, monkeypatch):
+        # Every module of the package that binds the walk counts it.
+        calls = [0]
+        real = compat._flips
+
+        def counted(p):
+            calls[0] += 1
+            return real(p)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("dcmatch") and hasattr(module, "_flips"):
+                monkeypatch.setattr(module, "_flips", counted)
+        results = run_checks(1, 8, names=("neighbor-oracle", "property-suite"))
+        assert all(r.status == "pass" for r in results)
+        # One flip-row walk per matching with k = 1..8 (2055), shared by
+        # both checks; then the walks the suite makes off the rows: one
+        # per matching with k = 2..7 that has a block, for the forced
+        # pairs (535), and one per sampled extended member at k = 8,
+        # every third of 96 (32).
+        assert calls[0] == sum(catalan(k) for k in range(1, 9)) + 535 + 32 == 2622
 
     def test_problems_are_capped_at_six(self, monkeypatch, graph_cache):
         counts = dict(verification.ISO_CLASSES_BY_K)

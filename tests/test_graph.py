@@ -17,9 +17,10 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
+from dcmatch import compat as compat_module
 from dcmatch import graph as graph_module
 from dcmatch import matching as matching_module
-from dcmatch.compat import neighbor_partners, neighbors_bruteforce
+from dcmatch.compat import neighbor_partners, neighbor_words, neighbors_bruteforce
 from dcmatch.counting import (
     big_component_order,
     catalan,
@@ -132,14 +133,14 @@ class TestBuild:
         # Forked workers inherit both the shared counter and the patch; the
         # lowered cut-off sends workers > 1 through the pool.
         calls = multiprocessing.get_context("fork").Value("i", 0)
-        real = graph_module._flips
+        real = compat_module._flips
 
         def counted(p):
             with calls.get_lock():
                 calls.value += 1
             return real(p)
 
-        monkeypatch.setattr(graph_module, "_flips", counted)
+        monkeypatch.setattr(compat_module, "_flips", counted)
         monkeypatch.setattr(graph_module, "POOL_MIN_ORBITS", 2)
         build_graph(9, workers=workers)
         assert calls.value == max(orbit_tables(9)[0]) + 1 == 175
@@ -259,7 +260,7 @@ class TestOrbitWalk:
         assert list(reps) == [word_of(unrank(k, r)) for r in representatives]
         for r, w in zip(representatives, reps):
             found = list(neighbor_partners(unrank(k, r)))
-            got = graph_module._flip_words(k, w)
+            got = neighbor_words(k, w)
             assert got == [partner_word(q) for q in found], (k, r)
             assert ranked(got) == [rank(q) for q in found], (k, r)
 

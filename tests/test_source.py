@@ -23,6 +23,12 @@ UNCALLED_ON_PURPOSE = {
     # The library entry point README shows; the benchmark's query-mix
     # workload calls it once per query.
     "classify",
+    # The public oracle of the flip route; the tests and the benchmark's
+    # query-mix check call it.
+    "neighbors_bruteforce",
+    # A public splice; the tests check it directly and use it as the
+    # oracle of the property suite's word splice.
+    "insert",
     # argparse calls it on a bad command line.
     "_Parser.error",
 }
