@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import multiprocessing
 import os
 import random
@@ -66,6 +67,26 @@ CENSUS = {
 
 ISO_ROW = {1: 1, 2: 1, 3: 2, 4: 2, 5: 3, 6: 3, 7: 4, 8: 4}
 
+# sha256 of the bytes of each DcmGraph table at the two largest sizes.
+TABLE_DIGESTS = {
+    11: {
+        "orbit": "777f923f6a8b0ede1e9856169ab8d7dd711f289c4a0a7c3a0367cae4b24ab79b",
+        "element": "32685caf312b12a7046b7d3d9bdddf8ae30dee44e2cd1a0d90ef8fcc20583973",
+        "images": "4b48852838c9f2d5b58ae67f55cc6ba2f2a45d59f2e0c4b473de0a4876ff6258",
+        "words": "fb63301a6557f6ff3ebf6b75151140a5a17b84ab5d32226bc4d467ee2a7f66cb",
+        "offsets": "575c8285a0cf5045b33776c0238aae5f7437a930186b0fc6ac7945243b86637a",
+        "targets": "ef09cd0dbcf00f6e8b9f3b7bb7f957d59b0d9948dcc9c4c97d9a2e0a6051bf55",
+    },
+    12: {
+        "orbit": "60d91c93d7c94c9942dc93fe5210aa0abde053c2446895bd8684676cfd8b05c5",
+        "element": "5e6f19b6b427974fc2fca0999a76e35c7e1a707a50023f8231141d5d4eafc2a4",
+        "images": "eeab2708d3b254e875b9b90ae3419f21071a9fd2c472b8146547c171caa1b4c9",
+        "words": "6d753ba60f2b069692004c3b28a5e6cef335d8fb8315d5fcab2221c5c8ea445f",
+        "offsets": "fa09838d2b2b1632dfa7ebec2d809712412e4265278a450876133237b1ee22e6",
+        "targets": "dea8477393c656bd9be01d8de33a6a4a4a6e693a16539620071d159332b27eba",
+    },
+}
+
 
 def tables(g):
     """Every table a build fills in, and its edge count."""
@@ -91,6 +112,15 @@ class TestBuild:
         # and later tests in this module read both graphs anyway.
         counts = [graph_cache.graph(k).edge_count for k in (11, 12)]
         assert counts == [185285, 888937]
+
+    @pytest.mark.parametrize("k", [11, 12])
+    def test_largest_tables_are_pinned(self, k, graph_cache):
+        # The sha256 of each table's machine bytes, so a change to how the
+        # tables are built cannot move one entry unseen.
+        g = graph_cache.graph(k)
+        got = {name: hashlib.sha256(getattr(g, name).tobytes()).hexdigest()
+               for name in TABLE_DIGESTS[k]}
+        assert got == TABLE_DIGESTS[k]
 
     def test_adjacency_sorted_symmetric_loopless(self, graph_cache):
         g = graph_cache.graph(5)
