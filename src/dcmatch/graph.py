@@ -7,14 +7,15 @@ and per orbit its representative's neighbor ranks, whose orbits and
 symmetries label the arcs (a voltage graph; Gross and Tucker, *Topological
 Graph Theory*, 1987, ch. 2).  Each representative's flips are one pure
 job, ``compat.neighbor_words``, which returns the Dyck word of every
-neighbor; the parent ranks the words by the orbit scan's bisect.  The
-jobs run in a pool of worker processes only for graphs of at least
-``POOL_MIN_ORBITS`` orbits, and every size up to k = 13 runs them in
-one process.  A vertex's neighbors are computed when asked for, and the
-census reads every component off the quotient, classifying each orbit
-by its representative's word.  Its rows are CSR (offsets plus targets),
-as ``_csr`` lays them out; the odd-points variant makes each row from
-its reach sets as one bitset when read.  The module returns graphs and
+neighbor; the parent ranks the words as the orbit scan does, by their
+numeric index (``matching.word_ranker``).  The jobs run in a pool of
+worker processes only for graphs of at least ``POOL_MIN_ORBITS``
+orbits, and every size up to k = 13 runs them in one process.  A
+vertex's neighbors are computed when asked for, and the census reads
+every component off the quotient, classifying each orbit by its
+representative's word.  Its rows are CSR (offsets plus targets), as
+``csr`` lays them out; the odd-points variant makes each row from its
+reach sets as one bitset when read.  The module returns graphs and
 reports only; ``cli`` writes them out.
 """
 
@@ -53,6 +54,7 @@ from .matching import (
     rank,
     unrank,
     word_partners,
+    word_ranker,
     word_rotations,
     words,
 )
@@ -138,22 +140,16 @@ def orbit_tables(
     representative of orbit o under symmetry e.  Each orbit's
     representative is its smallest rank, so ``images[4k * o]``, and
     ``reps[o]`` is its Dyck word.  ``ranked(ws)`` lists the ranks of
-    the size-k Dyck words ``ws`` by the scan's own bisect, so it keeps
-    the scan's sorted list alive.
+    the size-k Dyck words ``ws`` (``matching.word_ranker``).
 
     Images are walked as Dyck words (``matching.words``), one rotation
-    step at a time, and ranked by bisecting the words sorted with their
-    ranks packed below them; each representative's partner table is
-    read off its word, so the scan neither ranks nor unranks.
+    step at a time, and each is ranked by its numeric index, two table
+    look-ups on its halves, through one table from numeric to canonical
+    order; each representative's partner table is read off its word, so
+    the scan neither ranks nor unranks.
     """
     by_rank = words(k)
-    shift = len(by_rank).bit_length()
-    low = (1 << shift) - 1
-    packed = sorted([w << shift | r for r, w in enumerate(by_rank)])
-
-    def ranked(ws: Iterable[int]) -> list[int]:
-        return [packed[bisect_left(packed, w << shift)] & low for w in ws]
-
+    ranked = word_ranker(k, by_rank)
     n = 2 * k
     orbit = array("i", [-1]) * len(by_rank)
     element = array("i", [0]) * len(orbit)
@@ -197,7 +193,7 @@ def _compose(n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _csr(rows: Iterable[Iterable[int]]) -> tuple[array, array]:
+def csr(rows: Iterable[Iterable[int]]) -> tuple[array, array]:
     """Row v of ``rows`` as ``targets[offsets[v] : offsets[v + 1]]``."""
     offsets, targets = array("q", [0]), array("i")
     for row in rows:
@@ -219,11 +215,11 @@ def build_graph(k: int, workers: int | None = None) -> DcmGraph:
     """Build the size-k graph as its dihedral quotient.
 
     The parent computes the orbit tables (``orbit_tables``) from the
-    Dyck words alone, ranking every image by bisect.
+    Dyck words alone, ranking every image by its numeric index.
     Flips are enumerated once per orbit representative, from its word,
     and each neighbor comes back as its word.  The parent ranks those
-    words by the orbit scan's bisect, and the ranks become the orbit's
-    CSR row.  ``workers`` processes flip only when that is more than one
+    words as the orbit scan does, and the ranks become the orbit's CSR
+    row.  ``workers`` processes flip only when that is more than one
     and there are at least ``POOL_MIN_ORBITS`` representatives; smaller
     builds flip in this process.  No row depends on which process
     enumerated it, so any worker count yields the same graph.
@@ -242,7 +238,7 @@ def build_graph(k: int, workers: int | None = None) -> DcmGraph:
 
         with get_context("fork").Pool(min(workers, len(reps))) as pool:
             flips = pool.map(job, reps)
-    offsets, targets = _csr(map(ranked, flips))
+    offsets, targets = csr(map(ranked, flips))
     degrees = [b - a for a, b in zip(offsets, offsets[1:])]
     ends = sum([degrees[o] for o in orbit])
     assert ends % 2 == 0, "adjacency must be symmetric"

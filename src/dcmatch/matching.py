@@ -10,7 +10,8 @@ edges with commas, e.g. ``"1-2,3-4,5-6"``.  Canonical order sorts matchings
 by their edge tuples; a matching's index in it is its rank (:func:`rank`,
 :func:`unrank`), computed from its partner table.  Its Dyck word marks
 which points open a chord (:func:`words`, :func:`word_partners`,
-:func:`partner_word`).
+:func:`partner_word`), and is ranked through its numeric index
+(:func:`word_index`, :func:`word_ranker`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from bisect import bisect_right
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     CrossingError,
@@ -282,11 +283,71 @@ def words(k: int) -> array:
         for j in range(size):
             after = runs[size - 1 - j]
             shift = 2 * (size - 1 - j) + 1  # the closer, then after
-            for inside in runs[j]:
-                head = top | inside << shift
-                found.extend([head | rest for rest in after])
+            found.extend([top | inside << shift | rest
+                          for inside in runs[j] for rest in after])
         runs.append(found)
     return runs[k]
+
+
+def word_index(k: int) -> tuple[list[int], list[int]]:
+    """Tables ``high`` and ``low`` of ``2**k`` entries each, such that
+    ``high[w >> k] + low[w & (2**k - 1)]`` is the index of the size-k
+    Dyck word ``w`` among all of them in increasing numeric order.
+
+    That index counts the smaller words: for each opener of ``w``, those
+    that share its prefix and close there instead, a ballot number fixed
+    by the opener's place and height (Knuth, TAOCP 7.2.1.6).  The height
+    at the middle is the low half's closers less its openers, so each
+    half's share of the sum is a function of that half alone.  Entries
+    of halves that no Dyck word has are left 0.
+    """
+    n = 2 * k
+    # ways[m][h]: the paths of m steps from height h down to 0 that never
+    # go below 0, a ballot number.
+    ways = [[1] + [0] * n]
+    for m in range(n):
+        row = ways[m] + [0]
+        ways.append([row[1]] + [row[h - 1] + row[h + 1] for h in range(1, n + 1)])
+    # (half, height, share) for each half read so far.  A head reads its
+    # next point down from the top, standing at height h before it; a
+    # tail reads its next point up from the bottom, standing at height h
+    # after it, so an opener there starts from h - 1 with i points after.
+    heads = tails = [(0, 0, 0)]
+    for i in range(k):
+        heads = [s for x, h, r in heads for s in (
+            (x << 1, h - 1, r),
+            (x << 1 | 1, h + 1, r + (ways[n - 1 - i][h - 1] if h else 0)),
+        ) if s[1] >= 0]
+        tails = [s for x, h, r in tails for s in (
+            (x, h + 1, r),
+            (x | 1 << i, h - 1, r + (ways[i][h - 2] if h > 1 else 0)),
+        ) if s[1] >= 0]
+    high, low = [0] * (1 << k), [0] * (1 << k)
+    for table, found in ((high, heads), (low, tails)):
+        for x, _, r in found:
+            table[x] = r
+    return high, low
+
+
+def word_ranker(
+    k: int, by_rank: Sequence[int]
+) -> Callable[[Iterable[int]], list[int]]:
+    """``ranked(ws)``: the ranks of the size-k Dyck words ``ws``, given
+    ``by_rank``, the words in canonical order (:func:`words`).
+
+    Each word is looked up by its numeric index (:func:`word_index`) in
+    one table that maps numeric order onto canonical order.
+    """
+    high, low = word_index(k)
+    half = (1 << k) - 1
+    perm = array("i", [0]) * len(by_rank)
+    for r, w in enumerate(by_rank):
+        perm[high[w >> k] + low[w & half]] = r
+
+    def ranked(ws: Iterable[int]) -> list[int]:
+        return [perm[high[w >> k] + low[w & half]] for w in ws]
+
+    return ranked
 
 
 def word_partners(w: int, k: int) -> list[int]:

@@ -48,16 +48,16 @@ from .families import (
     rings,
 )
 from .graph import (
-    _csr,
     build_almost_perfect_graph,
     build_graph,
     components,
+    csr,
     degree_stats,
     is_bipartite,
     isomorphism_classes,
     verify_medium_even_structure,
 )
-from .matching import enumerate_matchings, from_partner, word_partners, words
+from .matching import enumerate_matchings, from_partner, word_partners, word_ranker, words
 
 # Census rows pinned independently of the counting formulas; the checks
 # require the measured censuses to equal both.
@@ -113,15 +113,16 @@ class GraphCache:
         the flip neighbors of the size-k matching of rank r.
 
         Each matching's flips are walked once, as Dyck words
-        (``neighbor_words``), and ranked by a dict over ``words(k)``.
-        The neighbor oracle and the property suite read these rows, so
-        they are built only for the sizes those checks cover.
+        (``neighbor_words``), and ranked by their numeric index
+        (``word_ranker``), as the graph build ranks them.  The neighbor
+        oracle and the property suite read these rows, so they are built
+        only for the sizes those checks cover.
         """
         if k not in self._flip_rows:
             by_rank = words(k)
-            rank_of = {w: r for r, w in enumerate(by_rank)}.__getitem__
-            self._flip_rows[k] = _csr(
-                sorted(map(rank_of, neighbor_words(k, w))) for w in by_rank
+            ranked = word_ranker(k, by_rank)
+            self._flip_rows[k] = csr(
+                sorted(ranked(neighbor_words(k, w))) for w in by_rank
             )
         return self._flip_rows[k]
 
@@ -308,11 +309,11 @@ def _insertion_degree(cache: GraphCache, k: int) -> list[str]:
     # each splice.
     n = 2 * k
     host, spliced = cache.flip_rows(k)[0], cache.flip_rows(k + 2)[0]
-    rank_of = {w: r for r, w in enumerate(words(k + 2))}
+    ranked = word_ranker(k + 2, words(k + 2))
     for r, w in enumerate(words(k)):
         d = host[r + 1] - host[r]
-        for gap in range(n + 1):
-            s = rank_of[_spliced_word(w, n, gap)]
+        gaps = ranked([_spliced_word(w, n, gap) for gap in range(n + 1)])
+        for gap, s in enumerate(gaps):
             if spliced[s + 1] - spliced[s] != d:
                 m = from_partner(word_partners(w, k))
                 return [f"k={k}: degree changed inserting at {gap} in {m}"]

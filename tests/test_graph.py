@@ -605,14 +605,18 @@ class TestCensusMemory:
         assert built - tables <= 8 * arcs
 
     def test_orbit_tables_peak_per_vertex(self):
-        # One sorted list of packed ints ranks the images.
+        # Each image is ranked through two half-word tables and one int
+        # array from numeric to canonical order (matching.word_ranker).
+        # At k = 10 the scan peaked at 26.9 bytes per vertex, where a
+        # sorted list of packed ints took 61.4; the bound leaves about 50%
+        # over the first.
         tracemalloc.start()
         try:
             orbit = orbit_tables(10)[0]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 70 * len(orbit)
+        assert peak <= 40 * len(orbit)
 
 
 class TestVertices:

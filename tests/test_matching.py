@@ -29,7 +29,9 @@ from dcmatch.matching import (
     rank,
     unrank,
     validate,
+    word_index,
     word_partners,
+    word_ranker,
     words,
 )
 from reference import (
@@ -384,6 +386,25 @@ class TestWords:
         b = rank(parse_matching("1-8,2-3,4-5,6-7").partner())
         assert a < b
         assert (found[a], found[b]) == (0b11100010, 0b11010100)
+
+
+class TestWordIndex:
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_index_maps_numeric_order_onto_positions(self, k):
+        high, low = word_index(k)
+        assert len(high) == len(low) == 2**k
+        half = 2**k - 1
+        ws = sorted(words(k))
+        assert [high[w >> k] + low[w & half] for w in ws] == list(range(len(ws)))
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_ranker_agrees_with_rank(self, k):
+        # Oracle: each word decoded to its partner table and ranked there.
+        by_rank = words(k)
+        ranked = word_ranker(k, by_rank)
+        assert ranked(by_rank) == list(range(CATALAN[k]))
+        ws = sorted(by_rank)
+        assert ranked(ws) == [rank(word_partners(w, k)) for w in ws]
 
 
 class TestSymmetries:
