@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -122,6 +123,19 @@ DIGESTS = {
 VERIFY_1_4_JSON = (
     "081db9c17b4095ee5eb366b7b0197a79862679b05197a71549486b6d798c403e"
 )
+
+# sha256 of the outputs at the largest default size, each "seconds"
+# value written as 0.
+LARGEST_DIGESTS = {
+    "components --k 12":
+        "17a10d2f46892f5db864ef1db9dc5b2812e4d01fb484390175a0139be8c5295c",
+    "components --k 12 --format csv":
+        "b202d14b0d653aca693ae25a1b3c7b332d493705129861dbb4935714426756c6",
+    "components --k 12 --format json":
+        "f2a7c4045c935d75d4dd686b71e0c85873976948c3da04b91cb1909826b5266a",
+    "verify --k-range 1..12 --format json":
+        "212067391478cd8a69d58de0df95193858b7823d48d31a3bd34deb81c8aa3956",
+}
 
 
 def run(*argv, capsys):
@@ -437,6 +451,21 @@ class TestDigests:
         code, out, _ = run(*command.split(), capsys=capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[command]
+
+    @pytest.mark.parametrize("command", sorted(LARGEST_DIGESTS))
+    def test_largest_output_digest(self, capsys, monkeypatch, graph_cache,
+                                   command):
+        # Read through the session's graphs, so that no test builds k = 12
+        # again for these.
+        monkeypatch.setattr(cli, "build_graph", graph_cache.graph)
+        monkeypatch.setattr(
+            cli, "run_checks", functools.partial(run_checks, cache=graph_cache)
+        )
+        code, out, _ = run(*command.split(), capsys=capsys)
+        assert code == 0
+        masked = re.sub(r'"seconds":[0-9.]+', '"seconds":0', out)
+        digest = hashlib.sha256(masked.encode()).hexdigest()
+        assert digest == LARGEST_DIGESTS[command]
 
 
 class TestSeries:
