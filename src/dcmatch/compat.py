@@ -25,9 +25,10 @@ each a tuple pair of the points flipped so far in the faces under it and
 its own face list.  When a chord closes, the face under it is resolved,
 with the chord going into it or out to the face around it, and each
 partition of it is applied as one ``itemgetter`` from one table per face
-size (``_patterns``).  ``neighbors`` and ``neighbor_partners`` read the
-flipped pairs directly, ``neighbor_words`` writes each neighbor's Dyck
-word from them, and ``degree`` counts them: one neighbor per choice.
+size (``_patterns``).  Each choice is one neighbor, and the walk has two
+readers: ``neighbors`` makes each neighbor's ``Matching`` from its
+flipped pairs, for the public API, and ``neighbor_words`` writes its
+Dyck word from them, for every caller inside the package.
 
 The oracle ``neighbors_bruteforce`` reads adjacency off the definition
 instead, with no flip work.  M' is blocked by M when some chord of M' is
@@ -166,19 +167,6 @@ def _flips(p: list[int]) -> Iterator[tuple[int, ...]]:
                 yield x + flip(face)
 
 
-def neighbor_partners(p: list[int]) -> Iterator[list[int]]:
-    """Partner tables of all neighbors of the matching with partner table ``p``.
-
-    Each table is written straight from the flipped pairs of one neighbor.
-    """
-    for flat in _flips(p):
-        q = [0] * len(p)
-        pairs = iter(flat)
-        for a, b in zip(pairs, pairs):
-            q[a], q[b] = b, a
-        yield q
-
-
 def neighbor_words(k: int, w: int) -> list[int]:
     """Dyck words (``matching.words``) of the neighbors of the size-k
     matching with word ``w``, in flip order.
@@ -191,12 +179,6 @@ def neighbor_words(k: int, w: int) -> list[int]:
         pairs = iter(flat)
         found.append(sum([bit[a] if a < b else bit[b] for a, b in zip(pairs, pairs)]))
     return found
-
-
-def degree(p: list[int]) -> int:
-    """Number of neighbors of the matching with partner table ``p``,
-    counted off the flips without building them."""
-    return sum(1 for _ in _flips(p))
 
 
 class _Chords(dict):

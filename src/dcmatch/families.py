@@ -29,18 +29,19 @@ Families:
 A leaf maker flips its center's partner table in place, one group of
 ids at a time (``compat.flip_group``).
 
-The two grown families are kept per size as tables of Dyck words
-(``matching.words``) with no parameters.  Splicing the block before
-point 1 puts the word ``1100`` in front of the host's word, and splicing
-it into the other gaps gives that word's rotations, walked one step at a
-time (``matching.word_rotations``).  ``generate_family`` makes their
+The two grown families are grown per size, on each call, as tables of
+Dyck words (``matching.words``) with no parameters; the classify tables
+keep the isolated one.  Splicing the block before point 1 puts the word
+``1100`` in front of the host's word, and splicing it into the other
+gaps gives that word's rotations, walked one step at a time
+(``matching.word_rotations``).  ``generate_family`` makes their
 matchings afresh on each call; ``family_size`` counts the words.
 
 Each strip family's table, built lazily per size, maps the Dyck word of
 every member to its smallest parameters: one maker call per ``(j, chi)``
 at ``z = 1``, then that word's rotations.  Classification encodes a
-matching, or its partner table, as a word once and looks it up in the
-size's tables in precedence order, the isolated table first.
+matching as a word once and looks it up in the size's tables in
+precedence order, the isolated table first.
 """
 
 from __future__ import annotations
@@ -270,7 +271,6 @@ _SEEDS = {
 }
 
 
-@lru_cache(maxsize=None)
 def _grown_family(base: str, k: int) -> dict[int, None]:
     # The Dyck words (matching.words) of the size-k members of I or L,
     # each mapped to no witness.  BLOCK spliced in before point 1 puts the
@@ -380,11 +380,6 @@ def _classify_word(w: int, k: int) -> tuple[str, tuple | None]:
         if w in table:
             return label, table[w]
     return LABEL_REGULAR, None
-
-
-def classify_partner(p: list[int]) -> tuple[str, tuple | None]:
-    """``classify_with_witness`` of the matching with partner table ``p``."""
-    return _classify_word(partner_word(p), len(p) // 2)
 
 
 def classify_with_witness(m: Matching) -> tuple[str, tuple | None]:

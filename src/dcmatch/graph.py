@@ -38,12 +38,7 @@ from .compat import (
 )
 from .counting import census_shape
 from .errors import DomainError
-from .families import (
-    LABEL_PATH_LEAF,
-    LABEL_PATH_MEMBER,
-    _classify_word,
-    classify_partner,
-)
+from .families import LABEL_PATH_LEAF, LABEL_PATH_MEMBER, _classify_word
 from .matching import (
     Edge,
     Matching,
@@ -51,6 +46,7 @@ from .matching import (
     check_size,
     enumerate_matchings,
     from_partner,
+    partner_word,
     rank,
     unrank,
     word_partners,
@@ -611,7 +607,7 @@ def verify_medium_even_structure(
             problems.append(f"profile {report.profile}")
         spine: dict[int, tuple] = {}
         for v in report.members:
-            label, params = classify_partner(unrank(k, v))
+            label, params = _classify_word(partner_word(unrank(k, v)), k)
             if label == LABEL_PATH_MEMBER:
                 around = set(graph.adjacent(v))
                 leaf_neighbors = sum(1 for w in around if graph.degree(w) == 1)

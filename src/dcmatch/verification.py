@@ -21,8 +21,6 @@ from fractions import Fraction
 from .compat import (
     _pair_tables,
     chord_tables,
-    degree,
-    neighbor_partners,
     neighbor_words,
     set_bits,
     unblocked,
@@ -40,13 +38,7 @@ from .counting import (
     riordan,
 )
 from .dual_tree import find_antiblocks, find_blocks
-from .families import (
-    _family_words,
-    classify_partner,
-    family_size,
-    generate_family,
-    rings,
-)
+from .families import _family_words, family_size, rings
 from .graph import (
     build_almost_perfect_graph,
     build_graph,
@@ -57,7 +49,7 @@ from .graph import (
     isomorphism_classes,
     verify_medium_even_structure,
 )
-from .matching import enumerate_matchings, from_partner, word_partners, word_ranker, words
+from .matching import from_partner, word_partners, word_ranker, words
 
 # Census rows pinned independently of the counting formulas; the checks
 # require the measured censuses to equal both.
@@ -109,21 +101,23 @@ class GraphCache:
         return self._reports[k]
 
     def flip_rows(self, k: int) -> tuple:
-        """CSR ``(offsets, targets)`` whose row r holds the sorted ranks of
-        the flip neighbors of the size-k matching of rank r.
+        """``(words, offsets, targets)``: the Dyck words of the size-k
+        matchings in canonical order (``words``), and CSR rows whose row r
+        holds the sorted ranks of the flip neighbors of ``words[r]``.
 
         Each matching's flips are walked once, as Dyck words
         (``neighbor_words``), and ranked by their numeric index
         (``word_ranker``), as the graph build ranks them.  The neighbor
-        oracle and the property suite read these rows, so they are built
-        only for the sizes those checks cover.
+        oracle and the property suite read these rows, and the suite reads
+        each matching off its word, so they are built only for the sizes
+        those checks cover.
         """
         if k not in self._flip_rows:
             by_rank = words(k)
             ranked = word_ranker(k, by_rank)
-            self._flip_rows[k] = csr(
+            self._flip_rows[k] = (by_rank, *csr(
                 sorted(ranked(neighbor_words(k, w))) for w in by_rank
-            )
+            ))
         return self._flip_rows[k]
 
 
@@ -217,7 +211,7 @@ def _neighbor_oracle(cache: GraphCache, k: int) -> list[str]:
     # reaches, both as sorted ranks, so a flip listed twice disagrees.
     ms, reach = _pair_tables(k)
     eindex = chord_tables(2 * k)[0]
-    offsets, targets = cache.flip_rows(k)
+    _, offsets, targets = cache.flip_rows(k)
     for r, m in enumerate(ms):
         free = unblocked(reach, len(ms), [eindex[e] for e in m.edges])
         if targets[offsets[r] : offsets[r + 1]].tolist() != set_bits(free):
@@ -289,10 +283,10 @@ def _disjoint_runs(starts: list[int], n: int) -> bool:
 
 
 def _separated_pairs(cache: GraphCache, k: int) -> list[str]:
-    for m in enumerate_matchings(k):
-        p = m.partner()
+    for w in cache.flip_rows(k)[0]:
+        p = word_partners(w, k)
         if not _disjoint_runs(find_blocks(p) + find_antiblocks(p), 2 * k):
-            return [f"k={k}: {m} lacks two disjoint separated pairs"]
+            return [f"k={k}: {from_partner(p)} lacks two disjoint separated pairs"]
     return []
 
 
@@ -308,9 +302,10 @@ def _insertion_degree(cache: GraphCache, k: int) -> list[str]:
     # Degrees are flip-row lengths, at k for the host and at k + 2 for
     # each splice.
     n = 2 * k
-    host, spliced = cache.flip_rows(k)[0], cache.flip_rows(k + 2)[0]
-    ranked = word_ranker(k + 2, words(k + 2))
-    for r, w in enumerate(words(k)):
+    ws, host, _ = cache.flip_rows(k)
+    spliced_words, spliced, _ = cache.flip_rows(k + 2)
+    ranked = word_ranker(k + 2, spliced_words)
+    for r, w in enumerate(ws):
         d = host[r + 1] - host[r]
         gaps = ranked([_spliced_word(w, n, gap) for gap in range(n + 1)])
         for gap, s in enumerate(gaps):
@@ -321,38 +316,42 @@ def _insertion_degree(cache: GraphCache, k: int) -> list[str]:
 
 
 def _forced_antiblock(cache: GraphCache, k: int) -> list[str]:
+    # Each neighbor's partner table is read off its word in the flip row.
     n = 2 * k
-    for m in enumerate_matchings(k):
-        p = m.partner()
+    ws, offsets, targets = cache.flip_rows(k)
+    for r, w in enumerate(ws):
+        p = word_partners(w, k)
         blocks = find_blocks(p)
         if not blocks:
             continue
-        nbs = list(neighbor_partners(p))
+        nbs = [word_partners(ws[s], k) for s in targets[offsets[r] : offsets[r + 1]]]
         for i in blocks:
             b, c, d = i % n + 1, (i + 1) % n + 1, (i + 2) % n + 1
             for q in nbs:
                 if q[i] != b or q[c] != d:
-                    return [f"k={k}: neighbor {from_partner(q)} of {m} misses "
-                            f"the forced boundary pair at {i}"]
+                    return [f"k={k}: neighbor {from_partner(q)} of "
+                            f"{from_partner(p)} misses the forced boundary "
+                            f"pair at {i}"]
     return []
 
 
 def _degree_bounds(cache: GraphCache, k: int) -> list[str]:
-    offsets = cache.flip_rows(k)[0]
-    for r, m in enumerate(enumerate_matchings(k)):
+    ws, offsets, _ = cache.flip_rows(k)
+    for r, w in enumerate(ws):
         d = offsets[r + 1] - offsets[r]
-        block_count = len(find_blocks(m.partner()))
+        p = word_partners(w, k)
+        block_count = len(find_blocks(p))
         if k % 2 == 0 and d < 1:
-            return [f"k={k}: even-size {m} is isolated"]
+            return [f"k={k}: even-size {from_partner(p)} is isolated"]
         if block_count == 1 and d < 1:
-            return [f"k={k}: one-block {m} is isolated"]
+            return [f"k={k}: one-block {from_partner(p)} is isolated"]
         if block_count == 0:
             # The two size-3 rings have degree exactly 1; the
             # two-neighbor bound holds from size 4 on.
             if k == 3 and d != 1:
-                return [f"k=3: blockless {m} has degree {d}"]
+                return [f"k=3: blockless {from_partner(p)} has degree {d}"]
             if k >= 4 and d < 2:
-                return [f"k={k}: blockless {m} has degree {d}"]
+                return [f"k={k}: blockless {from_partner(p)} has degree {d}"]
     return []
 
 
@@ -365,21 +364,25 @@ def _isolated_antiblock_free(cache: GraphCache, k: int) -> list[str]:
 
 
 def _extended_degree(cache: GraphCache, k: int) -> list[str]:
-    members = sorted(generate_family("EDB", k), key=lambda m: m.edges)
+    # Each member's witness is (j, chi, z); no member is also a pair
+    # member, so it is the witness classification gives.  Partner tables
+    # sort in canonical order.
+    table = _family_words("EDB", k)
+    members = sorted(table, key=lambda w: word_partners(w, k))
     step = max(1, len(members) // 25)
-    for m in members[::step]:
-        p = m.partner()
-        j = classify_partner(p)[1][0]
-        if degree(p) != j + 2:
+    for w in members[::step]:
+        j = table[w][0]
+        if len(neighbor_words(k, w)) != j + 2:
+            m = from_partner(word_partners(w, k))
             return [f"k={k}: {m} does not have {j + 2} neighbors"]
     return []
 
 
 # (sizes, body, what holds); the pass detail fills the sizes run into {}.
 # Each body takes (cache, k) and returns the problems found at size k.
-# Degrees up to k = 8 are the lengths of the cache's flip rows; the
-# sampled sizes above count them off the flip walk, with no neighbor
-# built.
+# Up to k = 8 the bodies read each matching's Dyck word, its degree and
+# its neighbors off the cache's flip rows; the sampled sizes above count
+# each member's neighbor words.
 _PROPERTIES = (
     (range(4, 9), _separated_pairs, "two disjoint separated pairs exist (k={})"),
     (range(1, 7), _insertion_degree,

@@ -19,13 +19,16 @@ from dcmatch.cli import main
 from dcmatch.compat import neighbors
 from dcmatch.counting import catalan
 from dcmatch.errors import CrossingError, MatchingError
-from dcmatch.families import BLOCK
+from dcmatch.families import BLOCK, _family_words, generate_family
 from dcmatch.matching import (
     Matching,
     enumerate_matchings,
+    from_partner,
     insert,
     partner_word,
     rank,
+    word_partners,
+    words,
 )
 from dcmatch.verification import CHECK_NAMES, run_checks
 from reference import reference_parse
@@ -653,7 +656,8 @@ class TestRunChecks:
     def test_flip_rows_rank_the_flip_neighbors(self, graph_cache, k):
         # Oracle: the Matching-level flip route, each neighbor ranked off
         # its partner table.
-        offsets, targets = graph_cache.flip_rows(k)
+        by_rank, offsets, targets = graph_cache.flip_rows(k)
+        assert by_rank == words(k)
         assert len(offsets) == catalan(k) + 1
         for r, m in enumerate(enumerate_matchings(k)):
             want = sorted(rank(x.partner()) for x in neighbors(m))
@@ -666,6 +670,14 @@ class TestRunChecks:
             for gap in range(2 * k + 1):
                 want = partner_word(insert(m, BLOCK, gap).partner())
                 assert verification._spliced_word(w, 2 * k, gap) == want, (m, gap)
+
+    @pytest.mark.parametrize("k", [8, 10, 12])
+    def test_extended_members_sort_as_matchings(self, k):
+        # The suite samples the members' words sorted by partner table;
+        # sorted by their edges, the matchings come in the same order.
+        by_partner = sorted(_family_words("EDB", k), key=lambda w: word_partners(w, k))
+        by_edges = sorted(generate_family("EDB", k), key=lambda m: m.edges)
+        assert [from_partner(word_partners(w, k)) for w in by_partner] == by_edges
 
     def test_flip_walks_of_oracle_and_suite(self, monkeypatch):
         # Every module of the package that binds the walk counts it.
@@ -682,11 +694,10 @@ class TestRunChecks:
         results = run_checks(1, 8, names=("neighbor-oracle", "property-suite"))
         assert all(r.status == "pass" for r in results)
         # One flip-row walk per matching with k = 1..8 (2055), shared by
-        # both checks; then the walks the suite makes off the rows: one
-        # per matching with k = 2..7 that has a block, for the forced
-        # pairs (535), and one per sampled extended member at k = 8,
-        # every third of 96 (32).
-        assert calls[0] == sum(catalan(k) for k in range(1, 9)) + 535 + 32 == 2622
+        # both checks and read by every property body up to k = 8; then
+        # one per sampled extended member at k = 8, every third of 96
+        # (32).
+        assert calls[0] == sum(catalan(k) for k in range(1, 9)) + 32 == 2087
 
     def test_problems_are_capped_at_six(self, monkeypatch, graph_cache):
         counts = dict(verification.ISO_CLASSES_BY_K)

@@ -16,9 +16,8 @@ from dcmatch.compat import (
     _pair_tables,
     _patterns,
     chord_tables,
-    degree,
     flip_group,
-    neighbor_partners,
+    neighbor_words,
     neighbors,
     neighbors_bruteforce,
     set_bits,
@@ -31,8 +30,10 @@ from dcmatch.matching import (
     from_partner,
     insert,
     parse_matching,
+    partner_word,
     unrank,
     validate,
+    word_partners,
 )
 from reference import is_crossing
 from symmetries import reflect, rotate
@@ -343,7 +344,7 @@ class TestOracleAgreement:
     @pytest.mark.parametrize("k", range(1, 9))
     def test_degree_counts_the_neighbors(self, k):
         for m in enumerate_matchings(k):
-            assert degree(m.partner()) == len(neighbors(m)) == len(
+            assert len(word_neighbors(m.partner())) == len(neighbors(m)) == len(
                 neighbors_bruteforce(m)
             )
 
@@ -352,7 +353,7 @@ class TestOracleAgreement:
         for host in enumerate_matchings(k):
             for gap in range(2 * k + 1):
                 m = insert(host, BLOCK, gap)
-                assert degree(m.partner()) == len(neighbors(m)) == len(
+                assert len(word_neighbors(m.partner())) == len(neighbors(m)) == len(
                     neighbors_bruteforce(m)
                 )
 
@@ -501,6 +502,13 @@ def reference_partners(p):
     return found
 
 
+def word_neighbors(p):
+    """Partner tables of the neighbors of ``p``, in flip order, each read
+    off the Dyck word the flip route writes for it."""
+    k = len(p) // 2
+    return [tuple(word_partners(w, k)) for w in neighbor_words(k, partner_word(p))]
+
+
 def random_matching(k, rng):
     return from_partner(unrank(k, rng.randrange(catalan(k))))
 
@@ -510,13 +518,13 @@ class TestPairEnumeration:
     def test_matches_the_group_route(self, k):
         for m in enumerate_matchings(k):
             p = m.partner()
-            found = [tuple(q) for q in neighbor_partners(p)]
+            found = word_neighbors(p)
             assert len(set(found)) == len(found)
             assert set(found) == reference_partners(p)
 
     def test_matches_the_group_route_at_40(self):
         m = random_matching(40, random.Random(40))
-        found = {tuple(q) for q in neighbor_partners(m.partner())}
+        found = set(word_neighbors(m.partner()))
         assert found == reference_partners(m.partner())
         assert len(found) > 1000
 
@@ -528,7 +536,7 @@ class TestPairEnumeration:
         edges += [(t, t + 1) for t in range(3, 13, 2)]
         edges += [(14 + i, 139 - i) for i in range(63)]
         p = validate(edges).partner()
-        found = {tuple(q) for q in neighbor_partners(p)}
+        found = set(word_neighbors(p))
         assert found == reference_partners(p)
         assert len(found) == 21
 

@@ -380,6 +380,12 @@ class TestWords:
             assert partner_word(unrank(k, r)) == w, (k, r)
             assert partner_word(word_partners(w, k)) == w, (k, r)
 
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_partner_tables_sort_in_canonical_order(self, k):
+        # verification's sampled extended members rest on this.
+        found = words(k)
+        assert sorted(found, key=lambda w: word_partners(w, k)) == list(found)
+
     def test_canonical_order_is_not_numeric_order(self):
         found = words(4)
         a = rank(parse_matching("1-6,2-5,3-4,7-8").partner())
