@@ -29,13 +29,16 @@ Families:
 A leaf maker flips its center's partner table in place, one group of
 ids at a time (``compat.flip_group``).
 
-The two grown families are grown per size, on each call, as tables of
-Dyck words (``matching.words``) with no parameters; the classify tables
-keep the isolated one.  Splicing the block before point 1 puts the word
-``1100`` in front of the host's word, and splicing it into the other
-gaps gives that word's rotations, walked one step at a time
-(``matching.word_rotations``).  ``generate_family`` makes their
-matchings afresh on each call; ``family_size`` counts the words.
+The two grown families are tables of Dyck words (``matching.words``)
+with no parameters.  Each odd size's isolated table is grown once per
+process, from the previous size's, and kept, as the classify tables
+keep it anyway; the degree-one table, which runs to megabytes and no
+classify table holds, is regrown from its seeds on each call.
+Splicing the block before point 1 puts the word ``1100`` in front of
+the host's word, and splicing it into the other gaps gives that word's
+rotations, walked one step at a time (``matching.word_rotations``).
+``generate_family`` makes their matchings afresh on each call;
+``family_size`` counts the words.
 
 Each strip family's table, built lazily per size, maps the Dyck word of
 every member to its smallest parameters: one maker call per ``(j, chi)``
@@ -51,6 +54,7 @@ from functools import lru_cache
 from .errors import DomainError
 from .matching import (
     Matching,
+    check_size,
     from_partner,
     partner_word,
     validate,
@@ -282,13 +286,20 @@ def _grown_family(base: str, k: int) -> dict[int, None]:
         raise DomainError(f"degree-one matchings need k >= 2, got {k}")
     if (base, k) in _SEEDS:
         return dict.fromkeys(_SEEDS[base, k])
+    hosts = _isolated(k - 2) if base == "I" else _grown_family(base, k - 2)
     head = 0b1100 << (2 * k - 4)
     out: set[int] = set()
-    for w in _grown_family(base, k - 2):
+    for w in hosts:
         grown = head | w
         if grown not in out:
             out.update(word_rotations(grown, word_partners(grown, k)))
     return dict.fromkeys(out)
+
+
+@lru_cache(maxsize=None)
+def _isolated(k: int) -> dict[int, None]:
+    # The size-k isolated table, kept for the next odd size to grow from.
+    return _grown_family("I", k)
 
 
 def family_size(variant: str, k: int) -> int:
@@ -302,7 +313,12 @@ def family_size(variant: str, k: int) -> int:
 def _family_words(variant: str, k: int) -> dict[int, tuple | None]:
     # The Dyck words of the size-k members of I, L or a strip family,
     # each mapped to its smallest parameters, or to None for I and L.
-    if variant in ("I", "L"):
+    # Below size 1, the family's own bound is the error.
+    if k >= 1:
+        check_size(k)
+    if variant == "I":
+        return _isolated(k)
+    if variant == "L":
         return _grown_family(variant, k)
     return _strip_family(variant, k)
 

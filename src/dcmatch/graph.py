@@ -5,23 +5,20 @@ Rotations and reflections of the 2k-gon preserve compatibility, so the
 graph is kept as its quotient by that dihedral group: the orbit tables,
 and per orbit its representative's neighbor ranks, whose orbits and
 symmetries label the arcs (a voltage graph; Gross and Tucker, *Topological
-Graph Theory*, 1987, ch. 2).  Each representative's flips are one pure
-job, ``compat.neighbor_words``, which returns the Dyck word of every
-neighbor; the parent ranks the words as the orbit scan does, by their
-numeric index (``matching.word_ranker``).  The jobs run in a pool of
-worker processes only for graphs of at least ``POOL_MIN_ORBITS``
-orbits, and every size up to k = 13 runs them in one process.  A
-vertex's neighbors are computed when asked for, and the census reads
-every component off the quotient, classifying each orbit by its
-representative's word.  Its rows are CSR (offsets plus targets), as
-``csr`` lays them out; the odd-points variant makes each row from its
-reach sets as one bitset when read.  The module returns graphs and
-reports only; ``cli`` writes them out.
+Graph Theory*, 1987, ch. 2).  Each representative's flips come from
+``compat.neighbor_words``, which returns the Dyck word of every
+neighbor, ranked as the orbit scan ranks its images, by their numeric
+index (``matching.word_ranker``); every build runs in the calling
+process.  A vertex's neighbors are computed when asked for, and the
+census reads every component off the quotient, classifying each orbit
+by its representative's word.  Its rows are CSR (offsets plus
+targets), as ``csr`` lays them out; the odd-points variant makes each
+row from its reach sets as one bitset when read.  The module returns
+graphs and reports only; ``cli`` writes them out.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from bisect import bisect_left
 from collections import Counter, deque
@@ -198,42 +195,20 @@ def csr(rows: Iterable[Iterable[int]]) -> tuple[array, array]:
     return offsets, targets
 
 
-# Fewest orbit representatives for which a build forks its pool of
-# workers.  In two sets of alternating fresh-process pairs on two cores,
-# one process built faster than a pool of two in 10 and 10 of 10 pairs
-# at k = 11 (1473 orbits), 10 and 8 at k = 12 (4588) and 9 and 7 at
-# k = 13 (14782), peaking 1-5 MB lower; the pool won 4 and 3 of 4 pairs
-# at k = 14 (48678).
-POOL_MIN_ORBITS = 15000
-
-
 def build_graph(k: int, workers: int | None = None) -> DcmGraph:
     """Build the size-k graph as its dihedral quotient.
 
-    The parent computes the orbit tables (``orbit_tables``) from the
-    Dyck words alone, ranking every image by its numeric index.
-    Flips are enumerated once per orbit representative, from its word,
-    and each neighbor comes back as its word.  The parent ranks those
-    words as the orbit scan does, and the ranks become the orbit's CSR
-    row.  ``workers`` processes flip only when that is more than one
-    and there are at least ``POOL_MIN_ORBITS`` representatives; smaller
-    builds flip in this process.  No row depends on which process
-    enumerated it, so any worker count yields the same graph.
+    The orbit tables (``orbit_tables``) come from the Dyck words alone,
+    ranking every image by its numeric index.  Flips are enumerated once
+    per orbit representative, from its word, and each neighbor comes
+    back as its word; those words are ranked as the orbit scan ranks
+    them, and the ranks become the orbit's CSR row.  Everything runs in
+    the calling process; ``workers`` is accepted for existing callers
+    and not read.
     """
     check_size(k)
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers < 1:
-        raise DomainError(f"worker count must be >= 1, got {workers}")
     orbit, element, images, reps, ranked = orbit_tables(k)
-    job = partial(neighbor_words, k)
-    if workers == 1 or len(reps) < POOL_MIN_ORBITS:
-        flips = map(job, reps)
-    else:
-        from multiprocessing import get_context
-
-        with get_context("fork").Pool(min(workers, len(reps))) as pool:
-            flips = pool.map(job, reps)
+    flips = map(partial(neighbor_words, k), reps)
     offsets, targets = csr(map(ranked, flips))
     degrees = [b - a for a, b in zip(offsets, offsets[1:])]
     ends = sum([degrees[o] for o in orbit])

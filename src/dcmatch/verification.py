@@ -82,17 +82,17 @@ class CheckResult:
 
 class GraphCache:
     """Builds each graph, its component reports and each size's flip rows
-    at most once."""
+    at most once.  ``workers`` is accepted for existing callers and not
+    read."""
 
     def __init__(self, workers: int | None = None):
-        self.workers = workers
         self._graphs: dict[int, object] = {}
         self._reports: dict[int, list] = {}
         self._flip_rows: dict[int, tuple] = {}
 
     def graph(self, k: int):
         if k not in self._graphs:
-            self._graphs[k] = build_graph(k, workers=self.workers)
+            self._graphs[k] = build_graph(k)
         return self._graphs[k]
 
     def reports(self, k: int) -> list:
@@ -466,11 +466,11 @@ def run_checks(
     Each check runs over all its sizes before the next one starts, in
     ``CHECKS`` order.  A size over the configured cap propagates as
     ResourceLimitError rather than turning into a failed check, so
-    callers can report it distinctly.  A passed ``cache`` builds with its
-    own ``workers``, and the ``workers`` argument is then ignored.
+    callers can report it distinctly.  ``workers`` is accepted for
+    existing callers and not read.
     """
     if cache is None:
-        cache = GraphCache(workers=workers)
+        cache = GraphCache()
     wanted = CHECK_NAMES if names is None else tuple(names)
     unknown = set(wanted) - set(CHECK_NAMES)
     if unknown:

@@ -19,7 +19,7 @@ def graph_cache():
     build_graph(k) builds them.
 
     Tests that count calls, patch the build or the certificate search,
-    measure memory, or vary the worker count build their own graphs, so
-    that nothing another test cached or certified reaches them.
+    or measure memory build their own graphs, so that nothing another
+    test cached or certified reaches them.
     """
     return GraphCache()

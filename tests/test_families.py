@@ -19,7 +19,7 @@ from dcmatch import graph as graph_module
 from dcmatch import verification as verification_module
 from dcmatch.compat import neighbors, neighbors_bruteforce
 from dcmatch.dual_tree import find_antiblocks, find_blocks
-from dcmatch.errors import DomainError
+from dcmatch.errors import DomainError, ResourceLimitError
 from dcmatch.families import (
     BLOCK,
     LABEL_ISOLATED,
@@ -577,13 +577,30 @@ class TestWordGrowth:
         [result] = run_checks(1, 12, names=("family-counts",))
         assert result.status == "pass", result.detail
 
+    def test_each_isolated_size_grows_once(self, monkeypatch):
+        # Each odd size grows from the table kept for the previous one.
+        grown = []
+        real = families_module._grown_family
+
+        def counted(base, k):
+            grown.append((base, k))
+            return real(base, k)
+
+        monkeypatch.setattr(families_module, "_grown_family", counted)
+        families_module._tables.cache_clear()
+        families_module._isolated.cache_clear()
+        families_module._tables(9)
+        grown.clear()
+        families_module._tables(11)
+        assert grown == [("I", 11)]
+
     def test_family_counts_retain_little(self):
-        # The grown families' word sets die with each count; only the
-        # strip tables stay cached.  tracemalloc counts Python
+        # The degree-one word sets die with each count; only the strip
+        # and isolated tables stay cached.  tracemalloc counts Python
         # allocations only, in a fresh interpreter so that no earlier
-        # test has filled a table.  The check retained 0.08 MB, where
-        # keeping every grown size (49588 degree-one words at k = 12)
-        # retained 6.38 MB.
+        # test has filled a table.  The check retained 0.42 MB, most of
+        # it the isolated table at k = 11, where keeping every grown size
+        # (49588 degree-one words at k = 12) retained 6.38 MB.
         code = (
             "import tracemalloc; from dcmatch.verification import run_checks; "
             "tracemalloc.start(); "
@@ -639,6 +656,21 @@ class TestGenerateFamily:
 
 
 class TestClassify:
+    def test_sizes_over_the_cap_are_refused(self, monkeypatch):
+        # The tables of a size are grown only under the configured cap.
+        m = make_dbd(13, "+-+-", 1)
+        monkeypatch.delenv("DCM_MAX_K", raising=False)
+        for call in (
+            lambda: classify(m),
+            lambda: classify_with_witness(m),
+            lambda: generate_family("DBD", 13),
+            lambda: family_size("I", 13),
+        ):
+            with pytest.raises(ResourceLimitError):
+                call()
+        monkeypatch.setenv("DCM_MAX_K", "13")
+        assert classify(m) == LABEL_STAR_CENTER
+
     def test_pinned_labels(self):
         assert classify(parse_matching("1-2")) == LABEL_ISOLATED
         assert classify(NESTED3) == LABEL_ISOLATED

@@ -3,17 +3,12 @@
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
-import os
 import random
-import subprocess
-import sys
 import tracemalloc
 from array import array
 from collections import Counter
 from dataclasses import replace
 from itertools import accumulate
-from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -89,11 +84,6 @@ TABLE_DIGESTS = {
 }
 
 
-def tables(g):
-    """Every table a build fills in, and its edge count."""
-    return g.orbit, g.element, g.images, g.offsets, g.targets, g.edge_count
-
-
 class TestBuild:
     def test_small_shapes(self, graph_cache):
         g = graph_cache.graph(3)
@@ -150,55 +140,18 @@ class TestBuild:
             with pytest.raises(ValueError):
                 g.index_of(parse_matching(other_size))
 
-    @pytest.mark.parametrize("k", [4, 9])
-    def test_worker_count_is_invisible(self, monkeypatch, k):
-        # Both sizes have more than one orbit, so with the cut-off lowered
-        # workers > 1 use the pool.
-        base = tables(build_graph(k, workers=1))
-        monkeypatch.setattr(graph_module, "POOL_MIN_ORBITS", 2)
-        assert tables(build_graph(k, workers=2)) == base
-        assert tables(build_graph(k, workers=3)) == base
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_one_flip_enumeration_per_orbit(self, monkeypatch, workers):
-        # Forked workers inherit both the shared counter and the patch; the
-        # lowered cut-off sends workers > 1 through the pool.
-        calls = multiprocessing.get_context("fork").Value("i", 0)
+    def test_one_flip_enumeration_per_orbit(self, monkeypatch):
+        calls = 0
         real = compat_module._flips
 
         def counted(p):
-            with calls.get_lock():
-                calls.value += 1
+            nonlocal calls
+            calls += 1
             return real(p)
 
         monkeypatch.setattr(compat_module, "_flips", counted)
-        monkeypatch.setattr(graph_module, "POOL_MIN_ORBITS", 2)
-        build_graph(9, workers=workers)
-        assert calls.value == max(orbit_tables(9)[0]) + 1 == 175
-
-    def test_spawned_workers_build_the_same_graph(self, monkeypatch):
-        # Spawned workers inherit nothing from the parent's memory.
-        base = tables(build_graph(9, workers=1))
-        spawn = multiprocessing.get_context("spawn")
-        monkeypatch.setattr(multiprocessing, "get_context", lambda method: spawn)
-        monkeypatch.setattr(graph_module, "POOL_MIN_ORBITS", 2)
-        assert tables(build_graph(9, workers=2)) == base
-
-    def test_small_builds_import_no_multiprocessing(self):
-        # The pool, and so multiprocessing, is only made past the cut-off.
-        code = (
-            "import sys, dcmatch; dcmatch.build_graph(9, workers=2); "
-            "assert 'multiprocessing' not in sys.modules"
-        )
-        root = str(Path(graph_module.__file__).parents[1])
-        path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
-        assert proc.returncode == 0, proc.stderr
+        build_graph(9)
+        assert calls == max(orbit_tables(9)[0]) + 1 == 175
 
     def test_configured_cap(self, monkeypatch):
         monkeypatch.setenv("DCM_MAX_K", "5")
@@ -208,8 +161,6 @@ class TestBuild:
     def test_bad_arguments(self):
         with pytest.raises(DomainError):
             build_graph(0)
-        with pytest.raises(DomainError):
-            build_graph(4, workers=0)
 
 
 class TestOrbits:
@@ -232,10 +183,9 @@ class TestOrbits:
             assert image == m
             assert images[2 * n * orbit[i]] <= i
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_graph_keeps_the_orbit_table(self, workers):
+    def test_graph_keeps_the_orbit_table(self):
         for k in range(1, 10):
-            graph = build_graph(k, workers=workers)
+            graph = build_graph(k)
             assert graph.orbit == orbit_tables(k)[0]
 
     @pytest.mark.parametrize("k", range(1, 7))
@@ -520,10 +470,9 @@ def assert_matches_rows(graph):
 
 
 class TestQuotient:
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("k", range(1, 11))
-    def test_matches_the_rows(self, k, workers):
-        assert_matches_rows(build_graph(k, workers=workers))
+    def test_matches_the_rows(self, k):
+        assert_matches_rows(build_graph(k))
 
     def test_matches_the_rows_at_11(self, graph_cache):
         assert_matches_rows(graph_cache.graph(11))
@@ -572,7 +521,7 @@ class TestCensusMemory:
     def test_reports_retain_little_per_vertex(self):
         # Members live in one flat int array per component, and the
         # lifts of a piece share its profile dict.
-        g = build_graph(10, workers=1)
+        g = build_graph(10)
         components(g)  # fill the family tables first
         tracemalloc.start()
         try:
@@ -597,8 +546,8 @@ class TestCensusMemory:
             finally:
                 tracemalloc.stop()
 
-        build_graph(10, workers=1)  # fill the flip and rank tables first
-        g, built = retained(lambda: build_graph(10, workers=1))
+        build_graph(10)  # fill the flip and rank tables first
+        g, built = retained(lambda: build_graph(10))
         # The graph keeps the first four of them.
         _, tables = retained(lambda: orbit_tables(10)[:4])
         # One arc per neighbor of each orbit representative.
@@ -764,7 +713,7 @@ class TestPieceCertificates:
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_medium_certificates_match_a_direct_search(self, k):
-        g = build_graph(k, workers=1)
+        g = build_graph(k)
         for r in components(g):
             if r.category == "medium":
                 adj = graph_module._induced_adjacency(g, r.members)
@@ -773,7 +722,7 @@ class TestPieceCertificates:
 
     @pytest.mark.parametrize("position", (0, -1))
     def test_a_lift_with_a_foreign_member_is_refused(self, monkeypatch, position):
-        g = build_graph(8, workers=1)
+        g = build_graph(8)
         first, second, third = [
             r for r in components(g) if r.category == "medium"
         ][:3]
@@ -1011,7 +960,7 @@ class TestSearchSize:
                 depth[0] -= 1
 
         monkeypatch.setattr(graph_module, "_canonical_form", counted)
-        g = build_graph(k, workers=1)
+        g = build_graph(k)
         reports = components(g)
         isomorphism_classes(g, reports)
         assert verify_medium_even_structure(g, reports) == []

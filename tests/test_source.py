@@ -54,10 +54,14 @@ SHARED_ON_PURPOSE = {
 UNPASSED_ON_PURPOSE = {
     # The tests drive the CLI in process through it.
     "main.argv",
-    # The benchmark's verify-k1-10 workload passes all three, and the tests
+    # The benchmark's verify-k1-10 workload passes both, and the tests
     # pass the session's graph cache.
     "run_checks.names",
     "run_checks.cache",
+    # Every build runs in one process and reads no worker count; the
+    # keywords stay only because the benchmark's workloads pass them.
+    "build_graph.workers",
+    "GraphCache.__init__.workers",
     "run_checks.workers",
 }
 
@@ -227,3 +231,21 @@ def test_every_defaulted_parameter_is_passed():
         and qualified not in UNPASSED_ON_PURPOSE
     ]
     assert unpassed == []
+
+
+def test_no_module_starts_processes():
+    # Every graph is built in the calling process: no module imports a
+    # process or executor pool, or sizes one by the machine's cores.
+    starters = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                modules = [getattr(node, "module", None) or ""]
+            names = {getattr(node, attr, None) for attr in ("id", "attr", "name")}
+            if "cpu_count" in names or any(
+                m.split(".")[0] in ("multiprocessing", "concurrent") for m in modules
+            ):
+                starters.append(path.name)
+    assert starters == []
