@@ -138,6 +138,8 @@ LARGEST_DIGESTS = {
         "f2a7c4045c935d75d4dd686b71e0c85873976948c3da04b91cb1909826b5266a",
     "verify --k-range 1..12 --format json":
         "212067391478cd8a69d58de0df95193858b7823d48d31a3bd34deb81c8aa3956",
+    "verify --k-range 1..12 --quick --format json":
+        "fe573b92e3dba1780e9b4f8d42345b096a44f3b6c3e941989b9cf6bba3843183",
 }
 
 
