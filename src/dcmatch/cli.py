@@ -360,7 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
     sizes.add_argument("--k", type=int)
     sizes.add_argument("--k-range", metavar="A..B")
     p.add_argument("--quick", action="store_true",
-                   help=f"skip graph builds above k={QUICK_BUILD_CAP}")
+                   help=f"stop the census checks at k={QUICK_BUILD_CAP}; "
+                        "the neighbor oracle and property suite read graphs "
+                        "up to k=8")
 
     return parser
 

@@ -25,6 +25,7 @@ from collections import Counter, deque
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from itertools import islice
 
 from .compat import (
     chord_index,
@@ -43,9 +44,7 @@ from .matching import (
     check_size,
     enumerate_matchings,
     from_partner,
-    partner_word,
     rank,
-    unrank,
     word_partners,
     word_ranker,
     word_rotations,
@@ -84,9 +83,22 @@ class DcmGraph:
     def order(self) -> int:
         return len(self.orbit)
 
+    def word(self, i: int) -> int:
+        """Dyck word of the matching of rank ``i``: its orbit
+        representative's word under symmetry ``element[i]``, reflected
+        when the symmetry has one, then rotated."""
+        if not 0 <= i < self.order:
+            raise ValueError(f"rank {i} out of range for k={self.k}")
+        n, e = 2 * self.k, self.element[i]
+        w = self.words[self.orbit[i]]
+        p = word_partners(w, self.k)
+        if e >= n:
+            w, p = _reflected(w, p)
+        return next(islice(word_rotations(w, p), e % n, None))
+
     def vertex(self, i: int) -> Matching:
         """The matching of rank ``i``."""
-        return from_partner(unrank(self.k, i))
+        return from_partner(word_partners(self.word(i), self.k))
 
     def degree(self, i: int) -> int:
         return self.offsets[self.orbit[i] + 1] - self.offsets[self.orbit[i]]
@@ -558,11 +570,11 @@ def verify_medium_even_structure(
     1..(k/2 - 1) on two sides (chi, z).  Two of them are adjacent exactly
     when they sit on opposite sides and their j values sum to at least
     k/2, and sums of at least k/2 + 2 give the non-path chords.  Each
-    member's label is read off its partner table and its neighbors are
-    made once; its matching is made only for a problem line.  Each shape
-    is read through ``component_certificate``, so one search per quotient
-    piece.  Returns the problems found, one line per failing component;
-    empty on a pass.
+    member's label is read off its Dyck word (``DcmGraph.word``) and its
+    neighbors are made once; its matching is made only for a problem
+    line.  Each shape is read through ``component_certificate``, so one
+    search per quotient piece.  Returns the problems found, one line per
+    failing component; empty on a pass.
     """
     k = graph.k
     if k % 2 or k < 4:
@@ -582,7 +594,7 @@ def verify_medium_even_structure(
             problems.append(f"profile {report.profile}")
         spine: dict[int, tuple] = {}
         for v in report.members:
-            label, params = _classify_word(partner_word(unrank(k, v)), k)
+            label, params = _classify_word(graph.word(v), k)
             if label == LABEL_PATH_MEMBER:
                 around = set(graph.adjacent(v))
                 leaf_neighbors = sum(1 for w in around if graph.degree(w) == 1)

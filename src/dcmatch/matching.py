@@ -7,11 +7,11 @@ is a property of the cyclic label order alone, so no coordinates are stored.
 The canonical form used everywhere: each edge is an ``(a, b)`` tuple with
 ``a < b``, and edges are sorted by their first point.  The string form joins
 edges with commas, e.g. ``"1-2,3-4,5-6"``.  Canonical order sorts matchings
-by their edge tuples; a matching's index in it is its rank (:func:`rank`,
-:func:`unrank`), computed from its partner table.  Its Dyck word marks
-which points open a chord (:func:`words`, :func:`word_partners`,
-:func:`partner_word`), and is ranked through its numeric index
-(:func:`word_index`, :func:`word_ranker`).
+by their edge tuples; a matching's index in it is its rank (:func:`rank`),
+computed from its partner table.  Its Dyck word marks which points open
+a chord (:func:`words`, :func:`word_partners`, :func:`partner_word`),
+and is ranked through its numeric index (:func:`word_index`,
+:func:`word_ranker`).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import os
 from array import array
 from dataclasses import dataclass
-from bisect import bisect_right
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
@@ -246,26 +245,6 @@ def rank(p: Sequence[int]) -> int:
             end = outer_end[a]
             scale = outer_scale[a]
     return r
-
-
-def unrank(k: int, r: int) -> list[int]:
-    """Partner table of the size-k matching at index ``r`` of canonical order."""
-    before, cat = _rank_tables(k)
-    if not 0 <= r < cat[k]:
-        raise ValueError(f"rank {r} out of range for k={k}")
-    p = [0] * (2 * k + 1)
-    runs = [(1, k, r)]  # (first point, pairs, rank within the run)
-    while runs:
-        a, size, r = runs.pop()
-        if not size:
-            continue
-        j = bisect_right(before[size], r) - 1
-        inside, after = divmod(r - before[size][j], cat[size - 1 - j])
-        b = a + 2 * j + 1
-        p[a], p[b] = b, a
-        runs.append((a + 1, j, inside))
-        runs.append((b + 1, size - 1 - j, after))
-    return p
 
 
 def words(k: int) -> array:

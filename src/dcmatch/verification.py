@@ -43,7 +43,6 @@ from .graph import (
     build_almost_perfect_graph,
     build_graph,
     components,
-    csr,
     degree_stats,
     is_bipartite,
     isomorphism_classes,
@@ -64,7 +63,7 @@ GROWTH_WINDOW = (Fraction(497, 100), Fraction(557, 100))
 GROWTH_TERMS = 30
 GROWTH_TIME_BUDGET = 1.0
 
-# --quick skips graph builds above this size.
+# --quick stops the census checks (CHECKS rows marked builds) at this size.
 QUICK_BUILD_CAP = 6
 
 
@@ -81,14 +80,14 @@ class CheckResult:
 
 
 class GraphCache:
-    """Builds each graph, its component reports and each size's flip rows
-    at most once.  ``workers`` is accepted for existing callers and not
+    """Builds each graph and its component reports at most once, so the
+    census, the neighbor oracle and the property suite read one graph
+    per size.  ``workers`` is accepted for existing callers and not
     read."""
 
     def __init__(self, workers: int | None = None):
         self._graphs: dict[int, object] = {}
         self._reports: dict[int, list] = {}
-        self._flip_rows: dict[int, tuple] = {}
 
     def graph(self, k: int):
         if k not in self._graphs:
@@ -99,26 +98,6 @@ class GraphCache:
         if k not in self._reports:
             self._reports[k] = components(self.graph(k))
         return self._reports[k]
-
-    def flip_rows(self, k: int) -> tuple:
-        """``(words, offsets, targets)``: the Dyck words of the size-k
-        matchings in canonical order (``words``), and CSR rows whose row r
-        holds the sorted ranks of the flip neighbors of ``words[r]``.
-
-        Each matching's flips are walked once, as Dyck words
-        (``neighbor_words``), and ranked by their numeric index
-        (``word_ranker``), as the graph build ranks them.  The neighbor
-        oracle and the property suite read these rows, and the suite reads
-        each matching off its word, so they are built only for the sizes
-        those checks cover.
-        """
-        if k not in self._flip_rows:
-            by_rank = words(k)
-            ranked = word_ranker(k, by_rank)
-            self._flip_rows[k] = (by_rank, *csr(
-                sorted(ranked(neighbor_words(k, w))) for w in by_rank
-            ))
-        return self._flip_rows[k]
 
 
 # A failing check reports at most this many problems.
@@ -207,14 +186,15 @@ def _medium_even_structure(cache: GraphCache, k: int) -> list[str]:
 
 
 def _neighbor_oracle(cache: GraphCache, k: int) -> list[str]:
-    # Each flip row against the positions that no chord of the matching
-    # reaches, both as sorted ranks, so a flip listed twice disagrees.
+    # Each row of the graph the census reads against the positions that
+    # no chord of the matching reaches, both as sorted ranks, so a
+    # neighbor listed twice disagrees.
     ms, reach = _pair_tables(k)
     eindex = chord_tables(2 * k)[0]
-    _, offsets, targets = cache.flip_rows(k)
+    g = cache.graph(k)
     for r, m in enumerate(ms):
         free = unblocked(reach, len(ms), [eindex[e] for e in m.edges])
-        if targets[offsets[r] : offsets[r + 1]].tolist() != set_bits(free):
+        if g.adjacent(r) != set_bits(free):
             return [f"k={k}: routes disagree at {m}"]
     return []
 
@@ -283,7 +263,7 @@ def _disjoint_runs(starts: list[int], n: int) -> bool:
 
 
 def _separated_pairs(cache: GraphCache, k: int) -> list[str]:
-    for w in cache.flip_rows(k)[0]:
+    for w in words(k):
         p = word_partners(w, k)
         if not _disjoint_runs(find_blocks(p) + find_antiblocks(p), 2 * k):
             return [f"k={k}: {from_partner(p)} lacks two disjoint separated pairs"]
@@ -299,32 +279,31 @@ def _spliced_word(w: int, n: int, gap: int) -> int:
 
 
 def _insertion_degree(cache: GraphCache, k: int) -> list[str]:
-    # Degrees are flip-row lengths, at k for the host and at k + 2 for
-    # each splice.
+    # Degrees are read off the graphs, at k for the host and at k + 2
+    # for each splice.
     n = 2 * k
-    ws, host, _ = cache.flip_rows(k)
-    spliced_words, spliced, _ = cache.flip_rows(k + 2)
-    ranked = word_ranker(k + 2, spliced_words)
-    for r, w in enumerate(ws):
-        d = host[r + 1] - host[r]
+    host, spliced = cache.graph(k), cache.graph(k + 2)
+    ranked = word_ranker(k + 2, words(k + 2))
+    for r, w in enumerate(words(k)):
+        d = host.degree(r)
         gaps = ranked([_spliced_word(w, n, gap) for gap in range(n + 1)])
         for gap, s in enumerate(gaps):
-            if spliced[s + 1] - spliced[s] != d:
+            if spliced.degree(s) != d:
                 m = from_partner(word_partners(w, k))
                 return [f"k={k}: degree changed inserting at {gap} in {m}"]
     return []
 
 
 def _forced_antiblock(cache: GraphCache, k: int) -> list[str]:
-    # Each neighbor's partner table is read off its word in the flip row.
+    # Each neighbor's partner table is read off its word.
     n = 2 * k
-    ws, offsets, targets = cache.flip_rows(k)
+    g, ws = cache.graph(k), words(k)
     for r, w in enumerate(ws):
         p = word_partners(w, k)
         blocks = find_blocks(p)
         if not blocks:
             continue
-        nbs = [word_partners(ws[s], k) for s in targets[offsets[r] : offsets[r + 1]]]
+        nbs = [word_partners(ws[s], k) for s in g.adjacent(r)]
         for i in blocks:
             b, c, d = i % n + 1, (i + 1) % n + 1, (i + 2) % n + 1
             for q in nbs:
@@ -336,9 +315,9 @@ def _forced_antiblock(cache: GraphCache, k: int) -> list[str]:
 
 
 def _degree_bounds(cache: GraphCache, k: int) -> list[str]:
-    ws, offsets, _ = cache.flip_rows(k)
-    for r, w in enumerate(ws):
-        d = offsets[r + 1] - offsets[r]
+    g = cache.graph(k)
+    for r, w in enumerate(words(k)):
+        d = g.degree(r)
         p = word_partners(w, k)
         block_count = len(find_blocks(p))
         if k % 2 == 0 and d < 1:
@@ -380,9 +359,9 @@ def _extended_degree(cache: GraphCache, k: int) -> list[str]:
 
 # (sizes, body, what holds); the pass detail fills the sizes run into {}.
 # Each body takes (cache, k) and returns the problems found at size k.
-# Up to k = 8 the bodies read each matching's Dyck word, its degree and
-# its neighbors off the cache's flip rows; the sampled sizes above count
-# each member's neighbor words.
+# Up to k = 8 the bodies read each matching's Dyck word from words(k),
+# and its degree and its neighbors off the cached graph that the census
+# reads; the sampled sizes above count each member's neighbor words.
 _PROPERTIES = (
     (range(4, 9), _separated_pairs, "two disjoint separated pairs exist (k={})"),
     (range(1, 7), _insertion_degree,
@@ -403,8 +382,10 @@ def _property_suite_detail(ks: list[int]) -> str:
 
 
 # (name, sizes, builds, body, pass detail).  A check covers its sizes
-# within the run range; builds marks a check that builds a graph at each
-# size, which --quick drops above the cap.  The body takes (cache, k) and
+# within the run range; builds marks a census check, which builds a graph
+# at each of its sizes and which --quick drops above the cap.  The
+# neighbor oracle and the property suite read graphs up to k = 8 only,
+# so --quick runs them whole.  The body takes (cache, k) and
 # returns the problems found at size k; the pass detail is a function of
 # the sizes run.  growth-probe has no sizes: it runs once, and its body
 # takes no arguments and returns (status, detail).

@@ -16,6 +16,10 @@ each run's points off its edges, and ``reference_separated_pairs`` is the
 property suite's verdict when it compared those point sets.
 ``reference_insert`` is the splice that ``matching.insert`` made by
 re-sorting the shifted edges with ``canonical_edges``.
+``unrank`` is the inverse of ``matching.rank``, descending the same
+counts by bisection; the package now reads a vertex's Dyck word off the
+graph's dihedral quotient (``DcmGraph.word``), and the tests check that
+word, the orbit tables and the neighbor routes against it.
 ``reference_edge_series`` is the fixed-point iteration that
 ``counting.edge_series`` ran before it read the coefficients off a
 recurrence: truncated products and a series inverse, repeated from the
@@ -24,10 +28,11 @@ constant series until nothing changes.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterable
 
 from dcmatch.errors import CrossingError, LabelError, ParseError
-from dcmatch.matching import Edge, Matching, canonical_edges
+from dcmatch.matching import Edge, Matching, _rank_tables, canonical_edges
 
 
 def reference_validate(edges: Iterable[Iterable[int]]) -> Matching:
@@ -138,6 +143,26 @@ def reference_insert(host: Matching, inner: Matching, gap: int) -> Matching:
     ]
     placed = [(a + gap, b + gap) for a, b in inner.edges]
     return Matching(canonical_edges(shifted + placed))
+
+
+def unrank(k: int, r: int) -> list[int]:
+    """Partner table of the size-k matching at index ``r`` of canonical order."""
+    before, cat = _rank_tables(k)
+    if not 0 <= r < cat[k]:
+        raise ValueError(f"rank {r} out of range for k={k}")
+    p = [0] * (2 * k + 1)
+    runs = [(1, k, r)]  # (first point, pairs, rank within the run)
+    while runs:
+        a, size, r = runs.pop()
+        if not size:
+            continue
+        j = bisect_right(before[size], r) - 1
+        inside, after = divmod(r - before[size][j], cat[size - 1 - j])
+        b = a + 2 * j + 1
+        p[a], p[b] = b, a
+        runs.append((a + 1, j, inside))
+        runs.append((b + 1, size - 1 - j, after))
+    return p
 
 
 def _mul(a: list[int], b: list[int], n: int) -> list[int]:

@@ -16,19 +16,16 @@ import pytest
 
 from dcmatch import cli, compat, verification
 from dcmatch.cli import main
-from dcmatch.compat import neighbors
-from dcmatch.counting import catalan
 from dcmatch.errors import CrossingError, MatchingError
 from dcmatch.families import BLOCK, _family_words, generate_family
+from dcmatch.graph import DcmGraph, build_graph, orbit_tables
 from dcmatch.matching import (
     Matching,
     enumerate_matchings,
     from_partner,
     insert,
     partner_word,
-    rank,
     word_partners,
-    words,
 )
 from dcmatch.verification import CHECK_NAMES, run_checks
 from reference import reference_parse
@@ -609,10 +606,15 @@ class TestVerify:
         assert got == VERIFY_DETAILS[k]
 
     def test_quick_skips_every_build_above_the_cap(self, capsys, monkeypatch):
+        # The census checks stop at the cap; the neighbor oracle and the
+        # property suite read graphs up to k = 8 only.
         def refuse(*args, **kwargs):
             raise AssertionError("quick mode built a graph")
 
-        monkeypatch.setattr(verification, "build_graph", refuse)
+        def refuse_above_8(k):
+            return refuse() if k > 8 else build_graph(k)
+
+        monkeypatch.setattr(verification, "build_graph", refuse_above_8)
         monkeypatch.setattr(verification, "build_almost_perfect_graph", refuse)
         code, out, _ = run(
             "verify", "--k-range", "7..9", "--quick", capsys=capsys
@@ -654,17 +656,6 @@ class TestRunChecks:
         (result,) = run_checks(4, 4, names=("property-suite",))
         assert (result.status, result.detail) == ("fail", "k=4: planted problem")
 
-    @pytest.mark.parametrize("k", range(1, 8))
-    def test_flip_rows_rank_the_flip_neighbors(self, graph_cache, k):
-        # Oracle: the Matching-level flip route, each neighbor ranked off
-        # its partner table.
-        by_rank, offsets, targets = graph_cache.flip_rows(k)
-        assert by_rank == words(k)
-        assert len(offsets) == catalan(k) + 1
-        for r, m in enumerate(enumerate_matchings(k)):
-            want = sorted(rank(x.partner()) for x in neighbors(m))
-            assert targets[offsets[r] : offsets[r + 1]].tolist() == want, m
-
     @pytest.mark.parametrize("k", range(1, 7))
     def test_spliced_word_inserts_the_block(self, k):
         for m in enumerate_matchings(k):
@@ -695,11 +686,25 @@ class TestRunChecks:
                 monkeypatch.setattr(module, "_flips", counted)
         results = run_checks(1, 8, names=("neighbor-oracle", "property-suite"))
         assert all(r.status == "pass" for r in results)
-        # One flip-row walk per matching with k = 1..8 (2055), shared by
-        # both checks and read by every property body up to k = 8; then
-        # one per sampled extended member at k = 8, every third of 96
-        # (32).
-        assert calls[0] == sum(catalan(k) for k in range(1, 9)) + 32 == 2087
+        # One walk per orbit representative in the builds of k = 1..8
+        # (117), whose graphs both checks read; then one per sampled
+        # extended member at k = 8, every third of 96 (32).
+        orbits = sum(len(orbit_tables(k)[3]) for k in range(1, 9))
+        assert calls[0] == orbits + 32 == 149
+
+    def test_oracle_reads_the_census_graph(self, monkeypatch):
+        # A neighbor dropped from one row of the graph the census reads.
+        real = DcmGraph.adjacent
+
+        def dropped(graph, i):
+            row = real(graph, i)
+            return row[1:] if (graph.k, i) == (5, 7) else row
+
+        monkeypatch.setattr(DcmGraph, "adjacent", dropped)
+        (result,) = run_checks(5, 5, names=("neighbor-oracle",))
+        assert (result.status, result.detail) == (
+            "fail", "k=5: routes disagree at 1-2,3-8,4-5,6-7,9-10"
+        )
 
     def test_problems_are_capped_at_six(self, monkeypatch, graph_cache):
         counts = dict(verification.ISO_CLASSES_BY_K)

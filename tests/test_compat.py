@@ -31,11 +31,10 @@ from dcmatch.matching import (
     insert,
     parse_matching,
     partner_word,
-    unrank,
     validate,
     word_partners,
 )
-from reference import is_crossing
+from reference import is_crossing, unrank
 from symmetries import reflect, rotate
 
 RING4 = parse_matching("1-2,3-4,5-6,7-8")

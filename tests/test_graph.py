@@ -44,10 +44,10 @@ from dcmatch.matching import (
     parse_matching,
     partner_word,
     rank,
-    unrank,
+    words,
 )
 from dcmatch.verification import ISO_CLASSES_BY_K, run_checks
-from reference import is_crossing
+from reference import is_crossing, unrank
 from symmetries import dihedral_permutations, permute, reflect, rotate
 
 # (order, category) -> how many components, pinned per size.
@@ -392,21 +392,22 @@ class TestOrbitLabels:
 
     def test_one_classify_call_per_orbit(self, monkeypatch):
         # One classification per orbit, of its representative's word; the
-        # census unranks nothing and makes no matching for any component.
+        # census reads no vertex's word and makes no matching for any
+        # component.
         calls = Counter()
 
-        def counted(name):
-            real = getattr(graph_module, name)
+        def counted(owner, name):
+            real = getattr(owner, name)
 
             def call(*args):
                 calls[name] += 1
                 return real(*args)
 
-            return call
+            monkeypatch.setattr(owner, name, call)
 
         graph = build_graph(9)
-        for name in ("_classify_word", "unrank"):
-            monkeypatch.setattr(graph_module, name, counted(name))
+        counted(graph_module, "_classify_word")
+        counted(graph_module.DcmGraph, "word")
         reports = components(graph)
         assert len(reports) > 175
         assert calls == {"_classify_word": 175}
@@ -571,19 +572,23 @@ class TestCensusMemory:
 
 
 class TestVertices:
-    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("k", range(1, 11))
     def test_rank_roundtrip(self, k, graph_cache):
         g = graph_cache.graph(k)
         ms = enumerate_matchings(k)
+        by_rank = words(k)
         assert g.order == len(ms)
         for i, m in enumerate(ms):
+            assert g.word(i) == by_rank[i]
             assert g.vertex(i) == m
             assert g.index_of(m) == i
 
     def test_one_past_the_last_rank(self, graph_cache):
+        # An array would read -1 as the last vertex.
         g = graph_cache.graph(4)
-        with pytest.raises(ValueError):
-            g.vertex(g.order)
+        for i in (g.order, -1):
+            with pytest.raises(ValueError):
+                g.vertex(i)
 
 
 class TestBigComponent:

@@ -27,7 +27,6 @@ from dcmatch.matching import (
     parse_matching,
     partner_word,
     rank,
-    unrank,
     validate,
     word_index,
     word_partners,
@@ -39,6 +38,7 @@ from reference import (
     reference_insert,
     reference_parse,
     reference_validate,
+    unrank,
 )
 from symmetries import dihedral_permutations, permute, reflect, rotate
 

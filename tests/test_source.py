@@ -41,8 +41,8 @@ SHARED_ON_PURPOSE = {
     # AlmostPerfectGraph.order: the almost-perfect check reads it.
     "order",
     # DcmGraph.adjacent: certificates, the bipartite witness, the medium
-    # structure check and the CLI's graph export read it (the census reads
-    # the rows);
+    # structure check, the neighbor oracle, the property suite and the
+    # CLI's graph export read it (the census reads the rows);
     # AlmostPerfectGraph.adjacent: tests/test_graph.py's pairwise oracle
     # reads each row through it.
     "adjacent",
