@@ -17,9 +17,10 @@ property suite's verdict when it compared those point sets.
 ``reference_insert`` is the splice that ``matching.insert`` made by
 re-sorting the shifted edges with ``canonical_edges``.
 ``unrank`` is the inverse of ``matching.rank``, descending the same
-counts by bisection; the package now reads a vertex's Dyck word off the
-graph's dihedral quotient (``DcmGraph.word``), and the tests check that
-word, the orbit tables and the neighbor routes against it.
+counts by bisection; the package named a vertex with it before it read
+the vertex's Dyck word off the graph's dihedral quotient
+(``DcmGraph.word``).  The tests check ``matching.words``, the orbit
+tables and the neighbor routes against it.
 ``reference_edge_series`` is the fixed-point iteration that
 ``counting.edge_series`` ran before it read the coefficients off a
 recurrence: truncated products and a series inverse, repeated from the
