@@ -44,7 +44,7 @@ with a < c < b < d or c < a < d < b.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from operator import itemgetter
 
@@ -261,12 +261,14 @@ def chord_index(edge_lists: list[tuple[Edge, ...]], n: int) -> list[int]:
     return reach
 
 
-def unblocked(reach: list[int], count: int, chords: list[int]) -> int:
-    """Bitset of the positions, of ``count`` indexed, that no chord id in
-    ``chords`` reaches: one OR of a reach set per chord given."""
+def unblocked(reach: list[int], count: int, edges: Iterable[Edge], n: int) -> int:
+    """Bitset of the positions, of ``count`` indexed, that no chord of
+    ``edges`` reaches, ``reach`` being ``chord_index`` over points 1..n:
+    one OR of a reach set per chord given."""
+    eindex = chord_tables(n)[0]
     hit = 0
-    for c in chords:
-        hit |= reach[c]
+    for e in edges:
+        hit |= reach[eindex[e]]
     return ((1 << count) - 1) ^ hit
 
 
@@ -289,6 +291,4 @@ def neighbors_bruteforce(m: Matching) -> set[Matching]:
     """
     check_size(m.k)  # before the cache, which would skip the guard
     ms, reach = _pair_tables(m.k)
-    eindex = chord_tables(2 * m.k)[0]
-    chords = [eindex[e] for e in m.edges]
-    return {ms[i] for i in set_bits(unblocked(reach, len(ms), chords))}
+    return {ms[i] for i in set_bits(unblocked(reach, len(ms), m.edges, 2 * m.k))}

@@ -20,27 +20,19 @@ graphs and reports only; ``cli`` writes them out.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from collections import Counter, deque
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import islice
 
-from .compat import (
-    chord_index,
-    chord_tables,
-    neighbor_words,
-    set_bits,
-    unblocked,
-)
+from .compat import chord_index, neighbor_words, set_bits, unblocked
 from .counting import census_shape
 from .errors import DomainError
 from .families import LABEL_PATH_LEAF, LABEL_PATH_MEMBER, _classify_word
 from .matching import (
     Edge,
     Matching,
-    canonical_edges,
     check_size,
     enumerate_matchings,
     from_partner,
@@ -645,8 +637,7 @@ def _variant_row(reach: list[int], vertices: Sequence, v: int) -> int:
     # Vertex v's neighbors as one bitset: the vertices that no chord of v
     # reaches.  Its own chords reach v, so the row never holds it.
     edges = vertices[v][1]
-    eindex = chord_tables(2 * len(edges) + 1)[0]
-    return unblocked(reach, len(vertices), [eindex[e] for e in edges])
+    return unblocked(reach, len(vertices), edges, 2 * len(edges) + 1)
 
 
 def _piece_count(row: Callable[[int], int], order: int) -> int:
@@ -677,35 +668,33 @@ def build_almost_perfect_graph(k: int) -> AlmostPerfectGraph:
     """
     check_size(k)
     n = 2 * k + 1
-    raw: list[tuple[int, tuple[Edge, ...]]] = []
     matchings = enumerate_matchings(k)
+    vertices = []
     for skip in range(1, n + 1):
         rest = [p for p in range(1, n + 1) if p != skip]
         for m in matchings:
             # rest ascends, so the relabelled edges keep canonical order.
             edges = tuple((rest[a - 1], rest[b - 1]) for a, b in m.edges)
-            raw.append((skip, edges))
-    raw.sort(key=lambda v: v[1])
-    reach = chord_index([edges for _, edges in raw], n)
-    row = partial(_variant_row, reach, raw)
-    # The ring skipping each point, found in raw, which is sorted by chords.
-    ring_indices = []
-    for skip in range(1, n + 1):
-        edges = canonical_edges(
-            ((skip + 2 * t) % n + 1, (skip + 2 * t + 1) % n + 1)
-            for t in range(k)
-        )
-        ring_indices.append(bisect_left(raw, edges, key=lambda v: v[1]))
-    ring_mask = sum(1 << v for v in ring_indices)
+            vertices.append((skip, edges))
+    reach = chord_index([edges for _, edges in vertices], n)
+    row = partial(_variant_row, reach, vertices)
+    # The ring skipping each point, in order of the point: every chord
+    # joins cyclically adjacent points.
+    rings = [
+        v
+        for v, (_, edges) in enumerate(vertices)
+        if all((b - a) % n in (1, n - 1) for a, b in edges)
+    ]
+    assert len(rings) == n, "one ring per skipped point"
+    ring_mask = sum(1 << v for v in rings)
     cycle_ok = all(
-        row(v) & ring_mask
-        == (1 << ring_indices[pos - 1]) | (1 << ring_indices[(pos + 1) % n])
-        for pos, v in enumerate(ring_indices)
+        row(v) & ring_mask == (1 << rings[pos - 1]) | (1 << rings[(pos + 1) % n])
+        for pos, v in enumerate(rings)
     )
     return AlmostPerfectGraph(
         k=k,
-        vertices=tuple(raw),
+        vertices=tuple(vertices),
         reach=reach,
-        component_count=_piece_count(row, len(raw)),
+        component_count=_piece_count(row, len(vertices)),
         rings_form_cycle=cycle_ok,
     )

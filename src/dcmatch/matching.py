@@ -97,11 +97,6 @@ class Matching:
         return ",".join(f"{a}-{b}" for a, b in self.edges)
 
 
-def canonical_edges(edges: Iterable[Iterable[int]]) -> tuple[Edge, ...]:
-    """Sort each pair and then the pair list.  No validity checking."""
-    return tuple(sorted(tuple(sorted(e)) for e in edges))
-
-
 def validate(edges: Iterable[Iterable[int]]) -> Matching:
     """Check labels, coverage, and planarity; return the canonical matching.
 

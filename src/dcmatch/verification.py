@@ -18,13 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .compat import (
-    _pair_tables,
-    chord_tables,
-    neighbor_words,
-    set_bits,
-    unblocked,
-)
+from .compat import _pair_tables, neighbor_words, set_bits, unblocked
 from .counting import (
     catalan,
     census_shape,
@@ -190,11 +184,9 @@ def _neighbor_oracle(cache: GraphCache, k: int) -> list[str]:
     # no chord of the matching reaches, both as sorted ranks, so a
     # neighbor listed twice disagrees.
     ms, reach = _pair_tables(k)
-    eindex = chord_tables(2 * k)[0]
     g = cache.graph(k)
     for r, m in enumerate(ms):
-        free = unblocked(reach, len(ms), [eindex[e] for e in m.edges])
-        if g.adjacent(r) != set_bits(free):
+        if g.adjacent(r) != set_bits(unblocked(reach, len(ms), m.edges, 2 * k)):
             return [f"k={k}: routes disagree at {m}"]
     return []
 

@@ -15,7 +15,10 @@ the first points of blocks and antiblocks; ``reference_run_points`` reads
 each run's points off its edges, and ``reference_separated_pairs`` is the
 property suite's verdict when it compared those point sets.
 ``reference_insert`` is the splice that ``matching.insert`` made by
-re-sorting the shifted edges with ``canonical_edges``.
+re-sorting the shifted edges with ``canonical_edges``, which sorts each
+pair and then the pair list; the package's variant graph found its rings
+with it before it read them off by rule, and the tests still use it to
+write edge lists in canonical order.
 ``unrank`` is the inverse of ``matching.rank``, descending the same
 counts by bisection; the package named a vertex with it before it read
 the vertex's Dyck word off the graph's dihedral quotient
@@ -33,7 +36,12 @@ from bisect import bisect_right
 from typing import Iterable
 
 from dcmatch.errors import CrossingError, LabelError, ParseError
-from dcmatch.matching import Edge, Matching, _rank_tables, canonical_edges
+from dcmatch.matching import Edge, Matching, _rank_tables
+
+
+def canonical_edges(edges: Iterable[Iterable[int]]) -> tuple[Edge, ...]:
+    """Sort each pair and then the pair list.  No validity checking."""
+    return tuple(sorted(tuple(sorted(e)) for e in edges))
 
 
 def reference_validate(edges: Iterable[Iterable[int]]) -> Matching:

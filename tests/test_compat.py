@@ -25,7 +25,6 @@ from dcmatch.compat import (
 from dcmatch.counting import catalan, riordan
 from dcmatch.families import BLOCK
 from dcmatch.matching import (
-    canonical_edges,
     enumerate_matchings,
     from_partner,
     insert,
@@ -34,7 +33,7 @@ from dcmatch.matching import (
     validate,
     word_partners,
 )
-from reference import is_crossing, unrank
+from reference import canonical_edges, is_crossing, unrank
 from symmetries import reflect, rotate
 
 RING4 = parse_matching("1-2,3-4,5-6,7-8")

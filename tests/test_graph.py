@@ -38,7 +38,6 @@ from dcmatch.graph import (
     verify_medium_even_structure,
 )
 from dcmatch.matching import (
-    canonical_edges,
     enumerate_matchings,
     from_partner,
     parse_matching,
@@ -47,7 +46,7 @@ from dcmatch.matching import (
     words,
 )
 from dcmatch.verification import ISO_CLASSES_BY_K, run_checks
-from reference import is_crossing, unrank
+from reference import canonical_edges, is_crossing, unrank
 from symmetries import dihedral_permutations, permute, reflect, rotate
 
 # (order, category) -> how many components, pinned per size.

@@ -20,7 +20,6 @@ from dcmatch.errors import (
 from dcmatch.graph import build_almost_perfect_graph, build_graph
 from dcmatch.matching import (
     Matching,
-    canonical_edges,
     enumerate_matchings,
     from_partner,
     insert,
@@ -34,6 +33,7 @@ from dcmatch.matching import (
     words,
 )
 from reference import (
+    canonical_edges,
     is_crossing,
     reference_insert,
     reference_parse,
