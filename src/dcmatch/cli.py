@@ -5,7 +5,8 @@ listing, classification, component censuses, graph export, series
 coefficients, count tables, and the verification suite.  This is the one
 module that knows the output formats: the library returns data, and the
 handlers here turn it into text.  All output is deterministic for a given
-command line.  Exit codes: 0 success, 1 verification, I/O or internal
+command line, except the ``seconds`` timing of each ``verify`` check.
+Exit codes: 0 success, 1 verification, I/O or internal
 failure, 2 usage error, 3 resource limit.
 """
 

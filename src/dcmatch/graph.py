@@ -79,9 +79,7 @@ class DcmGraph:
         """Dyck word of the matching of rank ``i``: its orbit
         representative's word under symmetry ``element[i]``, reflected
         when the symmetry has one, then rotated."""
-        if not 0 <= i < self.order:
-            raise ValueError(f"rank {i} out of range for k={self.k}")
-        n, e = 2 * self.k, self.element[i]
+        n, e = 2 * self.k, self.element[_in_range(self, i)]
         w = self.words[self.orbit[i]]
         p = word_partners(w, self.k)
         if e >= n:
@@ -93,12 +91,14 @@ class DcmGraph:
         return from_partner(word_partners(self.word(i), self.k))
 
     def degree(self, i: int) -> int:
-        return self.offsets[self.orbit[i] + 1] - self.offsets[self.orbit[i]]
+        o = self.orbit[_in_range(self, i)]
+        return self.offsets[o + 1] - self.offsets[o]
 
     def adjacent(self, i: int) -> list[int]:
         """Sorted neighbor indices of vertex ``i``."""
         # Neighbor x = f(rep'), so its image under e is (f, then e)(rep').
-        o, then = self.orbit[i], _compose(2 * self.k)[self.element[i]]
+        o = self.orbit[_in_range(self, i)]
+        then = _compose(2 * self.k)[self.element[i]]
         base, orbit, element = 4 * self.k, self.orbit, self.element
         row = self.targets[self.offsets[o] : self.offsets[o + 1]]
         return sorted([self.images[base * orbit[x] + then[element[x]]] for x in row])
@@ -107,6 +107,14 @@ class DcmGraph:
         if m.k != self.k:
             raise ValueError(f"{m} is not a vertex of the size-{self.k} graph")
         return rank(m.partner())
+
+
+def _in_range(graph: DcmGraph | AlmostPerfectGraph, i: int) -> int:
+    # Vertex index i of either graph class, refused unless 0 <= i < order:
+    # an array or a tuple would read -1 as the last vertex.
+    if not 0 <= i < graph.order:
+        raise ValueError(f"rank {i} out of range for k={graph.k}")
+    return i
 
 
 @dataclass(frozen=True, slots=True)
@@ -630,7 +638,7 @@ class AlmostPerfectGraph:
 
     def adjacent(self, i: int) -> list[int]:
         """Sorted neighbor indices of vertex ``i``."""
-        return set_bits(_variant_row(self.reach, self.vertices, i))
+        return set_bits(_variant_row(self.reach, self.vertices, _in_range(self, i)))
 
 
 def _variant_row(reach: list[int], vertices: Sequence, v: int) -> int:
@@ -661,10 +669,15 @@ def _piece_count(row: Callable[[int], int], order: int) -> int:
 def build_almost_perfect_graph(k: int) -> AlmostPerfectGraph:
     """Variant graph on 2k+1 points, each matching skipping one point.
 
-    Adjacency is the same relation: no common edge and no crossing.
-    Each row is the complement of the reach sets of the vertex's own
-    chords, taken over all (2k+1) * C(k) vertices, so the build is only
-    practical for small k; the acceptance checks stop at k=6.
+    Vertices come in order of the skipped point, and for each skipped
+    point in the canonical order of the size-k matchings, relabelled
+    onto the points left, so their edges stay canonical.  Adjacency is
+    the same relation: no common edge and no crossing.  Each row is the
+    complement of the reach sets of the vertex's own chords, taken over
+    all (2k+1) * C(k) vertices, so the cost grows with the square of the
+    order: one fresh process on a 2-core VM built k=6 in 18 ms, k=8 in
+    0.43 s and k=9 in 2.2-3.2 s at a 92 MB peak.  The acceptance checks
+    stop at k=6.
     """
     check_size(k)
     n = 2 * k + 1

@@ -42,7 +42,7 @@ from .graph import (
     isomorphism_classes,
     verify_medium_even_structure,
 )
-from .matching import from_partner, word_partners, word_ranker, words
+from .matching import configured_max_k, from_partner, word_partners, word_ranker, words
 
 # Census rows pinned independently of the counting formulas; the checks
 # require the measured censuses to equal both.
@@ -349,28 +349,37 @@ def _extended_degree(cache: GraphCache, k: int) -> list[str]:
     return []
 
 
-# (sizes, body, what holds); the pass detail fills the sizes run into {}.
-# Each body takes (cache, k) and returns the problems found at size k.
+# (sizes, above, body, what holds); the pass detail fills the sizes run
+# into {}.  Each body takes (cache, k) and returns the problems found at
+# size k, reading graphs up to size k + above.
 # Up to k = 8 the bodies read each matching's Dyck word from words(k),
 # and its degree and its neighbors off the cached graph that the census
 # reads; the sampled sizes above count each member's neighbor words.
 _PROPERTIES = (
-    (range(4, 9), _separated_pairs, "two disjoint separated pairs exist (k={})"),
-    (range(1, 7), _insertion_degree,
+    (range(4, 9), 0, _separated_pairs, "two disjoint separated pairs exist (k={})"),
+    (range(1, 7), 2, _insertion_degree,
      "splicing an outer/inner pair preserves degree (hosts k={})"),
-    (range(2, 8), _forced_antiblock,
+    (range(2, 8), 0, _forced_antiblock,
      "every neighbor re-pairs each outer/inner pair in place (k={})"),
-    (range(2, 9), _degree_bounds, "degree lower bounds hold (k={})"),
-    (range(1, 10, 2), _isolated_antiblock_free,
+    (range(2, 9), 0, _degree_bounds, "degree lower bounds hold (k={})"),
+    (range(1, 10, 2), 0, _isolated_antiblock_free,
      "isolated matchings have no antiblocks (k={})"),
-    (range(8, 13, 2), _extended_degree,
+    (range(8, 13, 2), 0, _extended_degree,
      "extended members have parameter+2 neighbors (sampled k={})"),
 )
 
 
+def _property_runs(ks: list[int]) -> list[tuple]:
+    # (body, what holds, sizes run) per property: the sizes of ks among
+    # its own whose graphs, up to k + above, are within the size cap.
+    cap = configured_max_k()
+    return [(body, holds, [k for k in ks if k in sizes and k + above <= cap])
+            for sizes, above, body, holds in _PROPERTIES]
+
+
 def _property_suite_detail(ks: list[int]) -> str:
-    runs = [(holds, [k for k in ks if k in sizes]) for sizes, _, holds in _PROPERTIES]
-    return "; ".join(holds.format(_span_str(run)) for holds, run in runs if run)
+    runs = _property_runs(ks)
+    return "; ".join(holds.format(_span_str(run)) for _, holds, run in runs if run)
 
 
 # (name, sizes, builds, body, pass detail).  A check covers its sizes
@@ -407,9 +416,9 @@ CHECKS = (
      lambda ks: "flip route equals the brute-force route for all "
                 f"{sum(catalan(k) for k in ks)} matchings with k={_span_str(ks)} "
                 f"({sum(catalan(k) ** 2 for k in ks)} pair tests)"),
-    ("property-suite", tuple(sorted(set().union(*(s for s, _, _ in _PROPERTIES)))),
+    ("property-suite", tuple(sorted(set().union(*(s for s, *_ in _PROPERTIES)))),
      False,
-     lambda cache, k: [p for sizes, body, _ in _PROPERTIES if k in sizes
+     lambda cache, k: [p for body, _, run in _property_runs([k]) if run
                        for p in body(cache, k)],
      _property_suite_detail),
     ("family-counts", range(1, 13), False, _family_counts,

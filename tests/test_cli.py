@@ -627,6 +627,23 @@ class TestVerify:
             name: "pass" if name in unbuilt else "skip" for name in CHECK_NAMES
         }
 
+    @pytest.mark.parametrize("cap", range(1, 9))
+    def test_default_range_stops_at_a_lowered_cap(self, cap, capsys, monkeypatch):
+        # Every check stops at the cap, and the insertion property, which
+        # reads the graph two sizes above its host, at hosts up to cap - 2.
+        monkeypatch.setenv("DCM_MAX_K", str(cap))
+        code, out, err = run("verify", capsys=capsys)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["k_range"] == [1, cap]
+        (suite,) = [c["detail"] for c in payload["checks"]
+                    if c["name"] == "property-suite"]
+        if cap <= 2:
+            assert "splicing" not in suite
+        else:
+            hosts = "1" if cap == 3 else f"1..{min(cap - 2, 6)}"
+            assert f"preserves degree (hosts k={hosts})" in suite
+
     def test_failed_check_exits_1(self, capsys, monkeypatch):
         monkeypatch.setitem(verification.ISO_CLASSES_BY_K, 3, 99)
         code, out, _ = run(
@@ -647,8 +664,8 @@ class TestRunChecks:
         assert not result.passed
 
     def test_property_problem_reaches_the_suite_detail(self, monkeypatch):
-        sizes, _, holds = verification._PROPERTIES[0]
-        planted = (sizes, lambda cache, k: [f"k={k}: planted problem"], holds)
+        sizes, above, _, holds = verification._PROPERTIES[0]
+        planted = (sizes, above, lambda cache, k: [f"k={k}: planted problem"], holds)
         monkeypatch.setattr(
             verification, "_PROPERTIES",
             (planted,) + verification._PROPERTIES[1:],

@@ -249,3 +249,17 @@ def test_no_module_starts_processes():
             ):
                 starters.append(path.name)
     assert starters == []
+
+
+def test_only_compat_names_chord_ids():
+    # compat keeps the chord ids behind its reach sets: every other module
+    # passes edges, and no other module names chord_tables, even to import it.
+    namers = [
+        path.name
+        for path in sorted(SOURCE.glob("*.py"))
+        if path.name != "compat.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if "chord_tables"
+        in {getattr(node, attr, None) for attr in ("id", "attr", "name")}
+    ]
+    assert namers == []
