@@ -354,7 +354,7 @@ def _extended_degree(cache: GraphCache, k: int) -> list[str]:
 # size k, reading graphs up to size k + above.
 # Up to k = 8 the bodies read each matching's Dyck word from words(k),
 # and its degree and its neighbors off the cached graph that the census
-# reads; the sampled sizes above count each member's neighbor words.
+# reads; the sampled larger sizes count each member's neighbor words.
 _PROPERTIES = (
     (range(4, 9), 0, _separated_pairs, "two disjoint separated pairs exist (k={})"),
     (range(1, 7), 2, _insertion_degree,

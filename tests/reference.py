@@ -16,9 +16,8 @@ each run's points off its edges, and ``reference_separated_pairs`` is the
 property suite's verdict when it compared those point sets.
 ``reference_insert`` is the splice that ``matching.insert`` made by
 re-sorting the shifted edges with ``canonical_edges``, which sorts each
-pair and then the pair list; the package's variant graph found its rings
-with it before it read them off by rule, and the tests still use it to
-write edge lists in canonical order.
+pair and then the pair list; the tests write edge lists in canonical
+order with it.
 ``unrank`` is the inverse of ``matching.rank``, descending the same
 counts by bisection; the package named a vertex with it before it read
 the vertex's Dyck word off the graph's dihedral quotient
